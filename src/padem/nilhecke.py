@@ -1,37 +1,50 @@
-"""The nilHecke algebra NH_n: operator words, their action on polynomials,
-a rewriting normal form, and Schubert polynomials.
+"""The nilHecke algebra NH_n: elements in the x^a * D_w basis, their
+action on polynomials, and Schubert polynomials.
 
-Words are tuples over the alphabet ('x', i) for multiplication by x_i and
-('d', j) for the divided difference at j.  The normal form writes every
-element as a combination of x^a * D_w with w a permutation; a D-word that
-is not reduced collapses to zero, which subsumes D_j^2 = 0 and the braid
-relation.  Elements are immutable; normalization caches on the instance
-but is idempotent and safe under concurrent reads.
+An element is stored as {(exponents, permutation images): c}, one
+coefficient per basis operator x^a * D_w, with w in one-line notation.
+Products stay in the basis by the left-multiplication rule
+
+    D_i * x^a D_w = d_i(x^a) D_w + x^{s_i a} D_{s_i w},
+
+where the second term is present only when l(s_i w) > l(w).  This is the
+relation D_i x_i - x_{i+1} D_i = 1 read as D_i f = d_i(f) + s_i(f) D_i,
+together with D_i D_w = D_{s_i w} or 0, which subsumes D_i^2 = 0 and the
+braid relation.  The divided difference of a monomial has the closed
+form (x^a y^b - x^b y^a) / (x - y) = +-(xy)^min(a,b) h_{|a-b|-1}(x, y),
+cached per exponent pair; it is the one kernel behind divided_difference,
+apply and the product.
+
+Words over the letters ('x', i) for multiplication by x_i and ('d', j)
+for the divided difference at j are an input format: from_word
+multiplies them into the basis, and apply_word composes the generator
+actions one letter at a time as the word-level reference.  Elements are
+immutable after construction.
 """
 
 from __future__ import annotations
 
 import functools
 
+from .arith import require_prime
 from .errors import DomainError, MismatchError
-from .poly import Monomial, Polynomial, exact_divide, grlex_key
+from .poly import Monomial, Polynomial, grlex_key
 
 Letter = tuple[str, int]
 Word = tuple[Letter, ...]
+BasisKey = tuple[Monomial, tuple[int, ...]]
 
 
 class Permutation:
     """Permutation of {1..n} in one-line notation."""
 
-    __slots__ = ("images", "_length", "_word")
+    __slots__ = ("images",)
 
     def __init__(self, images: tuple[int, ...]):
         images = tuple(images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise DomainError(f"{images} is not a permutation of 1..{len(images)}")
         self.images = images
-        self._length = None
-        self._word = None
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -53,9 +66,6 @@ class Permutation:
     def n(self) -> int:
         return len(self.images)
 
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition (self*other)(i) = self(other(i))."""
         if self.n != other.n:
@@ -70,30 +80,11 @@ class Permutation:
 
     def length(self) -> int:
         """Number of inversions."""
-        if self._length is None:
-            im = self.images
-            self._length = sum(
-                1
-                for a in range(self.n)
-                for b in range(a + 1, self.n)
-                if im[a] > im[b]
-            )
-        return self._length
+        return len(_reduced_word(self.images))
 
     def reduced_word(self) -> tuple[int, ...]:
         """Lexicographically least reduced word, multiplying left to right."""
-        if self._word is None:
-            word = []
-            w = self
-            while w.length():
-                inv = w.inverse()
-                j = next(
-                    i for i in range(1, w.n) if inv.images[i - 1] > inv.images[i]
-                )
-                word.append(j)
-                w = Permutation.transposition(w.n, j) * w
-            self._word = tuple(word)
-        return self._word
+        return _reduced_word(self.images)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -105,121 +96,138 @@ class Permutation:
         return f"Permutation{self.images}"
 
 
-def divided_difference(f: Polynomial, j: int) -> Polynomial:
-    """(f - s_j f) / (x_j - x_{j+1}).
+@functools.cache
+def _reduced_word(images: tuple[int, ...]) -> tuple[int, ...]:
+    """Peel off the least left descent j of w (j + 1 stands before j in
+    one-line notation) and continue with s_j w."""
+    w = list(images)
+    word = []
+    while True:
+        j = next((j for j in range(1, len(w)) if w.index(j) > w.index(j + 1)), None)
+        if j is None:
+            return tuple(word)
+        word.append(j)
+        a, b = w.index(j), w.index(j + 1)
+        w[a], w[b] = j + 1, j
 
-    The division is exact for every input; a DivisibilityError here
-    indicates a bug and is asserted against in the test suite.
-    """
-    if not 1 <= j < f.n:
-        raise DomainError(f"divided difference index {j} out of range 1..{f.n - 1}")
-    numerator = f - f.transpose(j)
-    if numerator.is_zero():
-        return Polynomial.zero(f.p, f.n)
-    return exact_divide(numerator, _root_difference(f.p, f.n, j))
+
+def _raise_length(images: tuple[int, ...], i: int) -> tuple[int, ...] | None:
+    """Images of s_i w when l(s_i w) > l(w), that is when i stands before
+    i + 1 in one-line notation; None otherwise."""
+    a, b = images.index(i), images.index(i + 1)
+    if a > b:
+        return None
+    out = list(images)
+    out[a], out[b] = i + 1, i
+    return tuple(out)
 
 
 @functools.cache
-def _root_difference(p: int, n: int, j: int) -> Polynomial:
-    return Polynomial.variable(p, n, j) - Polynomial.variable(p, n, j + 1)
+def _dd_pair(a: int, b: int) -> tuple[tuple[int, int, int], ...]:
+    """(x^a y^b - x^b y^a) / (x - y) as terms (exponent of x, exponent of
+    y, sign): +-(xy)^min(a,b) h_{|a-b|-1}(x, y), plus when a > b."""
+    lo, hi = min(a, b), max(a, b)
+    sign = 1 if a > b else -1
+    top = hi - lo - 1
+    return tuple((lo + t, hi - 1 - t, sign) for t in range(top + 1))
 
 
-@functools.cache
-def _normalize_word(n: int, word: Word) -> tuple[tuple[Monomial, tuple[int, ...], int], ...]:
-    """Rewrite a word into the x^a * D_w spanning set, over Z.
-
-    Returns ((exponents, permutation images, integer coefficient), ...).
-    Coefficients are reduced mod p by the caller.
-    """
-    out: dict[tuple[Monomial, tuple[int, ...]], int] = {}
-    stack: list[tuple[int, Word]] = [(1, word)]
-    while stack:
-        coeff, w = stack.pop()
-        for pos in range(len(w) - 1):
-            kind, i = w[pos]
-            kind2, j = w[pos + 1]
-            if kind == "d" and kind2 == "x":
-                head, tail = w[:pos], w[pos + 2 :]
-                if j == i:
-                    # D_i X_i = X_{i+1} D_i + 1
-                    stack.append((coeff, head + (("x", i + 1), ("d", i)) + tail))
-                    stack.append((coeff, head + tail))
-                elif j == i + 1:
-                    # D_i X_{i+1} = X_i D_i - 1
-                    stack.append((coeff, head + (("x", i), ("d", i)) + tail))
-                    stack.append((-coeff, head + tail))
-                else:
-                    stack.append((coeff, head + (("x", j), ("d", i)) + tail))
-                break
-        else:
-            exps = [0] * n
-            dword = []
-            for kind, i in w:
-                if kind == "x":
-                    exps[i - 1] += 1
-                else:
-                    dword.append(i)
-            perm = Permutation.identity(n)
-            for i in dword:
-                perm = perm * Permutation.transposition(n, i)
-            if perm.length() != len(dword):
-                continue  # non-reduced D-words vanish
-            key = (tuple(exps), perm.images)
-            out[key] = out.get(key, 0) + coeff
-    return tuple((m, im, c) for (m, im), c in out.items() if c)
+def _add_term(terms: dict, key, c: int, p: int) -> None:
+    v = (terms.get(key, 0) + c) % p
+    if v:
+        terms[key] = v
+    else:
+        terms.pop(key, None)
 
 
-@functools.lru_cache(maxsize=65536)
-def _compile_word(n: int, word: Word) -> tuple:
-    """Execution plan for a word acting rightmost-first: runs of X letters
-    collapse to single monomial shifts."""
-    ops = []
-    pending: list[int] | None = None
+def _left_multiply(p: int, word: Word, terms: dict[BasisKey, int]) -> dict[BasisKey, int]:
+    """word * (sum of basis terms), the rightmost letter first."""
     for kind, i in reversed(word):
         if kind == "x":
-            if pending is None:
-                pending = [0] * n
-            pending[i - 1] += 1
-        else:
-            if pending is not None:
-                ops.append(("x", tuple(pending)))
-                pending = None
-            ops.append(("d", i))
-    if pending is not None:
-        ops.append(("x", tuple(pending)))
-    return tuple(ops)
+            terms = {
+                (exps[: i - 1] + (exps[i - 1] + 1,) + exps[i:], images): c
+                for (exps, images), c in terms.items()
+            }
+            continue
+        out: dict[BasisKey, int] = {}
+        for (exps, images), c in terms.items():
+            head, tail = exps[: i - 1], exps[i + 1 :]
+            for a, b, sign in _dd_pair(exps[i - 1], exps[i]):
+                _add_term(out, (head + (a, b) + tail, images), c * sign, p)
+            raised = _raise_length(images, i)
+            if raised is not None:
+                _add_term(out, (head + (exps[i], exps[i - 1]) + tail, raised), c, p)
+        terms = out
+    return terms
+
+
+def _check_ring(p: int, n: int) -> None:
+    require_prime(p)
+    if n < 1:
+        raise DomainError("need at least one variable")
+
+
+def _check_letter(n: int, letter: Letter) -> None:
+    kind, i = letter
+    if kind == "x":
+        if not 1 <= i <= n:
+            raise DomainError(f"X index {i} out of range 1..{n}")
+    elif kind == "d":
+        if not 1 <= i < n:
+            raise DomainError(f"D index {i} out of range 1..{n - 1}")
+    else:
+        raise DomainError(f"unknown letter kind {kind!r}")
+
+
+def divided_difference(f: Polynomial, j: int) -> Polynomial:
+    """(f - s_j f) / (x_j - x_{j+1}), monomial by monomial in closed form."""
+    if not 1 <= j < f.n:
+        raise DomainError(f"divided difference index {j} out of range 1..{f.n - 1}")
+    p = f.p
+    out: dict[Monomial, int] = {}
+    for m, c in f.terms.items():
+        head, tail = m[: j - 1], m[j + 1 :]
+        for a, b, sign in _dd_pair(m[j - 1], m[j]):
+            _add_term(out, head + (a, b) + tail, c * sign, p)
+    return Polynomial._raw(p, f.n, out)
 
 
 class NilHeckeElement:
-    """F_p-linear combination of words in X_i and D_j acting on F_p[x_1..x_n]."""
+    """F_p-linear combination of the basis operators x^a * D_w acting on
+    F_p[x_1..x_n], stored (exponents, permutation images) -> nonzero
+    coefficient."""
 
-    __slots__ = ("p", "n", "terms", "_normal")
+    __slots__ = ("p", "n", "terms")
 
-    def __init__(self, p: int, n: int, terms: dict[Word, int] | None = None):
-        if n < 1:
-            raise DomainError("need at least one variable")
-        self.p = p
-        self.n = n
-        clean: dict[Word, int] = {}
+    def __init__(self, p: int, n: int, terms: dict[BasisKey, int] | None = None):
+        _check_ring(p, n)
+        clean: dict[BasisKey, int] = {}
         if terms:
-            for word, c in terms.items():
-                self._check_word(word)
+            for (exps, images), c in terms.items():
+                exps, images = tuple(exps), tuple(images)
+                if len(exps) != n or len(images) != n:
+                    raise MismatchError(
+                        f"basis key {exps}, {images} has wrong length for {n} variables"
+                    )
+                if any(e < 0 for e in exps):
+                    raise DomainError("negative exponent")
+                Permutation(images)
                 c %= p
                 if c:
-                    clean[tuple(word)] = c
+                    clean[(exps, images)] = c
+        self.p = p
+        self.n = n
         self.terms = clean
-        self._normal = None
 
-    def _check_word(self, word: Word) -> None:
-        for kind, i in word:
-            if kind == "x":
-                if not 1 <= i <= self.n:
-                    raise DomainError(f"X index {i} out of range 1..{self.n}")
-            elif kind == "d":
-                if not 1 <= i < self.n:
-                    raise DomainError(f"D index {i} out of range 1..{self.n - 1}")
-            else:
-                raise DomainError(f"unknown letter kind {kind!r}")
+    @classmethod
+    def _raw(cls, p: int, n: int, terms: dict[BasisKey, int]) -> "NilHeckeElement":
+        """Internal fast path: terms must already be clean (valid keys,
+        coefficients nonzero in [1, p))."""
+        self = object.__new__(cls)
+        self.p = p
+        self.n = n
+        self.terms = terms
+        return self
 
     # -- constructors ------------------------------------------------
 
@@ -229,44 +237,31 @@ class NilHeckeElement:
 
     @classmethod
     def one(cls, p: int, n: int) -> "NilHeckeElement":
-        return cls(p, n, {(): 1})
+        return cls(p, n, {((0,) * n, tuple(range(1, n + 1))): 1})
 
     @classmethod
     def x_gen(cls, p: int, n: int, i: int) -> "NilHeckeElement":
-        return cls(p, n, {(("x", i),): 1})
+        return cls.from_word(p, n, (("x", i),))
 
     @classmethod
     def d_gen(cls, p: int, n: int, j: int) -> "NilHeckeElement":
-        return cls(p, n, {(("d", j),): 1})
+        return cls.from_word(p, n, (("d", j),))
 
     @classmethod
     def from_word(cls, p: int, n: int, word: Word, coeff: int = 1) -> "NilHeckeElement":
-        return cls(p, n, {tuple(word): coeff})
+        """coeff times the product of the letters of word."""
+        _check_ring(p, n)
+        for letter in word:
+            _check_letter(n, letter)
+        c = coeff % p
+        unit = {((0,) * n, tuple(range(1, n + 1))): c} if c else {}
+        return cls._raw(p, n, _left_multiply(p, tuple(word), unit))
 
     @classmethod
     def from_polynomial(cls, f: Polynomial) -> "NilHeckeElement":
         """The multiplication operator of a polynomial."""
-        terms: dict[Word, int] = {}
-        for m, c in f.terms.items():
-            word = []
-            for i, e in enumerate(m):
-                word.extend([("x", i + 1)] * e)
-            terms[tuple(word)] = c
-        return cls(f.p, f.n, terms)
-
-    @classmethod
-    def from_normal_form(
-        cls, p: int, n: int, nf: dict[tuple[Monomial, tuple[int, ...]], int]
-    ) -> "NilHeckeElement":
-        terms: dict[Word, int] = {}
-        for (exps, images), c in nf.items():
-            word: list[Letter] = []
-            for i, e in enumerate(exps):
-                word.extend([("x", i + 1)] * e)
-            word.extend(("d", j) for j in Permutation(images).reduced_word())
-            key = tuple(word)
-            terms[key] = (terms.get(key, 0) + c) % p
-        return cls(p, n, terms)
+        identity = tuple(range(1, f.n + 1))
+        return cls._raw(f.p, f.n, {(m, identity): c for m, c in f.terms.items()})
 
     # -- algebra -----------------------------------------------------
 
@@ -277,27 +272,35 @@ class NilHeckeElement:
     def __add__(self, other: "NilHeckeElement") -> "NilHeckeElement":
         self._check_compatible(other)
         new = dict(self.terms)
-        for w, c in other.terms.items():
-            new[w] = (new.get(w, 0) + c) % self.p
-        return NilHeckeElement(self.p, self.n, new)
+        for key, c in other.terms.items():
+            _add_term(new, key, c, self.p)
+        return NilHeckeElement._raw(self.p, self.n, new)
 
     def __neg__(self) -> "NilHeckeElement":
-        return NilHeckeElement(self.p, self.n, {w: -c for w, c in self.terms.items()})
+        p = self.p
+        return NilHeckeElement._raw(p, self.n, {k: p - c for k, c in self.terms.items()})
 
     def __sub__(self, other: "NilHeckeElement") -> "NilHeckeElement":
         return self + (-other)
 
     def __mul__(self, other):
+        p = self.p
         if isinstance(other, int):
-            c = other % self.p
-            return NilHeckeElement(self.p, self.n, {w: v * c for w, v in self.terms.items()})
+            c = other % p
+            terms = {k: v * c % p for k, v in self.terms.items()} if c else {}
+            return NilHeckeElement._raw(p, self.n, terms)
         self._check_compatible(other)
-        new: dict[Word, int] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                new[w] = (new.get(w, 0) + c1 * c2) % self.p
-        return NilHeckeElement(self.p, self.n, new)
+        heads: dict[tuple[int, ...], list[tuple[Monomial, int]]] = {}
+        for (exps, images), c in self.terms.items():
+            heads.setdefault(images, []).append((exps, c))
+        new: dict[BasisKey, int] = {}
+        for images, monomials in heads.items():
+            dword = tuple(("d", j) for j in _reduced_word(images))
+            tail = _left_multiply(p, dword, other.terms)
+            for a, c1 in monomials:
+                for (b, w), c2 in tail.items():
+                    _add_term(new, (tuple(x + y for x, y in zip(a, b)), w), c1 * c2, p)
+        return NilHeckeElement._raw(p, self.n, new)
 
     def __rmul__(self, other: int) -> "NilHeckeElement":
         return self * other
@@ -311,87 +314,60 @@ class NilHeckeElement:
         return out
 
     def is_zero(self) -> bool:
-        return not self.normal_form()
+        return not self.terms
 
     def word_degree(self, word: Word) -> int:
         return 2 * sum(1 if kind == "x" else -1 for kind, _ in word)
 
     def degree(self):
-        """Maximum degree over normal-form terms, or None if zero."""
-        nf = self.normal_form()
-        if not nf:
+        """Maximum degree 2|a| - 2 l(w) over the terms, or None if zero."""
+        if not self.terms:
             return None
-        return max(2 * sum(exps) - 2 * Permutation(im).length() for exps, im in nf)
+        return max(2 * sum(exps) - 2 * len(_reduced_word(im)) for exps, im in self.terms)
 
-    # -- action and normal form --------------------------------------
+    # -- action ------------------------------------------------------
 
     def apply(self, f: Polynomial) -> Polynomial:
-        """Act on a polynomial; the rightmost letter acts first."""
+        """Act on a polynomial: x^a * D_w sends f to x^a * D_w(f)."""
         if f.p != self.p or f.n != self.n:
             raise MismatchError("operand over a different ring")
         out = Polynomial.zero(self.p, self.n)
-        for word, c in self.terms.items():
-            g = f
-            for kind, payload in _compile_word(self.n, word):
-                if g.is_zero():
-                    break
-                if kind == "x":
-                    g = g.shift_monomial(payload)
-                else:
-                    g = divided_difference(g, payload)
-            out = out + g * c
+        d_images: dict[tuple[int, ...], Polynomial] = {}
+        for (exps, images), c in self.terms.items():
+            g = d_images.get(images)
+            if g is None:
+                g = d_images[images] = apply_d_word(f, _reduced_word(images))
+            out = out + g.shift_monomial(exps, c)
         return out
-
-    def normal_form(self) -> dict[tuple[Monomial, tuple[int, ...]], int]:
-        """Coefficients on the basis x^a * D_w, keyed (exponents, images)."""
-        if self._normal is None:
-            nf: dict[tuple[Monomial, tuple[int, ...]], int] = {}
-            for word, c in self.terms.items():
-                for exps, images, z in _normalize_word(self.n, word):
-                    key = (exps, images)
-                    val = (nf.get(key, 0) + c * z) % self.p
-                    if val:
-                        nf[key] = val
-                    else:
-                        nf.pop(key, None)
-            self._normal = nf
-        return self._normal
 
     def normalize(self) -> "NilHeckeElement":
-        """Rewrite into the x^a * D_w basis."""
-        out = NilHeckeElement.from_normal_form(self.p, self.n, self.normal_form())
-        out._normal = dict(self.normal_form())
-        return out
+        """The element itself: elements are stored in the x^a * D_w basis."""
+        return self
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NilHeckeElement):
             return NotImplemented
-        return (
-            self.p == other.p
-            and self.n == other.n
-            and self.normal_form() == other.normal_form()
-        )
+        return self.p == other.p and self.n == other.n and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.p, self.n, frozenset(self.normal_form().items())))
+        return hash((self.p, self.n, frozenset(self.terms.items())))
 
     def __str__(self) -> str:
-        nf = self.normal_form()
-        if not nf:
+        if not self.terms:
             return "0"
         def sort_key(item):
             (exps, images) = item
             return (grlex_key(exps), images)
         parts = []
-        for exps, images in sorted(nf, key=sort_key, reverse=True):
-            c = nf[(exps, images)]
+        for exps, images in sorted(self.terms, key=sort_key, reverse=True):
+            c = self.terms[(exps, images)]
             factors = []
             for i, e in enumerate(exps):
                 if e == 1:
                     factors.append(f"x{i + 1}")
                 elif e > 1:
                     factors.append(f"x{i + 1}^{e}")
-            factors.extend(f"D{j}" for j in Permutation(images).reduced_word())
+            factors.extend(f"D{j}" for j in _reduced_word(images))
             if not factors:
                 parts.append(str(c))
             elif c == 1:
@@ -408,6 +384,20 @@ def apply_d_word(f: Polynomial, word: tuple[int, ...]) -> Polynomial:
     """Apply D_{word[0]} ... D_{word[-1]}, rightmost first."""
     for j in reversed(word):
         f = divided_difference(f, j)
+    return f
+
+
+def apply_word(word: Word, f: Polynomial) -> Polynomial:
+    """Apply the letters of word to f one generator at a time, rightmost
+    first: ('x', i) multiplies by x_i, ('d', j) is the divided difference
+    at j.  The word-level reference for the basis arithmetic."""
+    for letter in reversed(word):
+        _check_letter(f.n, letter)
+        kind, i = letter
+        if kind == "x":
+            f = f * Polynomial.variable(f.p, f.n, i)
+        else:
+            f = divided_difference(f, i)
     return f
 
 
@@ -461,15 +451,15 @@ def reconstruct_operator(
                 val = val - coeff_poly * du
         parts[w] = val
 
-    result = NilHeckeElement.zero(p, n)
-    for w, coeff_poly in parts.items():
-        if coeff_poly.is_zero():
-            continue
-        dword = tuple(("d", j) for j in w.reduced_word())
-        result = result + NilHeckeElement.from_polynomial(
-            coeff_poly
-        ) * NilHeckeElement.from_word(p, n, dword)
-    result = result.normalize()
+    result = NilHeckeElement._raw(
+        p,
+        n,
+        {
+            (m, w.images): c
+            for w, coeff_poly in parts.items()
+            for m, c in coeff_poly.terms.items()
+        },
+    )
 
     for exps in monomials_up_to_degree(n, degree_bound):
         y = Polynomial.monomial(p, n, exps)

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DomainError, MismatchError, StructureError
 from .nilhecke import (
     NilHeckeElement,
+    Permutation,
     all_permutations,
     divided_difference,
     reconstruct_operator,
@@ -69,16 +70,33 @@ class Derivation:
             return NilHeckeElement.from_polynomial(self.x_images[i - 1])
         return self.d_images[i - 1]
 
-    def apply_nh(self, e: NilHeckeElement) -> NilHeckeElement:
-        if e.p != self.p or e.n != self.n:
-            raise MismatchError("element over a different ring")
+    def apply_words(self, words) -> NilHeckeElement:
+        """d of a sum ((coeff, letters), ...) of generator words, by the
+        Leibniz rule letter by letter."""
         out = NilHeckeElement.zero(self.p, self.n)
-        for word, c in e.terms.items():
+        for c, word in words:
             for j in range(len(word)):
                 head = NilHeckeElement.from_word(self.p, self.n, word[:j], c)
                 tail = NilHeckeElement.from_word(self.p, self.n, word[j + 1 :])
                 out = out + head * self._letter_image(word[j]) * tail
-        return out.normalize()
+        return out
+
+    def apply_nh(self, e: NilHeckeElement) -> NilHeckeElement:
+        """Leibniz on the basis: d(x^a D_w) = d(x^a) D_w + x^a d(D_w),
+        with d(D_w) expanded along the reduced word of w."""
+        if e.p != self.p or e.n != self.n:
+            raise MismatchError("element over a different ring")
+        p, n = self.p, self.n
+        out = NilHeckeElement.zero(p, n)
+        for (exps, images), c in e.terms.items():
+            xa = Polynomial.monomial(p, n, exps, c)
+            dword = tuple(("d", j) for j in Permutation(images).reduced_word())
+            out = out + (
+                NilHeckeElement.from_polynomial(self.apply_poly(xa))
+                * NilHeckeElement.from_word(p, n, dword)
+                + NilHeckeElement.from_polynomial(xa) * self.apply_words(((1, dword),))
+            )
+        return out
 
 
 def khovanov_qi_derivation(p: int, n: int) -> Derivation:
@@ -127,7 +145,7 @@ def twisted_derivation(p: int, n: int, a: int) -> Derivation:
             * NilHeckeElement.d_gen(p, n, i)
             * (a - 1)
         )
-        d_images.append(img.normalize())
+        d_images.append(img)
     return Derivation(p, n, x_images, d_images)
 
 
@@ -185,35 +203,31 @@ def conjugated_twist_image(
 # -- defining relations -------------------------------------------------
 
 
-def nilhecke_relations(p: int, n: int) -> list[tuple[str, NilHeckeElement, NilHeckeElement]]:
-    """The defining relation pairs (name, left side, right side)."""
-    x = lambda i: NilHeckeElement.x_gen(p, n, i)
-    d = lambda i: NilHeckeElement.d_gen(p, n, i)
-    one = NilHeckeElement.one(p, n)
-    zero = NilHeckeElement.zero(p, n)
+def nilhecke_relations(p: int, n: int) -> list[tuple[str, tuple, tuple]]:
+    """The defining relations (name, left side, right side); each side is
+    a sum of generator words ((coefficient mod p, letters), ...)."""
+    x = lambda i: ("x", i)
+    d = lambda i: ("d", i)
+    word = lambda *letters, c=1: ((c % p, letters),)
+    one = word()
+    zero = ()
     rels = []
     for i in range(1, n):
-        rels.append((f"D{i}^2 = 0", d(i) * d(i), zero))
-        rels.append((f"x{i}*D{i} - D{i}*x{i + 1} = 1", x(i) * d(i) - d(i) * x(i + 1), one))
-        rels.append((f"D{i}*x{i} - x{i + 1}*D{i} = 1", d(i) * x(i) - x(i + 1) * d(i), one))
+        rels.append((f"D{i}^2 = 0", word(d(i), d(i)), zero))
+        rels.append((f"x{i}*D{i} - D{i}*x{i + 1} = 1", word(x(i), d(i)) + word(d(i), x(i + 1), c=-1), one))
+        rels.append((f"D{i}*x{i} - x{i + 1}*D{i} = 1", word(d(i), x(i)) + word(x(i + 1), d(i), c=-1), one))
     for i in range(1, n - 1):
-        rels.append(
-            (
-                f"braid {i},{i + 1}",
-                d(i) * d(i + 1) * d(i),
-                d(i + 1) * d(i) * d(i + 1),
-            )
-        )
+        rels.append((f"braid {i},{i + 1}", word(d(i), d(i + 1), d(i)), word(d(i + 1), d(i), d(i + 1))))
     for i in range(1, n):
         for j in range(1, n + 1):
             if abs(i - j) > 1:
-                rels.append((f"D{i}*x{j} commute", d(i) * x(j), x(j) * d(i)))
+                rels.append((f"D{i}*x{j} commute", word(d(i), x(j)), word(x(j), d(i))))
     for i in range(1, n):
         for j in range(i + 2, n):
-            rels.append((f"D{i}*D{j} commute", d(i) * d(j), d(j) * d(i)))
+            rels.append((f"D{i}*D{j} commute", word(d(i), d(j)), word(d(j), d(i))))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            rels.append((f"x{i}*x{j} commute", x(i) * x(j), x(j) * x(i)))
+            rels.append((f"x{i}*x{j} commute", word(x(i), x(j)), word(x(j), x(i))))
     return rels
 
 
@@ -443,26 +457,6 @@ def derivation_operator(
     return GradedOperator.from_callable(space, fn, d.shift)
 
 
-def steenrod_operator(
-    space: GradedSpace, el, action: str, n: int
-) -> GradedOperator:
-    """Graded matrices of a homogeneous Steenrod element acting on monomials."""
-    from .steenrod import ACTION_STANDARD, act
-
-    word_sums = {sum(w) for w in el.terms}
-    if len(word_sums) != 1:
-        raise DomainError("element must be homogeneous to act as a graded map")
-    total = word_sums.pop()
-    shift = 2 * total * (el.p - 1) if action == ACTION_STANDARD else 2 * total
-    project = _ideal_projector(space)
-
-    def fn(exps: Monomial) -> dict[Monomial, int]:
-        f = act(el, Polynomial.monomial(el.p, n, exps), action)
-        return project(dict(f.terms))
-
-    return GradedOperator.from_callable(space, fn, shift)
-
-
 def nilhecke_space(p: int, n: int, top_degree: int) -> GradedSpace:
     """Normal-form basis (exponents, permutation) of NH_n with operator
     degree 2|a| - 2 l(w) at most top_degree."""
@@ -478,9 +472,7 @@ def nilhecke_space(p: int, n: int, top_degree: int) -> GradedSpace:
 
 def nh_derivation_operator(space: GradedSpace, d: Derivation) -> GradedOperator:
     def fn(label) -> dict:
-        exps, images = label
-        e = NilHeckeElement.from_normal_form(d.p, d.n, {(exps, images): 1})
-        return dict(d.apply_nh(e).normal_form())
+        return d.apply_nh(NilHeckeElement(d.p, d.n, {label: 1})).terms
 
     return GradedOperator.from_callable(space, fn, d.shift)
 
@@ -541,7 +533,7 @@ def verify_pdg(
 
     relations_ok = True
     for name, lhs, rhs in nilhecke_relations(p, n):
-        if d.apply_nh(lhs) != d.apply_nh(rhs):
+        if d.apply_words(lhs) != d.apply_words(rhs):
             relations_ok = False
             failures.append(f"not well defined on relation {name}")
 
@@ -607,7 +599,7 @@ def _nh_nilpotency_failure(d: Derivation, degree_bound: int) -> str | None:
         pass
     for w in all_permutations(d.n):
         for exps in monomials_up_to_degree(d.n, min(degree_bound, 6)):
-            e = NilHeckeElement.from_normal_form(p, d.n, {(exps, w.images): 1})
+            e = NilHeckeElement(p, d.n, {(exps, w.images): 1})
             for _ in range(p):
                 e = d.apply_nh(e)
             if not e.is_zero():

@@ -118,9 +118,6 @@ class Polynomial:
         m = max(self.terms, key=grlex_key)
         return m, self.terms[m]
 
-    def constant_term(self) -> int:
-        return self.terms.get((0,) * self.n, 0)
-
     def _check_compatible(self, other: "Polynomial") -> None:
         if self.p != other.p or self.n != other.n:
             raise MismatchError(
@@ -222,16 +219,6 @@ class Polynomial:
         return out
 
     # -- symmetric group action --------------------------------------
-
-    def permute(self, images: tuple[int, ...]) -> "Polynomial":
-        """Apply the substitution x_i -> x_{images[i-1]}."""
-        new: dict[Monomial, int] = {}
-        for m, c in self.terms.items():
-            exps = [0] * self.n
-            for pos, e in enumerate(m):
-                exps[images[pos] - 1] += e
-            new[tuple(exps)] = c
-        return Polynomial._raw(self.p, self.n, new)
 
     def transpose(self, j: int) -> "Polynomial":
         """Exchange x_j and x_{j+1} in every term (1 <= j < n)."""

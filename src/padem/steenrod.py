@@ -366,7 +366,7 @@ def bar_act(
         raise DomainError("power index must be nonnegative")
     p, nv = e.p, e.n
     if k == 0:
-        return e.normalize()
+        return e
     antipodes = [antipode_power(p, i) for i in range(k + 1)]
 
     def transformed(y: Polynomial) -> Polynomial:
@@ -399,7 +399,7 @@ def bar_act_element(
         for k in reversed(word):
             cur = bar_act(k, cur, action, degree_bound)
         out = out + cur * c
-    return out.normalize()
+    return out
 
 
 # -- Margolis differentials --------------------------------------------

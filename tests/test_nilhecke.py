@@ -11,6 +11,7 @@ from padem.nilhecke import (
     Permutation,
     all_permutations,
     apply_d_word,
+    apply_word,
     divided_difference,
     reconstruct_operator,
     schubert,
@@ -20,20 +21,30 @@ from padem.pdg import nilhecke_relations
 from padem.poly import (
     Polynomial,
     elementary_symmetric,
+    exact_divide,
     monomials_up_to_degree,
 )
 
 PRIMES = (2, 3, 5)
 
 
-def random_word_element(rng, p, n, max_len=5):
+def random_word(rng, p, n, max_len=5):
     letters = []
     for _ in range(rng.randint(1, max_len)):
         if rng.random() < 0.5:
             letters.append(("x", rng.randint(1, n)))
         else:
             letters.append(("d", rng.randint(1, n - 1)))
-    return NilHeckeElement.from_word(p, n, tuple(letters), rng.randrange(1, p))
+    return tuple(letters), rng.randrange(1, p)
+
+
+def random_word_element(rng, p, n, max_len=5):
+    letters, c = random_word(rng, p, n, max_len)
+    return NilHeckeElement.from_word(p, n, letters, c)
+
+
+def apply_words(words, f):
+    return sum((apply_word(w, f) * c for c, w in words), Polynomial.zero(f.p, f.n))
 
 
 def random_poly(rng, p, n, max_exp=3, terms=3):
@@ -139,9 +150,9 @@ def test_apply_examples():
 def test_defining_relations_as_operators(p, n):
     monos = monomials_up_to_degree(n, 12)
     for name, lhs, rhs in nilhecke_relations(p, n):
-        diff = lhs - rhs
         for exps in monos:
-            assert diff.apply(Polynomial.monomial(p, n, exps)).is_zero(), name
+            f = Polynomial.monomial(p, n, exps)
+            assert apply_words(lhs, f) == apply_words(rhs, f), name
 
 
 def test_normalize_examples():
@@ -163,16 +174,48 @@ def test_normalize_preserves_action(p):
     rng = random.Random(13)
     for n in (2, 3, 4):
         for _ in range(25):
-            e = random_word_element(rng, p, n)
-            nf = e.normalize()
-            for word, _ in nf.terms.items():
-                kinds = [k for k, _ in word]
-                split = kinds.count("x")
-                assert all(k == "x" for k in kinds[:split])
-                assert all(k == "d" for k in kinds[split:])
+            letters, c = random_word(rng, p, n)
+            nf = NilHeckeElement.from_word(p, n, letters, c)
+            for exps, images in nf.terms:
+                assert len(exps) == n and all(e >= 0 for e in exps)
+                assert sorted(images) == list(range(1, n + 1))
             for _ in range(3):
                 f = random_poly(rng, p, n)
-                assert e.apply(f) == nf.apply(f)
+                assert apply_word(letters, f) * c == nf.apply(f)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_divided_difference_matches_exact_division(p, n):
+    rng = random.Random(17)
+    for _ in range(30):
+        f = random_poly(rng, p, n, max_exp=12)
+        for j in range(1, n):
+            root = Polynomial.variable(p, n, j) - Polynomial.variable(p, n, j + 1)
+            assert divided_difference(f, j) == exact_divide(f - f.transpose(j), root)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_basis_products_match_word_actions(p, n):
+    rng = random.Random(19)
+    for _ in range(20):
+        letters, c = random_word(rng, p, n)
+        u = NilHeckeElement.from_word(p, n, letters, c)
+        v = random_word_element(rng, p, n) + random_word_element(rng, p, n)
+        w = random_word_element(rng, p, n)
+        assert (u * v) * w == u * (v * w)
+        for _ in range(2):
+            f = random_poly(rng, p, n)
+            assert u.apply(f) == apply_word(letters, f) * c
+            assert (u * v).apply(f) == u.apply(v.apply(f))
+
+
+def test_elements_require_a_prime():
+    with pytest.raises(DomainError):
+        NilHeckeElement.one(4, 2)
+    with pytest.raises(DomainError):
+        NilHeckeElement.d_gen(101, 2, 1)
 
 
 def test_word_degrees():

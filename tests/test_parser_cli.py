@@ -206,6 +206,21 @@ def test_cli_act_and_nh(capsys):
     assert code == 0 and out == "x2*D1 + 1\n"
 
 
+def test_cli_nh_normalize_long_power(capsys):
+    # (D1*X1)^k = x2*D1 + 1 for every k >= 1; word rewriting took
+    # exponential time in k here
+    code, out, _ = run_cli(capsys, "nh", "normalize", "(D1*X1)^12", "-p", "3", "-n", "2")
+    assert code == 0 and out == "x2*D1 + 1\n"
+
+
+@pytest.mark.parametrize("prime", ("4", "101"))
+def test_cli_nh_normalize_rejects_bad_prime(capsys, prime):
+    code, out, err = run_cli(capsys, "nh", "normalize", "D1", "-p", prime, "-n", "2")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_cli_margolis(capsys):
     code, out, _ = run_cli(capsys, "margolis", "--t", "2", "--on", "x1", "-p", "2", "-n", "1")
     assert code == 0 and out == "x1^4\n"
