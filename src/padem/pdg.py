@@ -289,7 +289,7 @@ class GradedOperator:
         matrices: dict[int, np.ndarray] = {}
         for d, labels in space.basis.items():
             target_dim = space.dim(d + shift)
-            mat = np.zeros((target_dim, len(labels)), dtype=np.int64)
+            mat = np.zeros((target_dim, len(labels)))
             valid = True
             for col, label in enumerate(labels):
                 for out_label, c in fn(label).items():
@@ -322,46 +322,72 @@ class GradedOperator:
             return self.matrices[d]
         src = self.space.dim(d)
         if src == 0:
-            return np.zeros((self.space.dim(d + self.shift), 0), dtype=np.int64)
+            return np.zeros((self.space.dim(d + self.shift), 0))
         if self.space.complete:
-            return np.zeros((self.space.dim(d + self.shift), src), dtype=np.int64)
+            return np.zeros((self.space.dim(d + self.shift), src))
         return None
 
-    def power_matrix(self, d: int, k: int) -> np.ndarray | None:
-        """Matrix of the k-fold composite out of degree d, or None if the
-        chain crosses a boundary degree."""
-        mat = np.eye(self.space.dim(d), dtype=np.int64)
+    def powers(self, d: int, k: int):
+        """Yield the matrices of d^0, d^1, ..., d^j out of degree d, with
+        j = k unless the chain reaches a boundary degree first.
+
+        Each step is one float64 product reduced mod p in place.  Entries
+        stay in 0..p-1, so a product over an inner dimension m sums at most
+        m * (p-1)^2 < 2^53 and every partial sum is an exact integer."""
+        p = self.space.p
+        mat = np.eye(self.space.dim(d))
+        yield mat
         cur = d
         for _ in range(k):
             step = self.matrix(cur)
             if step is None:
-                return None
-            mat = (step @ mat) % self.space.p
+                return
+            _require_exact(step.shape[1], p)
+            mat = step @ mat
+            np.fmod(mat, p, out=mat)
+            yield mat
             cur += self.shift
-        return mat
+
+    def power_matrix(self, d: int, k: int) -> np.ndarray | None:
+        """Matrix of the k-fold composite out of degree d, or None if the
+        chain crosses a boundary degree."""
+        for j, mat in enumerate(self.powers(d, k)):
+            if j == k:
+                return mat
+        return None
+
+
+def _require_exact(terms: int, p: int) -> None:
+    """A sum of `terms` products of residues mod p is exact in float64."""
+    if terms * (p - 1) ** 2 >= 2**53:
+        raise DomainError(
+            f"{terms} products of residues mod {p} exceed exact float64 range"
+        )
 
 
 def rank_mod_p(mat: np.ndarray, p: int) -> int:
-    m = mat.copy() % p
+    """Rank over F_p by row echelon elimination on a float64 copy."""
+    m = np.asarray(np.mod(mat, p), dtype=np.float64)
+    if m.shape[1] > m.shape[0]:
+        m = m.T.copy()
     rows, cols = m.shape
+    # an update adds (p-1) * (p-1) to an entry below p
+    _require_exact(2, p)
     r = 0
     for c in range(cols):
-        if r >= rows:
+        if r == rows:
             break
-        pivot = None
-        for i in range(r, rows):
-            if m[i, c] % p:
-                pivot = i
-                break
-        if pivot is None:
+        nz = np.flatnonzero(m[r:, c])
+        if not nz.size:
             continue
-        if pivot != r:
-            m[[r, pivot]] = m[[pivot, r]]
-        inv = pow(int(m[r, c]), -1, p)
-        m[r] = (m[r] * inv) % p
-        for i in range(rows):
-            if i != r and m[i, c]:
-                m[i] = (m[i] - m[i, c] * m[r]) % p
+        if nz[0]:
+            m[[r, r + nz[0]]] = m[[r + nz[0], r]]
+        below = r + nz[1:]
+        if below.size:
+            pivot = np.fmod(m[r, c:] * pow(int(m[r, c]), -1, p), p)
+            m[below, c:] = np.fmod(
+                m[below, c:] + np.outer(p - m[below, c], pivot), p
+            )
         r += 1
     return r
 
@@ -371,38 +397,48 @@ def margolis_homology(
 ) -> tuple[dict[int, int], list[int]]:
     """Graded dimensions of ker(d^s) / im(d^(p-s)) on the space.
 
-    s = p - 1 gives ker d^(p-1) / im d.  Verifies d^p = 0 first wherever
-    the composite stays inside the space; incomplete truncations exclude
-    the top boundary band, and the excluded degrees are returned alongside
-    the dimension vector (nonzero entries only).
+    s = p - 1 gives ker d^(p-1) / im d.  Verifies d^p = 0 wherever the
+    composite stays inside the space; incomplete truncations exclude the
+    top boundary band, and the excluded degrees are returned alongside
+    the dimension vector (nonzero entries only).  One pass over the
+    powers d^0..d^p out of each degree keeps only the ranks.
     """
     p = space.p
     if not 1 <= s <= p - 1:
         raise DomainError(f"power s={s} must lie in 1..{p - 1}")
-    for d in space.degrees:
-        full = op.power_matrix(d, p)
-        if full is not None and full.size and (full % p).any():
-            raise StructureError("operator is not p-nilpotent on this space")
+    lag = op.shift * (p - s)
+    ker_rank: dict[int, int] = {}  # rank of d^s out of the degree
+    im_rank: dict[int, int] = {}  # rank of d^(p-s) into the degree
+    # a source of d^(p-s) may lie outside the space: its chain of empty
+    # matrices still decides whether the target degree is excluded
+    for e in sorted(set(space.degrees) | {d - lag for d in space.degrees}):
+        for j, mat in enumerate(op.powers(e, p)):
+            if j == s:
+                ker_rank[e] = rank_mod_p(mat, p)
+            if j == p - s:
+                im_rank[e + lag] = ker_rank[e] if j == s else rank_mod_p(mat, p)
+            if j == p and mat.any():
+                raise StructureError("operator is not p-nilpotent on this space")
     dims: dict[int, int] = {}
     excluded: list[int] = []
     for d in space.degrees:
-        ker_mat = op.power_matrix(d, s)
-        if ker_mat is None:
+        if d not in ker_rank or d not in im_rank:
             excluded.append(d)
             continue
-        incoming = op.power_matrix(d - op.shift * (p - s), p - s)
-        if incoming is None:
-            excluded.append(d)
-            continue
-        dim_ker = space.dim(d) - rank_mod_p(ker_mat, p)
-        dim_im = rank_mod_p(incoming, p)
-        value = dim_ker - dim_im
+        value = space.dim(d) - ker_rank[d] - im_rank[d]
         if value:
             dims[d] = value
     return dims, excluded
 
 
 # -- builders ------------------------------------------------------------
+
+
+def _require_grading(n: int, degree_bound: int) -> None:
+    if n < 1:
+        raise DomainError(f"need at least one variable, got n={n}")
+    if degree_bound < 0:
+        raise DomainError(f"degree bound {degree_bound} must be nonnegative")
 
 
 def polynomial_space(
@@ -414,6 +450,7 @@ def polynomial_space(
     (the quotient by those monomial powers); the space is complete when
     the whole quotient fits under the degree cap.
     """
+    _require_grading(n, top_degree)
     if powers is not None and len(powers) != n:
         raise MismatchError("need one power per variable")
     basis: dict[int, list[Monomial]] = {}
@@ -460,6 +497,7 @@ def derivation_operator(
 def nilhecke_space(p: int, n: int, top_degree: int) -> GradedSpace:
     """Normal-form basis (exponents, permutation) of NH_n with operator
     degree 2|a| - 2 l(w) at most top_degree."""
+    _require_grading(n, top_degree)
     basis: dict[int, list] = {}
     for w in all_permutations(n):
         length = w.length()
@@ -504,9 +542,13 @@ def verify_pdg(
     operator sides), relations_ok (the Leibniz extension is well defined
     across every defining relation), p_nilpotent_ok (the p-th power of
     the derivation vanishes on graded truncations of both the polynomial
-    ring and the operator algebra), and a failure list.
+    ring and the operator algebra), nilpotency_degree_bound (the degree
+    bound each side's p-nilpotency check actually covered: the requested
+    one, a smaller cap when it falls back to direct iteration, None when
+    it did not run), and a failure list.
     """
     p, n = d.p, d.n
+    _require_grading(n, degree_bound)
     rng = random.Random(seed)
     failures: list[str] = []
 
@@ -538,12 +580,13 @@ def verify_pdg(
             failures.append(f"not well defined on relation {name}")
 
     p_nilpotent_ok = True
-    failure = _poly_nilpotency_failure(d, degree_bound)
+    checked_bound: dict[str, int | None] = {"poly": None, "nh": None}
+    failure, checked_bound["poly"] = _poly_nilpotency_failure(d, degree_bound)
     if failure:
         p_nilpotent_ok = False
         failures.append(failure)
     if relations_ok:
-        failure = _nh_nilpotency_failure(d, degree_bound)
+        failure, checked_bound["nh"] = _nh_nilpotency_failure(d, degree_bound)
         if failure:
             p_nilpotent_ok = False
             failures.append(failure)
@@ -553,58 +596,67 @@ def verify_pdg(
         "relations_ok": relations_ok,
         "p_nilpotent_ok": p_nilpotent_ok,
         "all_ok": leibniz_ok and relations_ok and p_nilpotent_ok,
+        "nilpotency_degree_bound": checked_bound,
         "failures": failures,
     }
 
 
-def _poly_nilpotency_failure(d: Derivation, degree_bound: int) -> str | None:
+def _non_nilpotent_degree(op: GradedOperator, degree_bound: int) -> int | None:
+    """The first degree up to the bound on which d^p is a nonzero matrix."""
+    p = op.space.p
+    for deg in op.space.degrees:
+        if deg <= degree_bound:
+            mat = op.power_matrix(deg, p)
+            if mat is not None and mat.any():
+                return deg
+    return None
+
+
+def _poly_nilpotency_failure(d: Derivation, degree_bound: int) -> tuple[str | None, int]:
     """d^p on the polynomial ring up to the degree bound, via graded
     matrices; derivations without a uniform degree shift fall back to
-    direct iteration."""
+    direct iteration up to degree 10.  Returns the failure, if any, and
+    the degree bound checked."""
     p, n = d.p, d.n
     try:
         pspace = polynomial_space(p, n, degree_bound + d.shift * p)
-        pop = derivation_operator(pspace, d, n)
-        for deg in pspace.degrees:
-            if deg > degree_bound:
-                continue
-            mat = pop.power_matrix(deg, p)
-            if mat is not None and mat.size and (mat % p).any():
-                return f"d^{p} != 0 on polynomial degree {deg}"
-        return None
+        deg = _non_nilpotent_degree(derivation_operator(pspace, d, n), degree_bound)
     except StructureError:
         pass
-    for exps in monomials_up_to_degree(n, min(degree_bound, 10)):
+    else:
+        failure = None if deg is None else f"d^{p} != 0 on polynomial degree {deg}"
+        return failure, degree_bound
+    bound = min(degree_bound, 10)
+    for exps in monomials_up_to_degree(n, bound):
         f = Polynomial.monomial(p, n, exps)
         for _ in range(p):
             f = d.apply_poly(f)
         if not f.is_zero():
-            return f"d^{p} != 0 on the monomial with exponents {exps}"
-    return None
+            return f"d^{p} != 0 on the monomial with exponents {exps}", bound
+    return None, bound
 
 
-def _nh_nilpotency_failure(d: Derivation, degree_bound: int) -> str | None:
+def _nh_nilpotency_failure(d: Derivation, degree_bound: int) -> tuple[str | None, int]:
+    """As _poly_nilpotency_failure on the operator algebra; the direct
+    iteration falls back to polynomial parts up to degree 6."""
     p = d.p
     try:
         nspace = nilhecke_space(p, d.n, degree_bound + d.shift * p)
-        nop = nh_derivation_operator(nspace, d)
-        for deg in nspace.degrees:
-            if deg > degree_bound:
-                continue
-            mat = nop.power_matrix(deg, p)
-            if mat is not None and mat.size and (mat % p).any():
-                return f"d^{p} != 0 on operator degree {deg}"
-        return None
+        deg = _non_nilpotent_degree(nh_derivation_operator(nspace, d), degree_bound)
     except StructureError:
         pass
+    else:
+        failure = None if deg is None else f"d^{p} != 0 on operator degree {deg}"
+        return failure, degree_bound
+    bound = min(degree_bound, 6)
     for w in all_permutations(d.n):
-        for exps in monomials_up_to_degree(d.n, min(degree_bound, 6)):
+        for exps in monomials_up_to_degree(d.n, bound):
             e = NilHeckeElement(p, d.n, {(exps, w.images): 1})
             for _ in range(p):
                 e = d.apply_nh(e)
             if not e.is_zero():
-                return f"d^{p} != 0 on x^{exps} D_{w.images}"
-    return None
+                return f"d^{p} != 0 on x^{exps} D_{w.images}", bound
+    return None, bound
 
 
 def _random_poly(rng, p, n, pool) -> Polynomial:
@@ -617,7 +669,7 @@ def _random_poly(rng, p, n, pool) -> Polynomial:
 def _random_nh(rng, p, n) -> NilHeckeElement:
     letters = []
     for _ in range(rng.randint(1, 4)):
-        if rng.random() < 0.5:
+        if n == 1 or rng.random() < 0.5:
             letters.append(("x", rng.randint(1, n)))
         else:
             letters.append(("d", rng.randint(1, n - 1)))

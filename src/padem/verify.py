@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from . import groth, pdg
 from .arith import binomial_mod_p
+from .errors import PademError
 from .nilhecke import NilHeckeElement, apply_word, divided_difference, schubert
 from .poly import Polynomial, elementary_symmetric, monomials_up_to_degree
 from .steenrod import (
@@ -311,27 +312,43 @@ def check_binomials(p) -> Check:
 
 
 def run_suite(p: int, n: int, degree_bound: int = 24, seed: int = 0, words: int = 100) -> list[Check]:
+    """Run every check in order; a check that raises a PademError is
+    reported as failed with the error as its detail, and the rest still run."""
     rng = random.Random(seed)
     checks = [
-        check_binomials(p),
-        check_nilhecke_relations(p, n, degree_bound),
-        check_normalize_action(p, n, degree_bound, rng, words),
-        check_leibniz(p, n, rng),
-        check_sym_equivariance(p, n, rng),
-        check_schubert_unit(p, n),
-        check_steenrod_axioms(p, n, min(degree_bound, 16), rng, max(10, words // 4)),
-        check_adem(p, n, rng, words),
-        check_commutator(p, n, degree_bound),
-        check_s_powers(p, n),
-        check_hopf_antipode(p),
-        check_bar_closed_form(p, n, min(degree_bound, 12)),
-        check_margolis_generators(p, n, degree_bound),
-        check_pdg(p, n, degree_bound, seed),
-        check_symmetric_derivative_rule(p, n),
-        check_steenrod_sign(p, n, degree_bound, seed),
-        check_groth(p),
+        ("binomials", lambda: check_binomials(p)),
+        ("nilhecke-relations", lambda: check_nilhecke_relations(p, n, degree_bound)),
+        (
+            "normalize-preserves-action",
+            lambda: check_normalize_action(p, n, degree_bound, rng, words),
+        ),
+        ("twisted-leibniz", lambda: check_leibniz(p, n, rng)),
+        ("sym-equivariance", lambda: check_sym_equivariance(p, n, rng)),
+        ("schubert-unit", lambda: check_schubert_unit(p, n)),
+        (
+            "steenrod-axioms",
+            lambda: check_steenrod_axioms(
+                p, n, min(degree_bound, 16), rng, max(10, words // 4)
+            ),
+        ),
+        ("adem", lambda: check_adem(p, n, rng, words)),
+        ("commutator", lambda: check_commutator(p, n, degree_bound)),
+        ("s-powers", lambda: check_s_powers(p, n)),
+        ("hopf-antipode", lambda: check_hopf_antipode(p)),
+        ("bar-closed-form", lambda: check_bar_closed_form(p, n, min(degree_bound, 12))),
+        ("margolis-generators", lambda: check_margolis_generators(p, n, degree_bound)),
+        ("pdg-verify", lambda: check_pdg(p, n, degree_bound, seed)),
+        ("symmetric-derivative", lambda: check_symmetric_derivative_rule(p, n)),
+        ("steenrod-sign", lambda: check_steenrod_sign(p, n, degree_bound, seed)),
+        ("groth", lambda: check_groth(p)),
     ]
-    return checks
+    results = []
+    for name, run in checks:
+        try:
+            results.append(run())
+        except PademError as exc:
+            results.append(Check(name, False, str(exc)))
+    return results
 
 
 def run_matrix(

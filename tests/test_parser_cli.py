@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from padem.cli import main
-from padem.errors import ExprTypeError, ParseError
+from padem.errors import ExprTypeError, ParseError, ReconstructionError
 from padem.nilhecke import NilHeckeElement
 from padem.parser import (
     Gen,
@@ -306,3 +306,44 @@ def test_cli_pdg_verify_failure_exit_code(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "pdg", "verify", "-p", "3", "-n", "2", "-D", "6")
     assert code == 4
     assert "all_ok false" in out
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # NH_1 is F_p[x_1]: a valid size with no D generators
+        (("pdg", "verify", "-n", "1"), 0),
+        (("pdg", "verify", "-n", "1", "-D", "-5"), 3),
+        (("pdg", "homology", "-n", "0", "--truncate", "6"), 3),
+        (("pdg", "homology", "--truncate", "-4"), 3),
+    ],
+)
+def test_cli_pdg_sizes_and_bounds(capsys, argv, code):
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    if code:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert out.endswith("all_ok true\n") and err == ""
+
+
+def test_cli_verify_all_reports_a_raising_check(capsys, monkeypatch):
+    argv = ("verify-all", "-p", "2", "-n", "2", "-D", "8", "--words", "5")
+    code, clean, _ = run_cli(capsys, *argv)
+    assert code == 0
+
+    def raising(*args):
+        raise ReconstructionError("bar action of P^1 is not realized by a nilHecke element")
+
+    monkeypatch.setattr("padem.verify.check_bar_closed_form", raising)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4 and err == ""
+    failed = (
+        "FAIL [p=2, n=2] bar-closed-form :: "
+        "bar action of P^1 is not realized by a nilHecke element"
+    )
+    expected = [
+        failed if "bar-closed-form" in line else line for line in clean.splitlines()[:-1]
+    ]
+    assert out.splitlines() == expected + ["passed 16 failed 1"]

@@ -2,11 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import GF, ZZ
+from sympy.polys.matrices import DomainMatrix
 
-from padem.errors import StructureError
+from padem.errors import DomainError, StructureError
 from padem.nilhecke import NilHeckeElement
 from padem.pdg import (
     Derivation,
+    GradedOperator,
+    GradedSpace,
     compare_with_steenrod,
     conjugated_twist_image,
     derivation_operator,
@@ -105,6 +111,39 @@ def test_verify_pdg_detects_broken_nilpotence():
     broken = Derivation(p, n, [xvar(p, n, 1), d.x_images[1]], list(d.d_images))
     report = verify_pdg(broken, degree_bound=8)
     assert not report["all_ok"]
+
+
+def test_verify_pdg_reports_nilpotency_bounds():
+    p, n = 3, 2
+    x1, x2 = xvar(p, n, 1), xvar(p, n, 2)
+    report = verify_pdg(khovanov_qi_derivation(p, n), degree_bound=8)
+    assert report["nilpotency_degree_bound"] == {"poly": 8, "nh": 8}
+    # x images of different degrees: no graded matrices on the polynomial
+    # side, and the relations fail, so the operator side never runs
+    mixed = Derivation(p, n, [x1**2, x2**3], [NilHeckeElement.zero(p, n)])
+    report = verify_pdg(mixed, degree_bound=12)
+    assert report["nilpotency_degree_bound"] == {"poly": 10, "nh": None}
+    # the inner derivation [z, -] by a non-homogeneous z is well defined
+    # but sends D1 to mixed degrees
+    z = NilHeckeElement.from_polynomial(x1 + x1**2)
+    d1 = NilHeckeElement.d_gen(p, n, 1)
+    inner = Derivation(p, n, [Polynomial.zero(p, n)] * 2, [z * d1 - d1 * z])
+    report = verify_pdg(inner, degree_bound=12)
+    assert report["relations_ok"]
+    assert report["nilpotency_degree_bound"] == {"poly": 12, "nh": 6}
+
+
+@pytest.mark.parametrize("n, bound", ((0, 8), (2, -2)))
+def test_spaces_reject_bad_sizes(n, bound):
+    with pytest.raises(DomainError):
+        polynomial_space(3, n, bound)
+    with pytest.raises(DomainError):
+        nilhecke_space(3, n, bound)
+
+
+def test_verify_pdg_rejects_negative_bound():
+    with pytest.raises(DomainError):
+        verify_pdg(khovanov_qi_derivation(3, 2), degree_bound=-1)
 
 
 def test_verify_pdg_detects_wrong_sign_on_operators():
@@ -273,3 +312,167 @@ def test_sign_is_uniform_across_generators():
     report = compare_with_steenrod(3, 3, degree_bound=10)
     values = set(report["per_generator"].values())
     assert values == {-1}
+
+
+# -- exact F_p linear algebra ----------------------------------------------------
+
+ORACLE_PRIMES = (2, 3, 5, 97)
+
+
+def _chain(p, dims, seed, full=False):
+    """A complete graded space with the given dimensions in degrees 0, 2,
+    4, ... and a random degree-2 operator; full=True makes every entry p-1."""
+    rng = np.random.default_rng(seed)
+    space = GradedSpace(p, {2 * i: list(range(k)) for i, k in enumerate(dims)}, True)
+    shapes = zip(dims[1:], dims[:-1])
+    mats = [
+        np.full(s, p - 1.0) if full else rng.integers(0, p, s).astype(np.float64)
+        for s in shapes
+    ]
+    return GradedOperator(space, 2, {2 * i: m for i, m in enumerate(mats)}), mats
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+@pytest.mark.parametrize("full", (False, True))
+def test_power_matrix_matches_exact_integer_product(p, full):
+    # long inner dimensions, long outer ones, and an empty degree
+    chains = ((30, 600, 30, 600, 20), (600, 25, 600, 25), (7, 1, 9, 0, 4))
+    for seed, dims in enumerate(chains):
+        op, mats = _chain(p, dims, seed, full)
+        exact = np.eye(dims[0], dtype=object)
+        for k, step in enumerate(mats, start=1):
+            exact = step.astype(np.int64).astype(object) @ exact % p
+            got = op.power_matrix(0, k)
+            assert got.dtype == np.float64
+            assert np.array_equal(got.astype(np.int64), exact.astype(np.int64)), (p, dims, k)
+        powers = list(op.powers(0, len(mats)))
+        assert len(powers) == len(mats) + 1
+        assert np.array_equal(powers[-1], got)
+
+
+def test_powers_stop_at_a_boundary_degree():
+    space = polynomial_space(2, 1, 6)
+    op = derivation_operator(space, khovanov_qi_derivation(2, 1), 1)
+    # x^3 -> x^4 leaves the window, so the chain out of degree 2 stops
+    # after its steps out of degrees 2 and 4
+    assert len(list(op.powers(2, 5))) == 3
+    assert op.power_matrix(2, 2) is not None
+    assert op.power_matrix(2, 3) is None
+
+
+def test_float_products_refuse_inexact_primes():
+    big = 134217689  # prime, (p - 1)^2 > 2^53
+    space = GradedSpace(big, {0: [0], 2: [1]}, True)
+    op = GradedOperator(space, 2, {0: np.ones((1, 1))})
+    with pytest.raises(DomainError):
+        op.power_matrix(0, 1)
+    with pytest.raises(DomainError):
+        rank_mod_p(np.eye(2), big)
+
+
+def _sympy_rank(mat, p):
+    rows, cols = mat.shape
+    entries = [[int(v) for v in row] for row in mat]
+    return DomainMatrix(entries, (rows, cols), ZZ).convert_to(GF(p)).rank()
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_rank_matches_sympy(p):
+    rng = np.random.default_rng(p)
+    cases = [
+        rng.integers(0, p, (40, 15)),
+        rng.integers(0, p, (15, 40)),
+        rng.integers(0, p, (30, 4)) @ rng.integers(0, p, (4, 30)),
+        rng.integers(0, p, (25, 6)) @ rng.integers(0, p, (6, 50)),
+        (rng.random((60, 60)) < 0.05) * rng.integers(1, p, (60, 60)),
+        np.zeros((12, 9), dtype=np.int64),
+        np.zeros((0, 7), dtype=np.int64),
+        np.zeros((7, 0), dtype=np.int64),
+    ]
+    for mat in cases:
+        want = _sympy_rank(mat, p)
+        assert rank_mod_p(mat, p) == want, (p, mat.shape)
+        assert rank_mod_p(mat.astype(np.float64), p) == want
+        assert rank_mod_p(mat - p * 3, p) == want  # negative representatives
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(ORACLE_PRIMES),
+    st.integers(0, 8),
+    st.integers(0, 8),
+    st.data(),
+)
+def test_rank_matches_sympy_on_small_matrices(p, rows, cols, data):
+    size = rows * cols
+    entries = data.draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))
+    mat = np.array(entries, dtype=np.int64).reshape(rows, cols)
+    assert rank_mod_p(mat, p) == _sympy_rank(mat, p)
+
+
+def _int64_power_matrix(op, d, k):
+    p = op.space.p
+    mat = np.eye(op.space.dim(d), dtype=np.int64)
+    cur = d
+    for _ in range(k):
+        step = op.matrix(cur)
+        if step is None:
+            return None
+        mat = (step.astype(np.int64) @ mat) % p
+        cur += op.shift
+    return mat
+
+
+def _row_loop_rank(mat, p):
+    m = mat.copy() % p
+    rows, cols = m.shape
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        pivot = next((i for i in range(r, rows) if m[i, c] % p), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[[r, pivot]] = m[[pivot, r]]
+        m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
+        for i in range(rows):
+            if i != r and m[i, c]:
+                m[i] = (m[i] - m[i, c] * m[r]) % p
+        r += 1
+    return r
+
+
+def _reference_homology(space, op, s):
+    """The int64 matrix-power and Python row-loop computation, one power
+    matrix per degree and per use."""
+    p = space.p
+    for d in space.degrees:
+        full = _int64_power_matrix(op, d, p)
+        if full is not None and full.size and (full % p).any():
+            raise StructureError("operator is not p-nilpotent on this space")
+    dims, excluded = {}, []
+    for d in space.degrees:
+        ker_mat = _int64_power_matrix(op, d, s)
+        incoming = _int64_power_matrix(op, d - op.shift * (p - s), p - s)
+        if ker_mat is None or incoming is None:
+            excluded.append(d)
+            continue
+        value = space.dim(d) - _row_loop_rank(ker_mat, p) - _row_loop_rank(incoming, p)
+        if value:
+            dims[d] = value
+    return dims, excluded
+
+
+@pytest.mark.parametrize("kind", ("poly", "nh"))
+def test_homology_matches_int64_reference(kind):
+    p = 3
+    d = khovanov_qi_derivation(p, 3 if kind == "poly" else 2)
+    if kind == "poly":
+        space = polynomial_space(p, 3, 18)
+        op = derivation_operator(space, d, 3)
+    else:
+        space = nilhecke_space(p, 2, 14)
+        op = nh_derivation_operator(space, d)
+    for s in range(1, p):
+        assert margolis_homology(space, op, s) == _reference_homology(space, op, s)
