@@ -18,7 +18,8 @@ apply and the product.
 Words over the letters ('x', i) for multiplication by x_i and ('d', j)
 for the divided difference at j are an input format: from_word
 multiplies them into the basis, and apply_word composes the generator
-actions one letter at a time as the word-level reference.  Elements are
+actions one letter at a time on the terms of a polynomial as the
+word-level reference (apply_word_sum for a sum of words).  Elements are
 immutable after construction.
 """
 
@@ -140,6 +141,11 @@ def _add_term(terms: dict, key, c: int, p: int) -> None:
         terms.pop(key, None)
 
 
+def _reduce(terms: dict, p: int) -> dict:
+    """The terms with coefficients reduced mod p, zeros dropped."""
+    return {key: c % p for key, c in terms.items() if c % p}
+
+
 def _left_multiply(p: int, word: Word, terms: dict[BasisKey, int]) -> dict[BasisKey, int]:
     """word * (sum of basis terms), the rightmost letter first."""
     for kind, i in reversed(word):
@@ -179,17 +185,30 @@ def _check_letter(n: int, letter: Letter) -> None:
         raise DomainError(f"unknown letter kind {kind!r}")
 
 
+def _divided_difference_terms(
+    terms: dict[Monomial, int], j: int, p: int
+) -> dict[Monomial, int]:
+    """Terms of the divided difference at j of the polynomial with these
+    terms, monomial by monomial in closed form."""
+    out: dict[Monomial, int] = {}
+    get = out.get
+    for m, c in terms.items():
+        head, tail = m[: j - 1], m[j + 1 :]
+        for a, b, sign in _dd_pair(m[j - 1], m[j]):
+            key = head + (a, b) + tail
+            v = (get(key, 0) + c * sign) % p
+            if v:
+                out[key] = v
+            else:
+                out.pop(key, None)
+    return out
+
+
 def divided_difference(f: Polynomial, j: int) -> Polynomial:
     """(f - s_j f) / (x_j - x_{j+1}), monomial by monomial in closed form."""
     if not 1 <= j < f.n:
         raise DomainError(f"divided difference index {j} out of range 1..{f.n - 1}")
-    p = f.p
-    out: dict[Monomial, int] = {}
-    for m, c in f.terms.items():
-        head, tail = m[: j - 1], m[j + 1 :]
-        for a, b, sign in _dd_pair(m[j - 1], m[j]):
-            _add_term(out, head + (a, b) + tail, c * sign, p)
-    return Polynomial._raw(p, f.n, out)
+    return Polynomial._raw(f.p, f.n, _divided_difference_terms(f.terms, j, f.p))
 
 
 class NilHeckeElement:
@@ -389,16 +408,28 @@ def apply_d_word(f: Polynomial, word: tuple[int, ...]) -> Polynomial:
 
 def apply_word(word: Word, f: Polynomial) -> Polynomial:
     """Apply the letters of word to f one generator at a time, rightmost
-    first: ('x', i) multiplies by x_i, ('d', j) is the divided difference
-    at j.  The word-level reference for the basis arithmetic."""
+    first: ('x', i) bumps the exponent of x_i in every monomial, ('d', j)
+    is the divided difference at j.  The word-level reference for the
+    basis arithmetic."""
     for letter in reversed(word):
         _check_letter(f.n, letter)
-        kind, i = letter
+    terms = f.terms
+    for kind, i in reversed(word):
         if kind == "x":
-            f = f * Polynomial.variable(f.p, f.n, i)
+            terms = {m[: i - 1] + (m[i - 1] + 1,) + m[i:]: c for m, c in terms.items()}
         else:
-            f = divided_difference(f, i)
-    return f
+            terms = _divided_difference_terms(terms, i, f.p)
+    return Polynomial._raw(f.p, f.n, terms)
+
+
+def apply_word_sum(words, f: Polynomial) -> Polynomial:
+    """Value on f of a sum ((coefficient, letters), ...) of generator words."""
+    out: dict[Monomial, int] = {}
+    get = out.get
+    for c, word in words:
+        for m, v in apply_word(word, f).terms.items():
+            out[m] = get(m, 0) + c * v
+    return Polynomial._raw(f.p, f.n, _reduce(out, f.p))
 
 
 @functools.cache

@@ -11,13 +11,16 @@ graded truncations, and the comparison with the induced Steenrod action.
 from __future__ import annotations
 
 import random
+from operator import add
 
 import numpy as np
 
+from .arith import require_prime
 from .errors import DomainError, MismatchError, StructureError
 from .nilhecke import (
     NilHeckeElement,
     Permutation,
+    _reduce,
     all_permutations,
     divided_difference,
     reconstruct_operator,
@@ -27,7 +30,10 @@ from .steenrod import ACTION_NONSTANDARD, bar_act
 
 
 class Derivation:
-    """Degree +2 derivation given on generators, extended by Leibniz."""
+    """Degree +2 derivation given on generators, extended by Leibniz.
+
+    The images are stored as tuples; d(D_w) is computed once per
+    permutation w and kept on the instance (at most n! entries)."""
 
     def __init__(
         self,
@@ -36,33 +42,43 @@ class Derivation:
         x_images: list[Polynomial],
         d_images: list[NilHeckeElement],
     ):
+        require_prime(p)
+        if n < 1:
+            raise DomainError(f"need at least one variable, got n={n}")
         if len(x_images) != n or len(d_images) != n - 1:
             raise MismatchError("need one image per generator")
+        if any(g.p != p or g.n != n for g in (*x_images, *d_images)):
+            raise MismatchError("generator image over a different ring")
         self.p = p
         self.n = n
-        self.x_images = list(x_images)
-        self.d_images = list(d_images)
+        self.x_images = tuple(x_images)
+        self.d_images = tuple(d_images)
         # Degree shift read off the first generator image (|x_i| = 2).
         shifts = {
             f.homogeneous_degree() - 2 for f in x_images if not f.is_zero()
         }
         self.shift = shifts.pop() if len(shifts) == 1 else 2
+        self._d_permutation: dict[tuple[int, ...], dict] = {}
+
+    def _poly_terms(self, terms: dict[Monomial, int]) -> dict[Monomial, int]:
+        """Terms of d applied to the polynomial with these terms:
+        d(x^m) = sum_i m_i x^(m - e_i) d(x_i)."""
+        out: dict[Monomial, int] = {}
+        get = out.get
+        for m, c in terms.items():
+            for i, e in enumerate(m):
+                if not e:
+                    continue
+                lowered = m[:i] + (e - 1,) + m[i + 1 :]
+                for b, v in self.x_images[i].terms.items():
+                    key = tuple(map(add, lowered, b))
+                    out[key] = get(key, 0) + c * e * v
+        return _reduce(out, self.p)
 
     def apply_poly(self, f: Polynomial) -> Polynomial:
         if f.p != self.p or f.n != self.n:
             raise MismatchError("polynomial over a different ring")
-        out = Polynomial.zero(self.p, self.n)
-        for m, c in f.terms.items():
-            for i, e in enumerate(m):
-                if not e:
-                    continue
-                lowered = list(m)
-                lowered[i] -= 1
-                out = out + (
-                    Polynomial.monomial(self.p, self.n, tuple(lowered), c * e)
-                    * self.x_images[i]
-                )
-        return out
+        return Polynomial._raw(self.p, self.n, self._poly_terms(f.terms))
 
     def _letter_image(self, letter) -> NilHeckeElement:
         kind, i = letter
@@ -81,22 +97,31 @@ class Derivation:
                 out = out + head * self._letter_image(word[j]) * tail
         return out
 
+    def _permutation_terms(self, images: tuple[int, ...]) -> dict:
+        """Terms of d(D_w), by the word Leibniz rule along the reduced
+        word of w on the first call for w."""
+        terms = self._d_permutation.get(images)
+        if terms is None:
+            dword = tuple(("d", j) for j in Permutation(images).reduced_word())
+            terms = self.apply_words(((1, dword),)).terms
+            self._d_permutation[images] = terms
+        return terms
+
     def apply_nh(self, e: NilHeckeElement) -> NilHeckeElement:
         """Leibniz on the basis: d(x^a D_w) = d(x^a) D_w + x^a d(D_w),
-        with d(D_w) expanded along the reduced word of w."""
+        where x^a d(D_w) shifts the exponents of the cached d(D_w)."""
         if e.p != self.p or e.n != self.n:
             raise MismatchError("element over a different ring")
-        p, n = self.p, self.n
-        out = NilHeckeElement.zero(p, n)
+        out: dict = {}
+        get = out.get
         for (exps, images), c in e.terms.items():
-            xa = Polynomial.monomial(p, n, exps, c)
-            dword = tuple(("d", j) for j in Permutation(images).reduced_word())
-            out = out + (
-                NilHeckeElement.from_polynomial(self.apply_poly(xa))
-                * NilHeckeElement.from_word(p, n, dword)
-                + NilHeckeElement.from_polynomial(xa) * self.apply_words(((1, dword),))
-            )
-        return out
+            for m, v in self._poly_terms({exps: c}).items():
+                key = (m, images)
+                out[key] = get(key, 0) + v
+            for (b, w), v in self._permutation_terms(images).items():
+                key = (tuple(map(add, exps, b)), w)
+                out[key] = get(key, 0) + c * v
+        return NilHeckeElement._raw(self.p, self.n, _reduce(out, self.p))
 
 
 def khovanov_qi_derivation(p: int, n: int) -> Derivation:
@@ -510,7 +535,7 @@ def nilhecke_space(p: int, n: int, top_degree: int) -> GradedSpace:
 
 def nh_derivation_operator(space: GradedSpace, d: Derivation) -> GradedOperator:
     def fn(label) -> dict:
-        return d.apply_nh(NilHeckeElement(d.p, d.n, {label: 1})).terms
+        return d.apply_nh(NilHeckeElement._raw(d.p, d.n, {label: 1})).terms
 
     return GradedOperator.from_callable(space, fn, d.shift)
 

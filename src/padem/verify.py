@@ -13,7 +13,13 @@ from dataclasses import dataclass
 from . import groth, pdg
 from .arith import binomial_mod_p
 from .errors import PademError
-from .nilhecke import NilHeckeElement, apply_word, divided_difference, schubert
+from .nilhecke import (
+    NilHeckeElement,
+    apply_word,
+    apply_word_sum,
+    divided_difference,
+    schubert,
+)
 from .poly import Polynomial, elementary_symmetric, monomials_up_to_degree
 from .steenrod import (
     ACTION_NONSTANDARD,
@@ -60,22 +66,16 @@ def _random_nh_word(rng, p, n, max_len=4):
     return tuple(letters), rng.randrange(1, p)
 
 
-def _apply_words(words, f):
-    """Value on f of a sum ((coeff, letters), ...) of generator words."""
-    return sum((apply_word(w, f) * c for c, w in words), Polynomial.zero(f.p, f.n))
-
-
 def _random_steenrod_word(rng, p, max_len=3, max_exp=9):
     word = tuple(rng.randint(1, max_exp) for _ in range(rng.randint(1, max_len)))
     return SteenrodElement(p, {word: rng.randrange(1, p)})
 
 
 def check_nilhecke_relations(p, n, degree_bound) -> Check:
-    monos = monomials_up_to_degree(n, degree_bound)
+    polys = [Polynomial.monomial(p, n, m) for m in monomials_up_to_degree(n, degree_bound)]
     for name, lhs, rhs in pdg.nilhecke_relations(p, n):
-        for exps in monos:
-            f = Polynomial.monomial(p, n, exps)
-            if _apply_words(lhs, f) != _apply_words(rhs, f):
+        for f in polys:
+            if apply_word_sum(lhs, f) != apply_word_sum(rhs, f):
                 return Check("nilhecke-relations", False, f"{name} fails on {f}")
     return Check("nilhecke-relations", True)
 

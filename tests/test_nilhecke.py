@@ -12,6 +12,7 @@ from padem.nilhecke import (
     all_permutations,
     apply_d_word,
     apply_word,
+    apply_word_sum,
     divided_difference,
     reconstruct_operator,
     schubert,
@@ -41,10 +42,6 @@ def random_word(rng, p, n, max_len=5):
 def random_word_element(rng, p, n, max_len=5):
     letters, c = random_word(rng, p, n, max_len)
     return NilHeckeElement.from_word(p, n, letters, c)
-
-
-def apply_words(words, f):
-    return sum((apply_word(w, f) * c for c, w in words), Polynomial.zero(f.p, f.n))
 
 
 def random_poly(rng, p, n, max_exp=3, terms=3):
@@ -152,7 +149,7 @@ def test_defining_relations_as_operators(p, n):
     for name, lhs, rhs in nilhecke_relations(p, n):
         for exps in monos:
             f = Polynomial.monomial(p, n, exps)
-            assert apply_words(lhs, f) == apply_words(rhs, f), name
+            assert apply_word_sum(lhs, f) == apply_word_sum(rhs, f), name
 
 
 def test_normalize_examples():
@@ -209,6 +206,31 @@ def test_basis_products_match_word_actions(p, n):
             f = random_poly(rng, p, n)
             assert u.apply(f) == apply_word(letters, f) * c
             assert (u * v).apply(f) == u.apply(v.apply(f))
+
+
+def slow_apply_word(letters, f):
+    """Word action by polynomial products and exact division."""
+    p, n = f.p, f.n
+    for kind, i in reversed(letters):
+        if kind == "x":
+            f = f * Polynomial.variable(p, n, i)
+        else:
+            root = Polynomial.variable(p, n, i) - Polynomial.variable(p, n, i + 1)
+            f = exact_divide(f - f.transpose(i), root)
+    return f
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_apply_word_matches_slow_reference(p, n):
+    rng = random.Random(23)
+    for _ in range(40):
+        letters, c = random_word(rng, p, n, max_len=6)
+        other, c2 = random_word(rng, p, n, max_len=6)
+        f = random_poly(rng, p, n, max_exp=5, terms=4)
+        assert apply_word(letters, f) == slow_apply_word(letters, f)
+        want = slow_apply_word(letters, f) * c + slow_apply_word(other, f) * c2
+        assert apply_word_sum(((c, letters), (c2, other)), f) == want
 
 
 def test_elements_require_a_prime():

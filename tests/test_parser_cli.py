@@ -299,7 +299,7 @@ def test_cli_pdg_verify_failure_exit_code(capsys, monkeypatch):
     def broken(p, n):
         d = real(p, n)
         return pdg_mod.Derivation(
-            p, n, [Polynomial.variable(p, n, 1)] + d.x_images[1:], d.d_images
+            p, n, [Polynomial.variable(p, n, 1)] + list(d.x_images[1:]), d.d_images
         )
 
     monkeypatch.setattr("padem.cli.pdg_mod.khovanov_qi_derivation", broken)
@@ -326,6 +326,13 @@ def test_cli_pdg_sizes_and_bounds(capsys, argv, code):
         assert err.startswith("error: ") and err.count("\n") == 1
     else:
         assert out.endswith("all_ok true\n") and err == ""
+
+
+@pytest.mark.parametrize("n", ("0", "-2"))
+def test_cli_pdg_verify_names_a_bad_size(capsys, n):
+    code, out, err = run_cli(capsys, "pdg", "verify", "-n", n)
+    assert code == 3 and out == ""
+    assert err == f"error: need at least one variable, got n={n}\n"
 
 
 def test_cli_verify_all_reports_a_raising_check(capsys, monkeypatch):

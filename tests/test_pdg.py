@@ -1,5 +1,7 @@
 """Derivation, graded-operator, and slash-homology tests."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 from sympy import GF, ZZ
 from sympy.polys.matrices import DomainMatrix
 
-from padem.errors import DomainError, StructureError
-from padem.nilhecke import NilHeckeElement
+from padem.errors import DomainError, MismatchError, StructureError
+from padem.nilhecke import NilHeckeElement, Permutation
 from padem.pdg import (
     Derivation,
     GradedOperator,
@@ -27,7 +29,7 @@ from padem.pdg import (
     twisted_derivation,
     verify_pdg,
 )
-from padem.poly import Polynomial, elementary_symmetric
+from padem.poly import Polynomial, elementary_symmetric, monomials_up_to_degree
 
 PRIMES = (2, 3, 5)
 
@@ -84,6 +86,78 @@ def test_leibniz_extension_on_operators():
     u = NilHeckeElement.x_gen(p, n, 1)
     v = NilHeckeElement.d_gen(p, n, 1)
     assert d.apply_nh(u * v) == d.apply_nh(u) * v + u * d.apply_nh(v)
+
+
+def shipped_derivations(p, n):
+    yield "khovanov-qi", khovanov_qi_derivation(p, n)
+    for a in (0, 1, 2):
+        yield f"twist a={a}", twisted_derivation(p, n, a)
+    yield "power one", power_one_derivation(p, n)
+
+
+def leibniz_poly(d, f):
+    """d(f) by Polynomial products: d(x^m) = sum_i m_i x^(m - e_i) d(x_i)."""
+    out = Polynomial.zero(d.p, d.n)
+    for m, c in f.terms.items():
+        for i, e in enumerate(m):
+            if e:
+                lowered = m[:i] + (e - 1,) + m[i + 1 :]
+                out = out + Polynomial.monomial(d.p, d.n, lowered, c * e) * d.x_images[i]
+    return out
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("n", (2, 3))
+def test_derivation_kernel_matches_word_leibniz(p, n):
+    # apply_nh against d(x^a) D_w + x^a d(D_w) built with element products,
+    # d(D_w) by the word Leibniz rule, on every basis label up to degree 12
+    rng = random.Random(29)
+    monos = monomials_up_to_degree(n, 16)
+    for name, d in shipped_derivations(p, n):
+        for exps in monos:
+            f = Polynomial(p, n, {exps: rng.randrange(1, p), rng.choice(monos): 1})
+            assert d.apply_poly(f) == leibniz_poly(d, f), (name, exps)
+        words = {}
+        for exps, images in nilhecke_space(p, n, 12).index:
+            if images not in words:
+                dword = tuple(("d", j) for j in Permutation(images).reduced_word())
+                words[images] = (
+                    NilHeckeElement.from_word(p, n, dword),
+                    d.apply_words(((1, dword),)),
+                )
+            dw, d_dw = words[images]
+            c = rng.randrange(1, p)
+            xa = Polynomial.monomial(p, n, exps, c)
+            want = (
+                NilHeckeElement.from_polynomial(leibniz_poly(d, xa)) * dw
+                + NilHeckeElement.from_polynomial(xa) * d_dw
+            )
+            got = d.apply_nh(NilHeckeElement(p, n, {(exps, images): c}))
+            assert got == want, (name, exps, images)
+
+
+def test_derivation_rejects_bad_sizes():
+    x = Polynomial.variable(3, 2, 1)
+    with pytest.raises(DomainError, match="n=0"):
+        Derivation(3, 0, [], [])
+    with pytest.raises(DomainError):
+        Derivation(4, 1, [xvar(5, 1, 1)], [])
+    with pytest.raises(MismatchError):
+        Derivation(3, 1, [x], [])
+    with pytest.raises(MismatchError):
+        # an x image over F_3 in a derivation over F_5
+        Derivation(5, 2, [xvar(5, 2, 1), x], [NilHeckeElement.d_gen(5, 2, 1)])
+
+
+def test_apply_nh_repeats_with_a_warm_cache():
+    p, n = 3, 3
+    labels = list(nilhecke_space(p, n, 8).index)
+    for name, d in shipped_derivations(p, n):
+        elements = [NilHeckeElement(p, n, {label: 1}) for label in labels]
+        first = [d.apply_nh(e) for e in elements]
+        assert len(d._d_permutation) == 6
+        assert [d.apply_nh(e) for e in elements] == first, name
+        assert len(d._d_permutation) == 6
 
 
 # -- axiom verification -------------------------------------------------------
