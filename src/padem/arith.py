@@ -1,9 +1,10 @@
 """Exact scalar and univariate integer-polynomial arithmetic.
 
-Residues mod a prime p are plain ints in [0, p).  Polynomials in Z[q]
-keep arbitrary-precision integer coefficients so that cyclotomic
-division and multiplication stay exact no matter how the coefficients
-grow.
+Residues mod a prime p are plain ints in [0, p).  LinearCombination is
+the one F_p-linear arithmetic behind polynomials, nilHecke elements and
+Steenrod elements.  Polynomials in Z[q] keep arbitrary-precision integer
+coefficients so that cyclotomic division and multiplication stay exact
+no matter how the coefficients grow.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .errors import DivisibilityError, DomainError
+from .errors import DivisibilityError, DomainError, MismatchError
 
 #: Largest prime accepted by default.  Everything is exact, so the bound
 #: only guards against accidentally huge inputs.
@@ -45,6 +46,165 @@ def require_prime(p: int, bound: int = MAX_PRIME) -> int:
         raise DomainError(f"prime {p} exceeds the configured bound {bound}")
     _checked_primes.add(p)
     return p
+
+
+def require_ring(p: int, n: int) -> None:
+    """Validate the ring F_p[x_1..x_n]: p a prime within the bound, n >= 1."""
+    require_prime(p)
+    if n < 1:
+        raise DomainError(f"need at least one variable, got n={n}")
+
+
+def reduce_terms(terms: dict, p: int) -> dict:
+    """The terms with coefficients reduced mod p, zeros dropped."""
+    return {key: c % p for key, c in terms.items() if c % p}
+
+
+def _ring_text(x) -> str:
+    return f"F_{x.p}" if x.n is None else f"F_{x.p}[{x.n} vars]"
+
+
+class LinearCombination:
+    """F_p-linear combination of basis keys, stored key -> coefficient in
+    [1, p), over the ring fixed by the prime p and the variable count n.
+
+    The constructor validates (p, n) with require_ring.  n is None for
+    an algebra without a variable count (the Steenrod algebra acts on
+    polynomials in any number of variables); such an element is
+    compatible with every n, and its class overrides __init__ and _new.
+    A subclass supplies the key check (_check_key), the unit's key
+    (_unit_key), the product of two elements' terms (_product), and the
+    order (_sort_key) and factors (_key_factors) of its terms in text.
+    Elements are immutable after construction.
+    """
+
+    __slots__ = ("p", "n", "terms", "_hash")
+
+    def __init__(self, p: int, n: int, terms: dict | None = None):
+        require_ring(p, n)
+        self.p = p
+        self.n = n
+        self._hash = None
+        self.terms = self._clean(terms)
+
+    def _clean(self, terms) -> dict:
+        """Validated keys, coefficients reduced mod p, zeros dropped."""
+        clean: dict = {}
+        if terms:
+            p = self.p
+            for key, c in terms.items():
+                key = self._check_key(key)
+                c = (clean.get(key, 0) + c) % p
+                if c:
+                    clean[key] = c
+                else:
+                    clean.pop(key, None)
+        return clean
+
+    @classmethod
+    def _raw(cls, p: int, n, terms: dict):
+        """Internal fast path: terms must already be clean (valid keys,
+        coefficients nonzero in [1, p))."""
+        self = object.__new__(cls)
+        self.p = p
+        self.n = n
+        self.terms = terms
+        self._hash = None
+        return self
+
+    def _new(self, terms: dict):
+        """An element over this element's ring with these clean terms."""
+        return self._raw(self.p, self.n, terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def _check_compatible(self, other) -> None:
+        if self.p != other.p or (self.n != other.n and self.n is not None):
+            raise MismatchError(f"mixing {_ring_text(self)} with {_ring_text(other)}")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.p == other.p and self.n == other.n and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.p, self.n, frozenset(self.terms.items())))
+        return self._hash
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        p = self.p
+        new = dict(self.terms)
+        for key, c in other.terms.items():
+            v = (new.get(key, 0) + c) % p
+            if v:
+                new[key] = v
+            else:
+                new.pop(key, None)
+        return self._new(new)
+
+    def __sub__(self, other):
+        self._check_compatible(other)
+        p = self.p
+        new = dict(self.terms)
+        for key, c in other.terms.items():
+            v = (new.get(key, 0) - c) % p
+            if v:
+                new[key] = v
+            else:
+                new.pop(key, None)
+        return self._new(new)
+
+    def __neg__(self):
+        p = self.p
+        return self._new({key: p - c for key, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            p = self.p
+            c = other % p
+            return self._new({key: v * c % p for key, v in self.terms.items()} if c else {})
+        self._check_compatible(other)
+        return self._new(self._product(other))
+
+    def __rmul__(self, other: int):
+        return self * other
+
+    def __pow__(self, k: int):
+        """Square-and-multiply."""
+        if k < 0:
+            raise DomainError(f"negative power {k}")
+        out = self._new({self._unit_key(): 1})
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return out
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for key in sorted(self.terms, key=self._sort_key, reverse=True):
+            c = self.terms[key]
+            body = "*".join(self._key_factors(key))
+            if not body:
+                parts.append(str(c))
+            else:
+                parts.append(body if c == 1 else f"{c}*{body}")
+        return " + ".join(parts)
+
+    def __repr__(self) -> str:
+        ring = f"p={self.p}" if self.n is None else f"p={self.p}, n={self.n}"
+        return f"{type(self).__name__}({ring}, {self})"
 
 
 def binomial_mod_p(n: int, k: int, p: int) -> int:

@@ -222,7 +222,7 @@ def _cmd_nh(args) -> int:
 
 
 def _cmd_schubert(args) -> int:
-    p = args.prime if args.prime is not None else _default_prime()
+    p = _prime(args)
     images = _parse_ints(args.perm, "permutation")
     if len(images) != args.n:
         raise DomainError(
@@ -314,7 +314,7 @@ def _cmd_pdg(args) -> int:
 
 
 def _cmd_groth(args) -> int:
-    p = args.prime if args.prime is not None else _default_prime()
+    p = _prime(args)
     exponents = _parse_ints(args.profile, "profile")
     grading = GRADING_COMPRESSED if args.compressed else GRADING_TOPOLOGICAL
     profile = groth_mod.SubHopfProfile(p, exponents, grading)

@@ -26,10 +26,11 @@ immutable after construction.
 from __future__ import annotations
 
 import functools
+from operator import add
 
-from .arith import require_prime
+from .arith import LinearCombination, reduce_terms, require_ring
 from .errors import DomainError, MismatchError
-from .poly import Monomial, Polynomial, grlex_key
+from .poly import Monomial, Polynomial, _check_exponents, _monomial_factors, grlex_key
 
 Letter = tuple[str, int]
 Word = tuple[Letter, ...]
@@ -141,11 +142,6 @@ def _add_term(terms: dict, key, c: int, p: int) -> None:
         terms.pop(key, None)
 
 
-def _reduce(terms: dict, p: int) -> dict:
-    """The terms with coefficients reduced mod p, zeros dropped."""
-    return {key: c % p for key, c in terms.items() if c % p}
-
-
 def _left_multiply(p: int, word: Word, terms: dict[BasisKey, int]) -> dict[BasisKey, int]:
     """word * (sum of basis terms), the rightmost letter first."""
     for kind, i in reversed(word):
@@ -165,12 +161,6 @@ def _left_multiply(p: int, word: Word, terms: dict[BasisKey, int]) -> dict[Basis
                 _add_term(out, (head + (exps[i], exps[i - 1]) + tail, raised), c, p)
         terms = out
     return terms
-
-
-def _check_ring(p: int, n: int) -> None:
-    require_prime(p)
-    if n < 1:
-        raise DomainError("need at least one variable")
 
 
 def _check_letter(n: int, letter: Letter) -> None:
@@ -211,42 +201,52 @@ def divided_difference(f: Polynomial, j: int) -> Polynomial:
     return Polynomial._raw(f.p, f.n, _divided_difference_terms(f.terms, j, f.p))
 
 
-class NilHeckeElement:
+def _d_word(images: tuple[int, ...]) -> Word:
+    """The letters of D_w for the permutation with these images."""
+    return tuple(("d", j) for j in _reduced_word(images))
+
+
+class NilHeckeElement(LinearCombination):
     """F_p-linear combination of the basis operators x^a * D_w acting on
     F_p[x_1..x_n], stored (exponents, permutation images) -> nonzero
     coefficient."""
 
-    __slots__ = ("p", "n", "terms")
+    __slots__ = ()
 
-    def __init__(self, p: int, n: int, terms: dict[BasisKey, int] | None = None):
-        _check_ring(p, n)
-        clean: dict[BasisKey, int] = {}
-        if terms:
-            for (exps, images), c in terms.items():
-                exps, images = tuple(exps), tuple(images)
-                if len(exps) != n or len(images) != n:
-                    raise MismatchError(
-                        f"basis key {exps}, {images} has wrong length for {n} variables"
-                    )
-                if any(e < 0 for e in exps):
-                    raise DomainError("negative exponent")
-                Permutation(images)
-                c %= p
-                if c:
-                    clean[(exps, images)] = c
-        self.p = p
-        self.n = n
-        self.terms = clean
+    def _check_key(self, key) -> BasisKey:
+        exps, images = key
+        exps = _check_exponents(exps, self.n)
+        images = Permutation(images).images
+        if len(images) != self.n:
+            raise MismatchError(
+                f"permutation {images} has wrong length for {self.n} variables"
+            )
+        return exps, images
 
-    @classmethod
-    def _raw(cls, p: int, n: int, terms: dict[BasisKey, int]) -> "NilHeckeElement":
-        """Internal fast path: terms must already be clean (valid keys,
-        coefficients nonzero in [1, p))."""
-        self = object.__new__(cls)
-        self.p = p
-        self.n = n
-        self.terms = terms
-        return self
+    def _unit_key(self) -> BasisKey:
+        return (0,) * self.n, tuple(range(1, self.n + 1))
+
+    def _product(self, other: "NilHeckeElement") -> dict[BasisKey, int]:
+        p = self.p
+        heads: dict[tuple[int, ...], list[tuple[Monomial, int]]] = {}
+        for (exps, images), c in self.terms.items():
+            heads.setdefault(images, []).append((exps, c))
+        new: dict[BasisKey, int] = {}
+        for images, monomials in heads.items():
+            tail = _left_multiply(p, _d_word(images), other.terms)
+            for a, c1 in monomials:
+                for (b, w), c2 in tail.items():
+                    _add_term(new, (tuple(map(add, a, b)), w), c1 * c2, p)
+        return new
+
+    @staticmethod
+    def _sort_key(key: BasisKey):
+        return grlex_key(key[0]), key[1]
+
+    @staticmethod
+    def _key_factors(key: BasisKey) -> list[str]:
+        exps, images = key
+        return _monomial_factors(exps) + [f"D{j}" for j in _reduced_word(images)]
 
     # -- constructors ------------------------------------------------
 
@@ -269,7 +269,7 @@ class NilHeckeElement:
     @classmethod
     def from_word(cls, p: int, n: int, word: Word, coeff: int = 1) -> "NilHeckeElement":
         """coeff times the product of the letters of word."""
-        _check_ring(p, n)
+        require_ring(p, n)
         for letter in word:
             _check_letter(n, letter)
         c = coeff % p
@@ -281,59 +281,6 @@ class NilHeckeElement:
         """The multiplication operator of a polynomial."""
         identity = tuple(range(1, f.n + 1))
         return cls._raw(f.p, f.n, {(m, identity): c for m, c in f.terms.items()})
-
-    # -- algebra -----------------------------------------------------
-
-    def _check_compatible(self, other: "NilHeckeElement") -> None:
-        if self.p != other.p or self.n != other.n:
-            raise MismatchError("nilHecke elements over different rings")
-
-    def __add__(self, other: "NilHeckeElement") -> "NilHeckeElement":
-        self._check_compatible(other)
-        new = dict(self.terms)
-        for key, c in other.terms.items():
-            _add_term(new, key, c, self.p)
-        return NilHeckeElement._raw(self.p, self.n, new)
-
-    def __neg__(self) -> "NilHeckeElement":
-        p = self.p
-        return NilHeckeElement._raw(p, self.n, {k: p - c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "NilHeckeElement") -> "NilHeckeElement":
-        return self + (-other)
-
-    def __mul__(self, other):
-        p = self.p
-        if isinstance(other, int):
-            c = other % p
-            terms = {k: v * c % p for k, v in self.terms.items()} if c else {}
-            return NilHeckeElement._raw(p, self.n, terms)
-        self._check_compatible(other)
-        heads: dict[tuple[int, ...], list[tuple[Monomial, int]]] = {}
-        for (exps, images), c in self.terms.items():
-            heads.setdefault(images, []).append((exps, c))
-        new: dict[BasisKey, int] = {}
-        for images, monomials in heads.items():
-            dword = tuple(("d", j) for j in _reduced_word(images))
-            tail = _left_multiply(p, dword, other.terms)
-            for a, c1 in monomials:
-                for (b, w), c2 in tail.items():
-                    _add_term(new, (tuple(x + y for x, y in zip(a, b)), w), c1 * c2, p)
-        return NilHeckeElement._raw(p, self.n, new)
-
-    def __rmul__(self, other: int) -> "NilHeckeElement":
-        return self * other
-
-    def __pow__(self, k: int) -> "NilHeckeElement":
-        if k < 0:
-            raise DomainError("negative power of an operator")
-        out = NilHeckeElement.one(self.p, self.n)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def word_degree(self, word: Word) -> int:
         return 2 * sum(1 if kind == "x" else -1 for kind, _ in word)
@@ -347,79 +294,50 @@ class NilHeckeElement:
     # -- action ------------------------------------------------------
 
     def apply(self, f: Polynomial) -> Polynomial:
-        """Act on a polynomial: x^a * D_w sends f to x^a * D_w(f)."""
-        if f.p != self.p or f.n != self.n:
-            raise MismatchError("operand over a different ring")
-        out = Polynomial.zero(self.p, self.n)
-        d_images: dict[tuple[int, ...], Polynomial] = {}
+        """Act on a polynomial: x^a * D_w sends f to x^a * D_w(f), with
+        D_w(f) computed once per permutation w."""
+        self._check_compatible(f)
+        p = self.p
+        out: dict[Monomial, int] = {}
+        get = out.get
+        d_images: dict[tuple[int, ...], dict[Monomial, int]] = {}
         for (exps, images), c in self.terms.items():
             g = d_images.get(images)
             if g is None:
-                g = d_images[images] = apply_d_word(f, _reduced_word(images))
-            out = out + g.shift_monomial(exps, c)
-        return out
+                g = d_images[images] = _word_terms(_d_word(images), f.terms, p)
+            for m, v in g.items():
+                key = tuple(map(add, m, exps))
+                out[key] = get(key, 0) + c * v
+        return Polynomial._raw(p, self.n, reduce_terms(out, p))
 
     def normalize(self) -> "NilHeckeElement":
         """The element itself: elements are stored in the x^a * D_w basis."""
         return self
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NilHeckeElement):
-            return NotImplemented
-        return self.p == other.p and self.n == other.n and self.terms == other.terms
 
-    def __hash__(self) -> int:
-        return hash((self.p, self.n, frozenset(self.terms.items())))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        def sort_key(item):
-            (exps, images) = item
-            return (grlex_key(exps), images)
-        parts = []
-        for exps, images in sorted(self.terms, key=sort_key, reverse=True):
-            c = self.terms[(exps, images)]
-            factors = []
-            for i, e in enumerate(exps):
-                if e == 1:
-                    factors.append(f"x{i + 1}")
-                elif e > 1:
-                    factors.append(f"x{i + 1}^{e}")
-            factors.extend(f"D{j}" for j in _reduced_word(images))
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            else:
-                parts.append(f"{c}*" + "*".join(factors))
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"NilHeckeElement(p={self.p}, n={self.n}, {self})"
-
-
-def apply_d_word(f: Polynomial, word: tuple[int, ...]) -> Polynomial:
-    """Apply D_{word[0]} ... D_{word[-1]}, rightmost first."""
-    for j in reversed(word):
-        f = divided_difference(f, j)
-    return f
-
-
-def apply_word(word: Word, f: Polynomial) -> Polynomial:
-    """Apply the letters of word to f one generator at a time, rightmost
-    first: ('x', i) bumps the exponent of x_i in every monomial, ('d', j)
-    is the divided difference at j.  The word-level reference for the
-    basis arithmetic."""
-    for letter in reversed(word):
-        _check_letter(f.n, letter)
-    terms = f.terms
+def _word_terms(word: Word, terms: dict[Monomial, int], p: int) -> dict[Monomial, int]:
+    """Terms of word applied to the polynomial with these terms, one
+    letter at a time, rightmost first: ('x', i) bumps the exponent of x_i
+    in every monomial, ('d', j) is the divided difference at j."""
     for kind, i in reversed(word):
         if kind == "x":
             terms = {m[: i - 1] + (m[i - 1] + 1,) + m[i:]: c for m, c in terms.items()}
         else:
-            terms = _divided_difference_terms(terms, i, f.p)
-    return Polynomial._raw(f.p, f.n, terms)
+            terms = _divided_difference_terms(terms, i, p)
+    return terms
+
+
+def apply_word(word: Word, f: Polynomial) -> Polynomial:
+    """Apply the letters of word to f one generator at a time, rightmost
+    first.  The word-level reference for the basis arithmetic."""
+    for letter in reversed(word):
+        _check_letter(f.n, letter)
+    return Polynomial._raw(f.p, f.n, _word_terms(word, f.terms, f.p))
+
+
+def apply_d_word(f: Polynomial, word: tuple[int, ...]) -> Polynomial:
+    """Apply D_{word[0]} ... D_{word[-1]}, rightmost first."""
+    return apply_word(tuple(("d", j) for j in word), f)
 
 
 def apply_word_sum(words, f: Polynomial) -> Polynomial:
@@ -429,7 +347,7 @@ def apply_word_sum(words, f: Polynomial) -> Polynomial:
     for c, word in words:
         for m, v in apply_word(word, f).terms.items():
             out[m] = get(m, 0) + c * v
-    return Polynomial._raw(f.p, f.n, _reduce(out, f.p))
+    return Polynomial._raw(f.p, f.n, reduce_terms(out, f.p))
 
 
 @functools.cache

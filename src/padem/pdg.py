@@ -15,12 +15,11 @@ from operator import add
 
 import numpy as np
 
-from .arith import require_prime
+from .arith import reduce_terms, require_ring
 from .errors import DomainError, MismatchError, StructureError
 from .nilhecke import (
     NilHeckeElement,
-    Permutation,
-    _reduce,
+    _d_word,
     all_permutations,
     divided_difference,
     reconstruct_operator,
@@ -42,9 +41,7 @@ class Derivation:
         x_images: list[Polynomial],
         d_images: list[NilHeckeElement],
     ):
-        require_prime(p)
-        if n < 1:
-            raise DomainError(f"need at least one variable, got n={n}")
+        require_ring(p, n)
         if len(x_images) != n or len(d_images) != n - 1:
             raise MismatchError("need one image per generator")
         if any(g.p != p or g.n != n for g in (*x_images, *d_images)):
@@ -73,11 +70,10 @@ class Derivation:
                 for b, v in self.x_images[i].terms.items():
                     key = tuple(map(add, lowered, b))
                     out[key] = get(key, 0) + c * e * v
-        return _reduce(out, self.p)
+        return reduce_terms(out, self.p)
 
     def apply_poly(self, f: Polynomial) -> Polynomial:
-        if f.p != self.p or f.n != self.n:
-            raise MismatchError("polynomial over a different ring")
+        f._check_compatible(self)
         return Polynomial._raw(self.p, self.n, self._poly_terms(f.terms))
 
     def _letter_image(self, letter) -> NilHeckeElement:
@@ -102,16 +98,14 @@ class Derivation:
         word of w on the first call for w."""
         terms = self._d_permutation.get(images)
         if terms is None:
-            dword = tuple(("d", j) for j in Permutation(images).reduced_word())
-            terms = self.apply_words(((1, dword),)).terms
+            terms = self.apply_words(((1, _d_word(images)),)).terms
             self._d_permutation[images] = terms
         return terms
 
     def apply_nh(self, e: NilHeckeElement) -> NilHeckeElement:
         """Leibniz on the basis: d(x^a D_w) = d(x^a) D_w + x^a d(D_w),
         where x^a d(D_w) shifts the exponents of the cached d(D_w)."""
-        if e.p != self.p or e.n != self.n:
-            raise MismatchError("element over a different ring")
+        e._check_compatible(self)
         out: dict = {}
         get = out.get
         for (exps, images), c in e.terms.items():
@@ -121,7 +115,7 @@ class Derivation:
             for (b, w), v in self._permutation_terms(images).items():
                 key = (tuple(map(add, exps, b)), w)
                 out[key] = get(key, 0) + c * v
-        return NilHeckeElement._raw(self.p, self.n, _reduce(out, self.p))
+        return NilHeckeElement._raw(self.p, self.n, reduce_terms(out, self.p))
 
 
 def khovanov_qi_derivation(p: int, n: int) -> Derivation:
@@ -459,9 +453,8 @@ def margolis_homology(
 # -- builders ------------------------------------------------------------
 
 
-def _require_grading(n: int, degree_bound: int) -> None:
-    if n < 1:
-        raise DomainError(f"need at least one variable, got n={n}")
+def _require_grading(p: int, n: int, degree_bound: int) -> None:
+    require_ring(p, n)
     if degree_bound < 0:
         raise DomainError(f"degree bound {degree_bound} must be nonnegative")
 
@@ -475,7 +468,7 @@ def polynomial_space(
     (the quotient by those monomial powers); the space is complete when
     the whole quotient fits under the degree cap.
     """
-    _require_grading(n, top_degree)
+    _require_grading(p, n, top_degree)
     if powers is not None and len(powers) != n:
         raise MismatchError("need one power per variable")
     basis: dict[int, list[Monomial]] = {}
@@ -522,7 +515,7 @@ def derivation_operator(
 def nilhecke_space(p: int, n: int, top_degree: int) -> GradedSpace:
     """Normal-form basis (exponents, permutation) of NH_n with operator
     degree 2|a| - 2 l(w) at most top_degree."""
-    _require_grading(n, top_degree)
+    _require_grading(p, n, top_degree)
     basis: dict[int, list] = {}
     for w in all_permutations(n):
         length = w.length()
@@ -573,7 +566,7 @@ def verify_pdg(
     it did not run), and a failure list.
     """
     p, n = d.p, d.n
-    _require_grading(n, degree_bound)
+    _require_grading(p, n, degree_bound)
     rng = random.Random(seed)
     failures: list[str] = []
 

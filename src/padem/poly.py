@@ -11,8 +11,9 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+from operator import add
 
-from .arith import require_prime
+from .arith import LinearCombination, reduce_terms
 from .errors import DivisibilityError, DomainError, MismatchError
 
 Monomial = tuple[int, ...]
@@ -22,44 +23,43 @@ def grlex_key(exps: Monomial) -> tuple[int, Monomial]:
     return (sum(exps), exps)
 
 
-class Polynomial:
+def _check_exponents(exps, n: int) -> Monomial:
+    exps = tuple(exps)
+    if len(exps) != n:
+        raise MismatchError(f"monomial {exps} has wrong length for {n} variables")
+    if any(e < 0 for e in exps):
+        raise DomainError("negative exponent")
+    return exps
+
+
+def _monomial_factors(exps: Monomial) -> list[str]:
+    return [f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}" for i, e in enumerate(exps) if e]
+
+
+class Polynomial(LinearCombination):
     """Element of F_p[x_1, ..., x_n], stored term -> nonzero coefficient."""
 
-    __slots__ = ("p", "n", "terms", "_hash")
+    __slots__ = ()
 
-    def __init__(self, p: int, n: int, terms: dict[Monomial, int] | None = None):
-        require_prime(p)
-        if n < 1:
-            raise DomainError("need at least one variable")
-        self.p = p
-        self.n = n
-        clean: dict[Monomial, int] = {}
-        if terms:
-            for exps, c in terms.items():
-                if len(exps) != n:
-                    raise MismatchError(
-                        f"monomial {exps} has wrong length for {n} variables"
-                    )
-                if any(e < 0 for e in exps):
-                    raise DomainError("negative exponent")
-                c %= p
-                if c:
-                    clean[tuple(exps)] = c
-        self.terms = clean
-        self._hash = None
+    def _check_key(self, exps) -> Monomial:
+        return _check_exponents(exps, self.n)
+
+    def _unit_key(self) -> Monomial:
+        return (0,) * self.n
+
+    def _product(self, other: "Polynomial") -> dict[Monomial, int]:
+        new: dict[Monomial, int] = {}
+        get = new.get
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = tuple(map(add, m1, m2))
+                new[m] = get(m, 0) + c1 * c2
+        return reduce_terms(new, self.p)
+
+    _sort_key = staticmethod(grlex_key)
+    _key_factors = staticmethod(_monomial_factors)
 
     # -- constructors ------------------------------------------------
-
-    @classmethod
-    def _raw(cls, p: int, n: int, terms: dict[Monomial, int]) -> "Polynomial":
-        """Internal fast path: terms must already be clean (tuples of the
-        right length, coefficients nonzero in [1, p))."""
-        self = object.__new__(cls)
-        self.p = p
-        self.n = n
-        self.terms = terms
-        self._hash = None
-        return self
 
     @classmethod
     def zero(cls, p: int, n: int) -> "Polynomial":
@@ -88,12 +88,6 @@ class Polynomial:
 
     # -- basic queries -----------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def degree(self):
         """Maximum graded degree (2 per exponent unit), or None if zero."""
         if not self.terms:
@@ -118,75 +112,7 @@ class Polynomial:
         m = max(self.terms, key=grlex_key)
         return m, self.terms[m]
 
-    def _check_compatible(self, other: "Polynomial") -> None:
-        if self.p != other.p or self.n != other.n:
-            raise MismatchError(
-                f"mixing F_{self.p}[{self.n} vars] with F_{other.p}[{other.n} vars]"
-            )
-
     # -- arithmetic --------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Polynomial)
-            and self.p == other.p
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.p, self.n, frozenset(self.terms.items())))
-        return self._hash
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check_compatible(other)
-        p = self.p
-        new = dict(self.terms)
-        for m, c in other.terms.items():
-            v = (new.get(m, 0) + c) % p
-            if v:
-                new[m] = v
-            else:
-                new.pop(m, None)
-        return Polynomial._raw(p, self.n, new)
-
-    def __neg__(self) -> "Polynomial":
-        p = self.p
-        return Polynomial._raw(p, self.n, {m: p - c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check_compatible(other)
-        p = self.p
-        new = dict(self.terms)
-        for m, c in other.terms.items():
-            v = (new.get(m, 0) - c) % p
-            if v:
-                new[m] = v
-            else:
-                new.pop(m, None)
-        return Polynomial._raw(p, self.n, new)
-
-    def __mul__(self, other):
-        p = self.p
-        if isinstance(other, int):
-            c = other % p
-            if not c:
-                return Polynomial._raw(p, self.n, {})
-            return Polynomial._raw(
-                p, self.n, {m: v * c % p for m, v in self.terms.items()}
-            )
-        self._check_compatible(other)
-        new: dict[Monomial, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                v = (new.get(m, 0) + c1 * c2) % p
-                if v:
-                    new[m] = v
-                else:
-                    new.pop(m, None)
-        return Polynomial._raw(p, self.n, new)
 
     def shift_monomial(self, exps: Monomial, coeff: int = 1) -> "Polynomial":
         """Multiply by a single monomial (key shift, no convolution)."""
@@ -203,21 +129,6 @@ class Polynomial:
             },
         )
 
-    def __rmul__(self, other: int) -> "Polynomial":
-        return self * other
-
-    def __pow__(self, k: int) -> "Polynomial":
-        if k < 0:
-            raise DomainError("negative power of a polynomial")
-        out = Polynomial.one(self.p, self.n)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
     # -- symmetric group action --------------------------------------
 
     def transpose(self, j: int) -> "Polynomial":
@@ -230,31 +141,6 @@ class Polynomial:
             exps[j - 1], exps[j] = exps[j], exps[j - 1]
             new[tuple(exps)] = c
         return Polynomial._raw(self.p, self.n, new)
-
-    # -- rendering ---------------------------------------------------
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms, key=grlex_key, reverse=True):
-            c = self.terms[m]
-            factors = []
-            for i, e in enumerate(m):
-                if e == 1:
-                    factors.append(f"x{i + 1}")
-                elif e > 1:
-                    factors.append(f"x{i + 1}^{e}")
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            else:
-                parts.append(f"{c}*" + "*".join(factors))
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"Polynomial(p={self.p}, n={self.n}, {self})"
 
 
 def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:

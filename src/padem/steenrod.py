@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import functools
 
-from .arith import binomial_mod_p, require_prime
-from .errors import DomainError, MismatchError
+from .arith import LinearCombination, binomial_mod_p, reduce_terms, require_prime
+from .errors import DomainError
 from .nilhecke import NilHeckeElement, reconstruct_operator
 from .poly import Monomial, Polynomial
 
@@ -30,21 +30,17 @@ ACTIONS = (ACTION_STANDARD, ACTION_NONSTANDARD)
 SteenrodWord = tuple[int, ...]
 
 
-def _clean_word(word) -> SteenrodWord:
-    out = tuple(k for k in word if k != 0)
-    if any(k < 0 for k in out):
-        raise DomainError("negative power exponent")
-    return out
-
-
-class SteenrodElement:
+class SteenrodElement(LinearCombination):
     """F_p-linear combination of words P^{a_1} ... P^{a_k}.
 
     P^0 letters are identities and are stripped on construction; the
-    empty word is the unit.
+    empty word is the unit.  The ring is F_p alone (n is None), so an
+    element acts on polynomials in any number of variables.  The grading
+    is bookkeeping: a sum or product carries the left operand's grading,
+    and equality ignores it.
     """
 
-    __slots__ = ("p", "grading", "terms")
+    __slots__ = ("grading",)
 
     def __init__(
         self,
@@ -56,17 +52,43 @@ class SteenrodElement:
         if grading not in GRADINGS:
             raise DomainError(f"unknown grading {grading!r}")
         self.p = p
+        self.n = None
         self.grading = grading
-        clean: dict[SteenrodWord, int] = {}
-        if terms:
-            for word, c in terms.items():
-                w = _clean_word(word)
-                c = (clean.get(w, 0) + c) % p
-                if c:
-                    clean[w] = c
-                else:
-                    clean.pop(w, None)
-        self.terms = clean
+        self._hash = None
+        self.terms = self._clean(terms)
+
+    def _new(self, terms: dict[SteenrodWord, int]) -> "SteenrodElement":
+        out = self._raw(self.p, None, terms)
+        out.grading = self.grading
+        return out
+
+    @staticmethod
+    def _check_key(word) -> SteenrodWord:
+        out = tuple(k for k in word if k != 0)
+        if any(k < 0 for k in out):
+            raise DomainError("negative power exponent")
+        return out
+
+    @staticmethod
+    def _unit_key() -> SteenrodWord:
+        return ()
+
+    def _product(self, other: "SteenrodElement") -> dict[SteenrodWord, int]:
+        new: dict[SteenrodWord, int] = {}
+        get = new.get
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                w = w1 + w2
+                new[w] = get(w, 0) + c1 * c2
+        return reduce_terms(new, self.p)
+
+    @staticmethod
+    def _sort_key(word: SteenrodWord):
+        return sum(word), word
+
+    @staticmethod
+    def _key_factors(word: SteenrodWord) -> list[str]:
+        return [f"P({k})" for k in word]
 
     @classmethod
     def zero(cls, p: int, grading: str = GRADING_TOPOLOGICAL) -> "SteenrodElement":
@@ -99,75 +121,6 @@ class SteenrodElement:
 
     def is_admissible(self) -> bool:
         return all(_is_admissible_word(w, self.p) for w in self.terms)
-
-    def _check_compatible(self, other: "SteenrodElement") -> None:
-        if self.p != other.p:
-            raise MismatchError("elements over different primes")
-
-    def __add__(self, other: "SteenrodElement") -> "SteenrodElement":
-        self._check_compatible(other)
-        new = dict(self.terms)
-        for w, c in other.terms.items():
-            new[w] = (new.get(w, 0) + c) % self.p
-        return SteenrodElement(self.p, new, self.grading)
-
-    def __neg__(self) -> "SteenrodElement":
-        return SteenrodElement(self.p, {w: -c for w, c in self.terms.items()}, self.grading)
-
-    def __sub__(self, other: "SteenrodElement") -> "SteenrodElement":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            c = other % self.p
-            return SteenrodElement(
-                self.p, {w: v * c for w, v in self.terms.items()}, self.grading
-            )
-        self._check_compatible(other)
-        new: dict[SteenrodWord, int] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                new[w] = (new.get(w, 0) + c1 * c2) % self.p
-        return SteenrodElement(self.p, new, self.grading)
-
-    def __rmul__(self, other: int) -> "SteenrodElement":
-        return self * other
-
-    def __pow__(self, k: int) -> "SteenrodElement":
-        if k < 0:
-            raise DomainError("negative power of an element")
-        out = SteenrodElement.one(self.p, self.grading)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SteenrodElement):
-            return NotImplemented
-        return self.p == other.p and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.p, frozenset(self.terms.items())))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for w in sorted(self.terms, key=lambda w: (sum(w), w), reverse=True):
-            c = self.terms[w]
-            if not w:
-                parts.append(str(c))
-                continue
-            body = "*".join(f"P({k})" for k in w)
-            parts.append(body if c == 1 else f"{c}*{body}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"SteenrodElement(p={self.p}, {self})"
 
 
 def _is_admissible_word(word: SteenrodWord, p: int) -> bool:
@@ -224,7 +177,7 @@ def _adem_normalize_terms(
 
 def adem_normalize(e: SteenrodElement, strategy: str = "leftmost") -> SteenrodElement:
     """Rewrite into admissible form by exhaustive Adem relation application."""
-    return SteenrodElement(e.p, _adem_normalize_terms(e.p, e.terms, strategy), e.grading)
+    return e._new(_adem_normalize_terms(e.p, e.terms, strategy))
 
 
 # -- actions on polynomial rings --------------------------------------
@@ -298,8 +251,7 @@ def act(e: SteenrodElement, f: Polynomial, action: str = ACTION_STANDARD) -> Pol
     """Apply a sum of power words to a polynomial, rightmost letter first."""
     if action not in ACTIONS:
         raise DomainError(f"unknown action {action!r}")
-    if e.p != f.p:
-        raise MismatchError("element and polynomial over different primes")
+    e._check_compatible(f)
     out = Polynomial.zero(f.p, f.n)
     for word, c in e.terms.items():
         g = f

@@ -11,8 +11,8 @@ import random
 from dataclasses import dataclass
 
 from . import groth, pdg
-from .arith import binomial_mod_p
-from .errors import PademError
+from .arith import binomial_mod_p, require_ring
+from .errors import DomainError, PademError
 from .nilhecke import (
     NilHeckeElement,
     apply_word,
@@ -313,7 +313,18 @@ def check_binomials(p) -> Check:
 
 def run_suite(p: int, n: int, degree_bound: int = 24, seed: int = 0, words: int = 100) -> list[Check]:
     """Run every check in order; a check that raises a PademError is
-    reported as failed with the error as its detail, and the rest still run."""
+    reported as failed with the error as its detail, and the rest still run.
+
+    The arguments are validated first, so a bad one raises DomainError
+    before any check runs: the checks use D_1..D_{n-1}, so n >= 2, and
+    the random-word checks need at least one word."""
+    require_ring(p, n)
+    if n < 2:
+        raise DomainError(f"the invariant suite needs at least two variables, got n={n}")
+    if degree_bound < 0:
+        raise DomainError(f"degree bound {degree_bound} must be nonnegative")
+    if words < 1:
+        raise DomainError(f"need at least one random word per check, got words={words}")
     rng = random.Random(seed)
     checks = [
         ("binomials", lambda: check_binomials(p)),

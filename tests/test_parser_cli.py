@@ -335,6 +335,24 @@ def test_cli_pdg_verify_names_a_bad_size(capsys, n):
     assert err == f"error: need at least one variable, got n={n}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (("-p", "4"), "4"),
+        (("-n", "0"), "n=0"),
+        (("-n", "1", "-p", "2"), "n=1"),
+        (("-D", "-1", "-p", "2", "-n", "2"), "-1"),
+        (("--words", "0"), "words=0"),
+        (("--words", "-5"), "words=-5"),
+    ],
+)
+def test_cli_verify_all_rejects_bad_arguments_before_any_check(capsys, argv, bad):
+    code, out, err = run_cli(capsys, "verify-all", *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert bad in err
+
+
 def test_cli_verify_all_reports_a_raising_check(capsys, monkeypatch):
     argv = ("verify-all", "-p", "2", "-n", "2", "-D", "8", "--words", "5")
     code, clean, _ = run_cli(capsys, *argv)
