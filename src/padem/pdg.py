@@ -13,8 +13,6 @@ from __future__ import annotations
 import random
 from operator import add
 
-import numpy as np
-
 from .arith import reduce_terms, require_ring
 from .errors import DomainError, MismatchError, StructureError
 from .nilhecke import (
@@ -275,10 +273,6 @@ class GradedSpace:
     def degrees(self) -> list[int]:
         return list(self.basis)
 
-    @property
-    def top(self) -> int:
-        return max(self.basis)
-
     def dim(self, d: int) -> int:
         return len(self.basis.get(d, ()))
 
@@ -287,128 +281,129 @@ class GradedSpace:
 
 
 class GradedOperator:
-    """Homogeneous operator of fixed degree shift, one matrix per degree.
+    """Homogeneous operator of fixed degree shift, stored as sparse columns.
 
-    matrices[d] has shape (dim(d + shift), dim(d)) and maps coordinates at
-    degree d to coordinates at degree d + shift.
+    columns[d] lists, for each basis vector at degree d in order, its image
+    {position at degree d + shift: coefficient in 1..p-1}.  A degree with
+    no columns is a zero map when its source is empty or the space is
+    complete, and a boundary degree otherwise.
     """
 
-    def __init__(self, space: GradedSpace, shift: int, matrices: dict[int, np.ndarray]):
+    def __init__(
+        self, space: GradedSpace, shift: int, columns: dict[int, list[dict[int, int]]]
+    ):
         self.space = space
         self.shift = shift
-        self.matrices = matrices
+        self.columns = columns
+        self._ranks: dict[int, tuple[int, ...]] = {}
 
     @classmethod
     def from_callable(cls, space: GradedSpace, fn, shift: int) -> "GradedOperator":
-        """Build matrices from fn: label -> {label: coefficient}.
+        """Build the columns from fn: label -> {label: coefficient in
+        1..p-1}, one index lookup per entry.
 
         For incomplete spaces, any image outside the space marks the whole
-        source degree as a boundary degree (no matrix stored).
+        source degree as a boundary degree (no columns stored).
         """
-        matrices: dict[int, np.ndarray] = {}
+        where = space.index.get
+        columns: dict[int, list[dict[int, int]]] = {}
         for d, labels in space.basis.items():
-            target_dim = space.dim(d + shift)
-            mat = np.zeros((target_dim, len(labels)))
-            valid = True
-            for col, label in enumerate(labels):
+            cols = []
+            for label in labels:
+                col = {}
                 for out_label, c in fn(label).items():
-                    c %= space.p
-                    if not c:
-                        continue
-                    if out_label not in space.index:
+                    found = where(out_label)
+                    if found is None:
                         if space.complete:
                             raise StructureError(
                                 f"image of {label!r} leaves a complete space"
                             )
-                        valid = False
+                        col = None
                         break
-                    dd, pos = space.index[out_label]
-                    if dd != d + shift:
+                    if found[0] != d + shift:
                         raise StructureError(
                             f"operator is not homogeneous of degree {shift}"
                         )
-                    mat[pos, col] = c
-                if not valid:
-                    break
-            if valid:
-                matrices[d] = mat
-        return cls(space, shift, matrices)
+                    col[found[1]] = c
+                if col is None:
+                    break  # a boundary degree
+                cols.append(col)
+            else:
+                columns[d] = cols
+        return cls(space, shift, columns)
 
-    def matrix(self, d: int) -> np.ndarray | None:
-        """Matrix out of degree d; a zero map when the source or target is
-        empty and the space is complete, None when d is a boundary degree."""
-        if d in self.matrices:
-            return self.matrices[d]
-        src = self.space.dim(d)
-        if src == 0:
-            return np.zeros((self.space.dim(d + self.shift), 0))
-        if self.space.complete:
-            return np.zeros((self.space.dim(d + self.shift), src))
-        return None
+    def ranks(self, d: int) -> tuple[int, ...]:
+        """Ranks of d^0, d^1, ..., d^j out of degree d, with j = p unless
+        the chain reaches a boundary degree first.
 
-    def powers(self, d: int, k: int):
-        """Yield the matrices of d^0, d^1, ..., d^j out of degree d, with
-        j = k unless the chain reaches a boundary degree first.
-
-        Each step is one float64 product reduced mod p in place.  Entries
-        stay in 0..p-1, so a product over an inner dimension m sums at most
-        m * (p-1)^2 < 2^53 and every partial sum is an exact integer."""
-        p = self.space.p
-        mat = np.eye(self.space.dim(d))
-        yield mat
-        cur = d
-        for _ in range(k):
-            step = self.matrix(cur)
-            if step is None:
-                return
-            _require_exact(step.shape[1], p)
-            mat = step @ mat
-            np.fmod(mat, p, out=mat)
-            yield mat
-            cur += self.shift
-
-    def power_matrix(self, d: int, k: int) -> np.ndarray | None:
-        """Matrix of the k-fold composite out of degree d, or None if the
-        chain crosses a boundary degree."""
-        for j, mat in enumerate(self.powers(d, k)):
-            if j == k:
-                return mat
-        return None
+        A basis of im d^(i-1) is pushed through d and reduced by _echelon
+        to a basis of im d^i, so step i eliminates at most rank d^(i-1)
+        sparse vectors.  The basis is made of images of unit vectors,
+        which stay as sparse as the columns of d^i.  The chain is kept per
+        degree."""
+        chain = self._ranks.get(d)
+        if chain is not None:
+            return chain
+        space = self.space
+        basis = [{i: 1} for i in range(space.dim(d))]
+        out = [len(basis)]
+        for step in range(space.p):
+            cur = d + step * self.shift
+            cols = self.columns.get(cur)
+            if cols is None:
+                if space.dim(cur) and not space.complete:
+                    break  # a boundary degree
+                basis = []  # a zero map
+            else:
+                images = []
+                for vec in basis:
+                    image: dict[int, int] = {}
+                    get = image.get
+                    for i, c in vec.items():
+                        for j, v in cols[i].items():
+                            image[j] = get(j, 0) + c * v
+                    images.append(image)
+                basis = _echelon(images, space.p)
+            out.append(len(basis))
+        chain = self._ranks[d] = tuple(out)
+        return chain
 
 
-def _require_exact(terms: int, p: int) -> None:
-    """A sum of `terms` products of residues mod p is exact in float64."""
-    if terms * (p - 1) ** 2 >= 2**53:
-        raise DomainError(
-            f"{terms} products of residues mod {p} exceed exact float64 range"
-        )
+def _echelon(vectors, p: int) -> list:
+    """The vectors {index: integer} that are independent over F_p of the
+    ones before them, reduced mod p: a basis of their span.
+
+    Sparse echelon elimination: each vector is reduced by the echelon row
+    at its lowest index, with the row's fill-in, until that index is new;
+    the reduced vector is then kept as the row there, scaled to a leading
+    1.  Exact Python ints, any prime."""
+    rows: dict[int, dict[int, int]] = {}
+    kept = []
+    for vec in vectors:
+        vec = {i: c % p for i, c in vec.items() if c % p}
+        v = dict(vec)
+        while v:
+            lead = min(v)
+            row = rows.get(lead)
+            if row is None:
+                inv = pow(v[lead], -1, p)
+                rows[lead] = {i: c * inv % p for i, c in v.items()}
+                kept.append(vec)
+                break
+            c = v[lead]
+            for i, r in row.items():
+                x = (v.get(i, 0) - c * r) % p
+                if x:
+                    v[i] = x
+                else:
+                    del v[i]
+    return kept
 
 
-def rank_mod_p(mat: np.ndarray, p: int) -> int:
-    """Rank over F_p by row echelon elimination on a float64 copy."""
-    m = np.asarray(np.mod(mat, p), dtype=np.float64)
-    if m.shape[1] > m.shape[0]:
-        m = m.T.copy()
-    rows, cols = m.shape
-    # an update adds (p-1) * (p-1) to an entry below p
-    _require_exact(2, p)
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.flatnonzero(m[r:, c])
-        if not nz.size:
-            continue
-        if nz[0]:
-            m[[r, r + nz[0]]] = m[[r + nz[0], r]]
-        below = r + nz[1:]
-        if below.size:
-            pivot = np.fmod(m[r, c:] * pow(int(m[r, c]), -1, p), p)
-            m[below, c:] = np.fmod(
-                m[below, c:] + np.outer(p - m[below, c], pivot), p
-            )
-        r += 1
-    return r
+def rank_mod_p(rows, p: int) -> int:
+    """Rank over F_p of the matrix with these rows of integers."""
+    vectors = ({j: int(c) for j, c in enumerate(row) if c} for row in rows)
+    return len(_echelon(vectors, p))
 
 
 def margolis_homology(
@@ -419,32 +414,28 @@ def margolis_homology(
     s = p - 1 gives ker d^(p-1) / im d.  Verifies d^p = 0 wherever the
     composite stays inside the space; incomplete truncations exclude the
     top boundary band, and the excluded degrees are returned alongside
-    the dimension vector (nonzero entries only).  One pass over the
-    powers d^0..d^p out of each degree keeps only the ranks.
+    the dimension vector (nonzero entries only).  Everything is read from
+    the operator's rank chains, so further values of s reuse them.
     """
     p = space.p
     if not 1 <= s <= p - 1:
         raise DomainError(f"power s={s} must lie in 1..{p - 1}")
-    lag = op.shift * (p - s)
-    ker_rank: dict[int, int] = {}  # rank of d^s out of the degree
-    im_rank: dict[int, int] = {}  # rank of d^(p-s) into the degree
+    for d in space.degrees:
+        ranks = op.ranks(d)
+        if len(ranks) > p and ranks[p]:
+            raise StructureError("operator is not p-nilpotent on this space")
     # a source of d^(p-s) may lie outside the space: its chain of empty
-    # matrices still decides whether the target degree is excluded
-    for e in sorted(set(space.degrees) | {d - lag for d in space.degrees}):
-        for j, mat in enumerate(op.powers(e, p)):
-            if j == s:
-                ker_rank[e] = rank_mod_p(mat, p)
-            if j == p - s:
-                im_rank[e + lag] = ker_rank[e] if j == s else rank_mod_p(mat, p)
-            if j == p and mat.any():
-                raise StructureError("operator is not p-nilpotent on this space")
+    # images still decides whether the target degree is excluded
+    lag = op.shift * (p - s)
     dims: dict[int, int] = {}
     excluded: list[int] = []
     for d in space.degrees:
-        if d not in ker_rank or d not in im_rank:
+        ker = op.ranks(d)
+        im = op.ranks(d - lag)
+        if len(ker) <= s or len(im) <= p - s:
             excluded.append(d)
             continue
-        value = space.dim(d) - ker_rank[d] - im_rank[d]
+        value = space.dim(d) - ker[s] - im[p - s]
         if value:
             dims[d] = value
     return dims, excluded
@@ -620,19 +611,19 @@ def verify_pdg(
 
 
 def _non_nilpotent_degree(op: GradedOperator, degree_bound: int) -> int | None:
-    """The first degree up to the bound on which d^p is a nonzero matrix."""
+    """The first degree up to the bound out of which d^p has nonzero rank."""
     p = op.space.p
     for deg in op.space.degrees:
         if deg <= degree_bound:
-            mat = op.power_matrix(deg, p)
-            if mat is not None and mat.any():
+            ranks = op.ranks(deg)
+            if len(ranks) > p and ranks[p]:
                 return deg
     return None
 
 
 def _poly_nilpotency_failure(d: Derivation, degree_bound: int) -> tuple[str | None, int]:
-    """d^p on the polynomial ring up to the degree bound, via graded
-    matrices; derivations without a uniform degree shift fall back to
+    """d^p on the polynomial ring up to the degree bound, via the rank
+    chains of a graded operator; derivations without a uniform degree shift fall back to
     direct iteration up to degree 10.  Returns the failure, if any, and
     the degree bound checked."""
     p, n = d.p, d.n

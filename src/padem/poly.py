@@ -112,23 +112,6 @@ class Polynomial(LinearCombination):
         m = max(self.terms, key=grlex_key)
         return m, self.terms[m]
 
-    # -- arithmetic --------------------------------------------------
-
-    def shift_monomial(self, exps: Monomial, coeff: int = 1) -> "Polynomial":
-        """Multiply by a single monomial (key shift, no convolution)."""
-        p = self.p
-        coeff %= p
-        if not coeff:
-            return Polynomial._raw(p, self.n, {})
-        return Polynomial._raw(
-            p,
-            self.n,
-            {
-                tuple(a + b for a, b in zip(m, exps)): c * coeff % p
-                for m, c in self.terms.items()
-            },
-        )
-
     # -- symmetric group action --------------------------------------
 
     def transpose(self, j: int) -> "Polynomial":

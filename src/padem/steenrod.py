@@ -232,19 +232,19 @@ def _act_power_monomial(
     return tuple((m, c) for (m, k_rem), c in frontier.items() if k_rem == 0 and c)
 
 
-def _act_power_on_poly(k: int, f: Polynomial, action: str) -> Polynomial:
+def _act_power_terms(
+    p: int, action: str, k: int, terms: dict[Monomial, int]
+) -> dict[Monomial, int]:
+    """Terms of P^k applied to the polynomial with these terms, reduced
+    mod p."""
     if k == 0:
-        return f
-    p = f.p
+        return terms
     acc: dict[Monomial, int] = {}
-    for m, c in f.terms.items():
+    get = acc.get
+    for m, c in terms.items():
         for m2, c2 in _act_power_monomial(p, action, k, m):
-            v = (acc.get(m2, 0) + c * c2) % p
-            if v:
-                acc[m2] = v
-            else:
-                acc.pop(m2, None)
-    return Polynomial._raw(p, f.n, acc)
+            acc[m2] = get(m2, 0) + c * c2
+    return reduce_terms(acc, p)
 
 
 def act(e: SteenrodElement, f: Polynomial, action: str = ACTION_STANDARD) -> Polynomial:
@@ -252,15 +252,18 @@ def act(e: SteenrodElement, f: Polynomial, action: str = ACTION_STANDARD) -> Pol
     if action not in ACTIONS:
         raise DomainError(f"unknown action {action!r}")
     e._check_compatible(f)
-    out = Polynomial.zero(f.p, f.n)
+    p = f.p
+    out: dict[Monomial, int] = {}
+    get = out.get
     for word, c in e.terms.items():
-        g = f
+        g = f.terms
         for k in reversed(word):
-            if g.is_zero():
+            if not g:
                 break
-            g = _act_power_on_poly(k, g, action)
-        out = out + g * c
-    return out
+            g = _act_power_terms(p, action, k, g)
+        for m, v in g.items():
+            out[m] = get(m, 0) + c * v
+    return Polynomial._raw(p, f.n, reduce_terms(out, p))
 
 
 # -- antipode ----------------------------------------------------------
@@ -322,16 +325,16 @@ def bar_act(
     antipodes = [antipode_power(p, i) for i in range(k + 1)]
 
     def transformed(y: Polynomial) -> Polynomial:
-        out = Polynomial.zero(p, nv)
+        out: dict[Monomial, int] = {}
+        get = out.get
         for i in range(k + 1):
             g = act(antipodes[i], y, action)
             if g.is_zero():
                 continue
             g = e.apply(g)
-            if g.is_zero():
-                continue
-            out = out + _act_power_on_poly(k - i, g, action)
-        return out
+            for m, v in _act_power_terms(p, action, k - i, g.terms).items():
+                out[m] = get(m, 0) + v
+        return Polynomial._raw(p, nv, reduce_terms(out, p))
 
     return reconstruct_operator(
         p, nv, transformed, degree_bound, note=f"bar action of P^{k}"

@@ -1,7 +1,10 @@
 """Expression grammar and command-line interface tests."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -372,3 +375,22 @@ def test_cli_verify_all_reports_a_raising_check(capsys, monkeypatch):
         failed if "bar-closed-form" in line else line for line in clean.splitlines()[:-1]
     ]
     assert out.splitlines() == expected + ["passed 16 failed 1"]
+
+
+def test_cli_runs_without_numpy():
+    # padem has no runtime dependency: the p-DG commands must not import
+    # numpy, which only the tests use
+    code = (
+        "import sys\n"
+        "from padem import cli\n"
+        "assert cli.main(['pdg', 'homology', '--truncate', '12', '-p', '3', '-n', '2']) == 0\n"
+        "assert cli.main(['pdg', 'verify', '-p', '3', '-n', '2']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "dim[" in proc.stdout and "all_ok true" in proc.stdout

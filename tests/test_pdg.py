@@ -293,6 +293,20 @@ def test_nilpotence_precondition_enforced():
         margolis_homology(space, op, 1)
 
 
+def _dense(op, d):
+    """The int64 matrix of op out of degree d, read from its sparse
+    columns; None at a boundary degree."""
+    space = op.space
+    cols = op.columns.get(d)
+    if cols is None and space.dim(d) and not space.complete:
+        return None
+    mat = np.zeros((space.dim(d + op.shift), space.dim(d)), dtype=np.int64)
+    for j, col in enumerate(cols or ()):
+        for i, c in col.items():
+            mat[i, j] = c
+    return mat
+
+
 def _dense_oracle(space, op, s):
     """Whole-space dense matrices; ranks per degree from the global map."""
     p = space.p
@@ -300,7 +314,7 @@ def _dense_oracle(space, op, s):
     index = {lab: r for r, lab in enumerate(labels)}
     big = np.zeros((len(labels), len(labels)), dtype=np.int64)
     for d in space.degrees:
-        mat = op.matrix(d)
+        mat = _dense(op, d)
         if mat is None:
             continue
         for col in range(space.dim(d)):
@@ -315,10 +329,10 @@ def _dense_oracle(space, op, s):
         if not cols:
             continue
         sub = ker_pow[:, cols]
-        dim_ker = len(cols) - rank_mod_p(sub, p)
+        dim_ker = len(cols) - _row_loop_rank(sub, p)
         src = d - op.shift * (p - s)
         src_cols = [index[(src, i)] for i in range(space.dim(src))] if src in space.basis else []
-        dim_im = rank_mod_p(im_pow[:, src_cols], p) if src_cols else 0
+        dim_im = _row_loop_rank(im_pow[:, src_cols], p) if src_cols else 0
         if dim_ker - dim_im:
             dims[d] = dim_ker - dim_im
     return dims
@@ -366,9 +380,8 @@ def test_nh_operator_nilpotence_matrices():
     for deg in space.degrees:
         if deg > 8:
             continue
-        mat = op.power_matrix(deg, p)
-        if mat is not None and mat.size:
-            assert not (mat % p).any()
+        ranks = op.ranks(deg)
+        assert len(ranks) == p + 1 and ranks[p] == 0, (deg, ranks)
 
 
 # -- comparison with the induced power action ----------------------------------
@@ -393,55 +406,67 @@ def test_sign_is_uniform_across_generators():
 ORACLE_PRIMES = (2, 3, 5, 97)
 
 
-def _chain(p, dims, seed, full=False):
-    """A complete graded space with the given dimensions in degrees 0, 2,
-    4, ... and a random degree-2 operator; full=True makes every entry p-1."""
+def _chain(p, dims, seed, full=False, complete=True):
+    """A graded space with the given dimensions in degrees 0, 2, 4, ...
+    and a random degree-2 operator out of all but the top degree;
+    full=True makes every entry p-1."""
     rng = np.random.default_rng(seed)
-    space = GradedSpace(p, {2 * i: list(range(k)) for i, k in enumerate(dims)}, True)
+    space = GradedSpace(p, {2 * i: list(range(k)) for i, k in enumerate(dims)}, complete)
     shapes = zip(dims[1:], dims[:-1])
-    mats = [
-        np.full(s, p - 1.0) if full else rng.integers(0, p, s).astype(np.float64)
-        for s in shapes
-    ]
-    return GradedOperator(space, 2, {2 * i: m for i, m in enumerate(mats)}), mats
+    mats = [np.full(s, p - 1) if full else rng.integers(0, p, s) for s in shapes]
+    columns = {
+        2 * i: [{r: int(c) for r, c in enumerate(col) if c} for col in m.T]
+        for i, m in enumerate(mats)
+    }
+    return GradedOperator(space, 2, columns), mats
 
 
 @pytest.mark.parametrize("p", ORACLE_PRIMES)
 @pytest.mark.parametrize("full", (False, True))
 def test_power_matrix_matches_exact_integer_product(p, full):
-    # long inner dimensions, long outer ones, and an empty degree
+    # long inner dimensions, long outer ones, and an empty degree; the
+    # chain out of each degree holds the ranks of d^0..d^p, which must be
+    # those of the integer products (exact in int64: every sum stays below
+    # 600 * 96^2)
     chains = ((30, 600, 30, 600, 20), (600, 25, 600, 25), (7, 1, 9, 0, 4))
     for seed, dims in enumerate(chains):
         op, mats = _chain(p, dims, seed, full)
-        exact = np.eye(dims[0], dtype=object)
-        for k, step in enumerate(mats, start=1):
-            exact = step.astype(np.int64).astype(object) @ exact % p
-            got = op.power_matrix(0, k)
-            assert got.dtype == np.float64
-            assert np.array_equal(got.astype(np.int64), exact.astype(np.int64)), (p, dims, k)
-        powers = list(op.powers(0, len(mats)))
-        assert len(powers) == len(mats) + 1
-        assert np.array_equal(powers[-1], got)
+        for start in range(len(dims)):
+            ranks = op.ranks(2 * start)
+            assert len(ranks) == p + 1 and ranks[0] == dims[start]
+            exact = None
+            for k, step in enumerate(mats[start : start + p], start=1):
+                exact = step if exact is None else step @ exact % p
+                assert ranks[k] == _row_loop_rank(exact, p), (p, dims, start, k)
+            assert not any(ranks[len(mats) - start + 1 :])
 
 
 def test_powers_stop_at_a_boundary_degree():
     space = polynomial_space(2, 1, 6)
     op = derivation_operator(space, khovanov_qi_derivation(2, 1), 1)
     # x^3 -> x^4 leaves the window, so the chain out of degree 2 stops
-    # after its steps out of degrees 2 and 4
-    assert len(list(op.powers(2, 5))) == 3
-    assert op.power_matrix(2, 2) is not None
-    assert op.power_matrix(2, 3) is None
+    # after its steps out of degrees 2 and 4: x -> x^2 -> 2x^3 = 0
+    assert op.ranks(2) == (1, 1, 0)
 
 
-def test_float_products_refuse_inexact_primes():
-    big = 134217689  # prime, (p - 1)^2 > 2^53
-    space = GradedSpace(big, {0: [0], 2: [1]}, True)
-    op = GradedOperator(space, 2, {0: np.ones((1, 1))})
-    with pytest.raises(DomainError):
-        op.power_matrix(0, 1)
-    with pytest.raises(DomainError):
-        rank_mod_p(np.eye(2), big)
+def test_chain_and_rank_exact_at_a_large_prime():
+    big = 134217689  # prime, (p - 1)^2 > 2^53: no float64 product is exact
+    dims = (6, 5, 7, 4)
+    # the top degree is a boundary degree, so the chain stops there
+    # instead of running p steps
+    op, mats = _chain(big, dims, 0, complete=False)
+    assert len(op.ranks(0)) == len(dims)
+    exact = np.eye(dims[0], dtype=object)
+    for k, step in enumerate(mats, start=1):
+        exact = step.astype(object) @ exact % big
+        assert op.ranks(0)[k] == _sympy_rank(exact, big) > 0
+    rng = random.Random(big)
+    low_rank = [[rng.randrange(big) for _ in range(3)] for _ in range(9)]
+    mat = np.array(low_rank, dtype=object) @ np.array(
+        [[rng.randrange(big) for _ in range(8)] for _ in range(3)], dtype=object
+    )
+    for m in (mat, mat[:, :2], np.eye(5, dtype=object) * (big - 1)):
+        assert rank_mod_p(m, big) == _sympy_rank(m, big)
 
 
 def _sympy_rank(mat, p):
@@ -489,7 +514,7 @@ def _int64_power_matrix(op, d, k):
     mat = np.eye(op.space.dim(d), dtype=np.int64)
     cur = d
     for _ in range(k):
-        step = op.matrix(cur)
+        step = _dense(op, cur)
         if step is None:
             return None
         mat = (step.astype(np.int64) @ mat) % p
