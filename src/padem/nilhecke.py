@@ -19,8 +19,10 @@ Words over the letters ('x', i) for multiplication by x_i and ('d', j)
 for the divided difference at j are an input format: from_word
 multiplies them into the basis, and apply_word composes the generator
 actions one letter at a time on the terms of a polynomial as the
-word-level reference (apply_word_sum for a sum of words).  Elements are
-immutable after construction.
+word-level reference (apply_word_sum for a sum of words;
+first_word_sum_mismatch compares two sums on a whole monomial sweep, one
+chunk of monomials per kernel call).  Elements are immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -179,7 +181,8 @@ def _divided_difference_terms(
     terms: dict[Monomial, int], j: int, p: int
 ) -> dict[Monomial, int]:
     """Terms of the divided difference at j of the polynomial with these
-    terms, monomial by monomial in closed form."""
+    terms, monomial by monomial in closed form.  Only coordinates j and
+    j + 1 of a key are rewritten; see _word_terms for the trailing tag."""
     out: dict[Monomial, int] = {}
     get = out.get
     for m, c in terms.items():
@@ -318,7 +321,12 @@ class NilHeckeElement(LinearCombination):
 def _word_terms(word: Word, terms: dict[Monomial, int], p: int) -> dict[Monomial, int]:
     """Terms of word applied to the polynomial with these terms, one
     letter at a time, rightmost first: ('x', i) bumps the exponent of x_i
-    in every monomial, ('d', j) is the divided difference at j."""
+    in every monomial, ('d', j) is the divided difference at j.
+
+    A letter rewrites only coordinates 1..n of a key, so a key may carry
+    extra trailing coordinates, and they come through every letter
+    unchanged.  first_word_sum_mismatch tags each monomial of a batch
+    with its sweep index this way, so the monomials of a batch never mix."""
     for kind, i in reversed(word):
         if kind == "x":
             terms = {m[: i - 1] + (m[i - 1] + 1,) + m[i:]: c for m, c in terms.items()}
@@ -340,14 +348,51 @@ def apply_d_word(f: Polynomial, word: tuple[int, ...]) -> Polynomial:
     return apply_word(tuple(("d", j) for j in word), f)
 
 
-def apply_word_sum(words, f: Polynomial) -> Polynomial:
-    """Value on f of a sum ((coefficient, letters), ...) of generator words."""
-    out: dict[Monomial, int] = {}
+def _check_words(n: int, words) -> None:
+    for _, word in words:
+        for letter in word:
+            _check_letter(n, letter)
+
+
+def _word_sum_terms(words, terms: dict, p: int) -> dict:
+    out: dict = {}
     get = out.get
     for c, word in words:
-        for m, v in apply_word(word, f).terms.items():
+        for m, v in _word_terms(word, terms, p).items():
             out[m] = get(m, 0) + c * v
-    return Polynomial._raw(f.p, f.n, reduce_terms(out, f.p))
+    return reduce_terms(out, p)
+
+
+def apply_word_sum(words, f: Polynomial) -> Polynomial:
+    """Value on f of a sum ((coefficient, letters), ...) of generator words."""
+    _check_words(f.n, words)
+    return Polynomial._raw(f.p, f.n, _word_sum_terms(words, f.terms, f.p))
+
+
+# Monomials per batch in first_word_sum_mismatch: enough to spread the
+# per-word cost of a relation side over many monomials, few enough that a
+# batch's intermediate term dicts, and so peak memory, stay small.
+SWEEP_CHUNK = 64
+
+
+def first_word_sum_mismatch(lhs, rhs, monomials, p: int, n: int) -> int | None:
+    """Index of the first of the monomials on which the sums of generator
+    words lhs and rhs differ, or None when they agree on all of them.
+
+    Agrees with comparing apply_word_sum(lhs, f) and apply_word_sum(rhs, f)
+    monomial by monomial, but each side runs once per chunk of SWEEP_CHUNK
+    monomials: the chunk is one batch of keys exps + (index,), and the
+    index coordinate passes through every letter (see _word_terms)."""
+    _check_words(n, (*lhs, *rhs))
+    for start in range(0, len(monomials), SWEEP_CHUNK):
+        chunk = monomials[start : start + SWEEP_CHUNK]
+        batch = {exps + (i,): 1 for i, exps in enumerate(chunk, start)}
+        left = _word_sum_terms(lhs, batch, p)
+        right = _word_sum_terms(rhs, batch, p)
+        if left != right:
+            differ = (k for k in left.keys() | right.keys() if left.get(k) != right.get(k))
+            return min(k[-1] for k in differ)
+    return None
 
 
 @functools.cache

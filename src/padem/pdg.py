@@ -30,7 +30,11 @@ class Derivation:
     """Degree +2 derivation given on generators, extended by Leibniz.
 
     The images are stored as tuples; d(D_w) is computed once per
-    permutation w and kept on the instance (at most n! entries)."""
+    permutation w and kept on the instance (at most n! entries).  shift
+    is the degree shift read off the terms of the x images (|x_i| = 2), 2
+    when they are all zero, and None when the terms have different
+    degrees: such a derivation has no graded operator, and its
+    nilpotency checks iterate it directly."""
 
     def __init__(
         self,
@@ -48,11 +52,10 @@ class Derivation:
         self.n = n
         self.x_images = tuple(x_images)
         self.d_images = tuple(d_images)
-        # Degree shift read off the first generator image (|x_i| = 2).
-        shifts = {
-            f.homogeneous_degree() - 2 for f in x_images if not f.is_zero()
-        }
-        self.shift = shifts.pop() if len(shifts) == 1 else 2
+        shifts = {2 * sum(m) - 2 for f in x_images for m in f.terms}
+        self.shift: int | None = None
+        if len(shifts) <= 1:
+            self.shift = shifts.pop() if shifts else 2
         self._d_permutation: dict[tuple[int, ...], dict] = {}
 
     def _poly_terms(self, terms: dict[Monomial, int]) -> dict[Monomial, int]:
@@ -491,16 +494,23 @@ def _ideal_projector(space: GradedSpace):
     return project
 
 
+def _require_shift(d: Derivation) -> int:
+    if d.shift is None:
+        raise StructureError("the derivation has no uniform degree shift")
+    return d.shift
+
+
 def derivation_operator(
     space: GradedSpace, d: Derivation, n: int
 ) -> GradedOperator:
+    shift = _require_shift(d)
     project = _ideal_projector(space)
 
     def fn(exps: Monomial) -> dict[Monomial, int]:
         f = d.apply_poly(Polynomial.monomial(d.p, n, exps))
         return project(dict(f.terms))
 
-    return GradedOperator.from_callable(space, fn, d.shift)
+    return GradedOperator.from_callable(space, fn, shift)
 
 
 def nilhecke_space(p: int, n: int, top_degree: int) -> GradedSpace:
@@ -518,10 +528,12 @@ def nilhecke_space(p: int, n: int, top_degree: int) -> GradedSpace:
 
 
 def nh_derivation_operator(space: GradedSpace, d: Derivation) -> GradedOperator:
+    shift = _require_shift(d)
+
     def fn(label) -> dict:
         return d.apply_nh(NilHeckeElement._raw(d.p, d.n, {label: 1})).terms
 
-    return GradedOperator.from_callable(space, fn, d.shift)
+    return GradedOperator.from_callable(space, fn, shift)
 
 
 def regular_nilpotent_module(p: int) -> tuple[GradedSpace, GradedOperator]:
@@ -623,18 +635,20 @@ def _non_nilpotent_degree(op: GradedOperator, degree_bound: int) -> int | None:
 
 def _poly_nilpotency_failure(d: Derivation, degree_bound: int) -> tuple[str | None, int]:
     """d^p on the polynomial ring up to the degree bound, via the rank
-    chains of a graded operator; derivations without a uniform degree shift fall back to
-    direct iteration up to degree 10.  Returns the failure, if any, and
-    the degree bound checked."""
+    chains of a graded operator.  A derivation without a uniform degree
+    shift (d.shift is None), or whose operator turns out not to be
+    homogeneous, falls back to direct iteration up to degree 10.  Returns
+    the failure, if any, and the degree bound checked."""
     p, n = d.p, d.n
-    try:
-        pspace = polynomial_space(p, n, degree_bound + d.shift * p)
-        deg = _non_nilpotent_degree(derivation_operator(pspace, d, n), degree_bound)
-    except StructureError:
-        pass
-    else:
-        failure = None if deg is None else f"d^{p} != 0 on polynomial degree {deg}"
-        return failure, degree_bound
+    if d.shift is not None:
+        try:
+            pspace = polynomial_space(p, n, degree_bound + d.shift * p)
+            deg = _non_nilpotent_degree(derivation_operator(pspace, d, n), degree_bound)
+        except StructureError:
+            pass
+        else:
+            failure = None if deg is None else f"d^{p} != 0 on polynomial degree {deg}"
+            return failure, degree_bound
     bound = min(degree_bound, 10)
     for exps in monomials_up_to_degree(n, bound):
         f = Polynomial.monomial(p, n, exps)
@@ -649,14 +663,15 @@ def _nh_nilpotency_failure(d: Derivation, degree_bound: int) -> tuple[str | None
     """As _poly_nilpotency_failure on the operator algebra; the direct
     iteration falls back to polynomial parts up to degree 6."""
     p = d.p
-    try:
-        nspace = nilhecke_space(p, d.n, degree_bound + d.shift * p)
-        deg = _non_nilpotent_degree(nh_derivation_operator(nspace, d), degree_bound)
-    except StructureError:
-        pass
-    else:
-        failure = None if deg is None else f"d^{p} != 0 on operator degree {deg}"
-        return failure, degree_bound
+    if d.shift is not None:
+        try:
+            nspace = nilhecke_space(p, d.n, degree_bound + d.shift * p)
+            deg = _non_nilpotent_degree(nh_derivation_operator(nspace, d), degree_bound)
+        except StructureError:
+            pass
+        else:
+            failure = None if deg is None else f"d^{p} != 0 on operator degree {deg}"
+            return failure, degree_bound
     bound = min(degree_bound, 6)
     for w in all_permutations(d.n):
         for exps in monomials_up_to_degree(d.n, bound):

@@ -359,6 +359,58 @@ def bar_act_element(
 
 # -- Margolis differentials --------------------------------------------
 
+# Most admissible words a degree may hold for margolis_d to rewrite in it.
+MARGOLIS_TERM_BUDGET = 100_000
+
+
+def _admissible_count(p: int, degree: int, cap: int) -> int:
+    """Number of admissible words P^{a_1} ... P^{a_k} with a_1 + ... + a_k
+    equal to degree, or some number above cap once it is known to exceed it.
+
+    The admissible words and the Milnor basis elements P(r_1, r_2, ...)
+    with sum r_i (p^i - 1)/(p - 1) = degree are bases of the same space,
+    so this counts the partitions of degree into the parts 1, p + 1,
+    p^2 + p + 1, ...  The parts 1 and p + 1 alone give more than
+    degree // (p + 1) of them."""
+    if degree // (p + 1) > cap:
+        return degree // (p + 1)
+    parts = [1]
+    while parts[-1] * p + 1 <= degree:
+        parts.append(parts[-1] * p + 1)
+
+    def count(rest: int, k: int) -> int:
+        # partitions of rest into parts[0..k]
+        if k == 0:
+            return 1
+        if k == 1:
+            return rest // parts[1] + 1
+        total = 0
+        for used in range(0, rest + 1, parts[k]):
+            total += count(rest - used, k - 1)
+            if total > cap:
+                break
+        return total
+
+    return count(degree, len(parts) - 1)
+
+
+def _require_margolis_budget(t: int, p: int) -> None:
+    """Raise DomainError when d_t's degree (p^t - 1)/(p - 1), in units of
+    |P^1|, holds more than MARGOLIS_TERM_BUDGET admissible words.  The
+    degree is summed one power of p at a time and stops once it alone
+    exceeds the budget, so a huge t costs no big powers."""
+    degree, power = 0, 1
+    for _ in range(t):
+        degree += power
+        power *= p
+        if degree // (p + 1) > MARGOLIS_TERM_BUDGET:
+            break  # over the budget already; the count only grows with the degree
+    if _admissible_count(p, degree, MARGOLIS_TERM_BUDGET) > MARGOLIS_TERM_BUDGET:
+        raise DomainError(
+            f"d_{t} at p={p} is over the work budget: its degree holds more "
+            f"than {MARGOLIS_TERM_BUDGET} admissible words"
+        )
+
 
 @functools.cache
 def margolis_d(t: int, p: int, grading: str = GRADING_TOPOLOGICAL) -> SteenrodElement:
@@ -368,10 +420,13 @@ def margolis_d(t: int, p: int, grading: str = GRADING_TOPOLOGICAL) -> SteenrodEl
     The recursion is taken as the definition.  Under the standard action
     it satisfies d_t(x_i) = (-1)^(t-1) x_i^(p^t); the commutator order
     fixes this sign, and d_t agrees with the coaction dual margolis_pst
-    up to the same (-1)^(t-1).  At p = 2 all signs vanish."""
+    up to the same (-1)^(t-1).  At p = 2 all signs vanish.  A t whose
+    degree holds more than MARGOLIS_TERM_BUDGET admissible words raises
+    DomainError before any rewriting."""
     if t < 1:
         raise DomainError("differential index must be positive")
     require_prime(p)
+    _require_margolis_budget(t, p)
     if t == 1:
         return SteenrodElement.p_power(p, 1, grading)
     prev = margolis_d(t - 1, p, grading)

@@ -5,8 +5,10 @@ import random
 import numpy as np
 import pytest
 
+from padem import pdg, verify
 from padem.errors import DivisibilityError, DomainError
 from padem.nilhecke import (
+    SWEEP_CHUNK,
     NilHeckeElement,
     Permutation,
     all_permutations,
@@ -14,6 +16,7 @@ from padem.nilhecke import (
     apply_word,
     apply_word_sum,
     divided_difference,
+    first_word_sum_mismatch,
     reconstruct_operator,
     schubert,
     sym_linearity_check,
@@ -150,6 +153,75 @@ def test_defining_relations_as_operators(p, n):
         for exps in monos:
             f = Polynomial.monomial(p, n, exps)
             assert apply_word_sum(lhs, f) == apply_word_sum(rhs, f), name
+
+
+def _first_relation_failure(p, n, degree_bound):
+    """The per-monomial reference for the relation sweep: the detail of
+    the first (relation, monomial) where the two sides differ under
+    apply_word_sum, with the monomial's sweep index; None if none does."""
+    monos = monomials_up_to_degree(n, degree_bound)
+    for name, lhs, rhs in pdg.nilhecke_relations(p, n):
+        for index, exps in enumerate(monos):
+            f = Polynomial.monomial(p, n, exps)
+            if apply_word_sum(lhs, f) != apply_word_sum(rhs, f):
+                return f"{name} fails on {f}", index
+    return None
+
+
+W0_4 = tuple(("d", j) for j in Permutation.longest(4).reduced_word())
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize(
+    "n, degree_bound, name, lhs, rhs, chunk",
+    [
+        pytest.param(3, 24, "D1 = 0", ((1, (("d", 1),)),), (), "first", id="first-chunk"),
+        # the constant of a true relation, off by one
+        pytest.param(
+            2, 24, "D1*x1 - x2*D1 = 2",
+            ((1, (("d", 1), ("x", 1))), (-1, (("x", 2), ("d", 1)))), ((2, ()),),
+            "first", id="first-chunk-coefficients",
+        ),
+        # D_{w0} kills the 126 monomials of exponent sum below 6
+        pytest.param(4, 16, "D_w0 = 0", ((1, W0_4),), (), "later", id="later-chunk"),
+        # 126 monomials: a full chunk, then 62, and the first failure is at 72
+        pytest.param(
+            4, 10, "D_w0*x1 = 0", ((1, W0_4 + (("x", 1),)),), (), "last partial",
+            id="last-partial-chunk",
+        ),
+    ],
+)
+def test_relation_sweep_reports_planted_fault_like_reference(
+    monkeypatch, p, n, degree_bound, name, lhs, rhs, chunk
+):
+    real = pdg.nilhecke_relations
+    reduced = lambda side: tuple((c % p, word) for c, word in side)
+    false_relation = (name, reduced(lhs), reduced(rhs))
+    monkeypatch.setattr(pdg, "nilhecke_relations", lambda p, n: real(p, n) + [false_relation])
+    want, index = _first_relation_failure(p, n, degree_bound)
+    assert want.startswith(name)
+    count = len(monomials_up_to_degree(n, degree_bound))
+    at, last = index // SWEEP_CHUNK, (count - 1) // SWEEP_CHUNK
+    partial = at == last and count % SWEEP_CHUNK
+    assert chunk == ("first" if at == 0 else "last partial" if partial else "later")
+    got = verify.check_nilhecke_relations(p, n, degree_bound)
+    assert not got.ok
+    assert got.detail == want
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("n, degree_bound", ((2, 24), (3, 12), (4, 10)))
+def test_relation_sweep_passes_true_relations(p, n, degree_bound):
+    assert _first_relation_failure(p, n, degree_bound) is None
+    assert verify.check_nilhecke_relations(p, n, degree_bound).ok
+
+
+def test_word_sum_mismatch_checks_letters():
+    monos = monomials_up_to_degree(3, 4)
+    with pytest.raises(DomainError):
+        first_word_sum_mismatch(((1, (("d", 3),)),), (), monos, 3, 3)
+    with pytest.raises(DomainError):
+        first_word_sum_mismatch((), ((1, (("x", 4),)),), monos, 3, 3)
 
 
 def test_normalize_examples():

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -229,6 +230,18 @@ def test_cli_margolis(capsys):
     assert code == 0 and out == "x1^4\n"
     code, out, _ = run_cli(capsys, "margolis", "--t", "1", "--op", "D1", "-p", "2", "-n", "2")
     assert code == 0 and out == "x1*D1 + x2*D1\n"
+
+
+@pytest.mark.parametrize("t, p", (("40", "2"), ("12", "3")))
+def test_cli_margolis_over_budget_exits_3_fast(capsys, t, p):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "margolis", "--t", t, "--on", "x1", "-p", p, "-n", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err == (
+        f"error: d_{t} at p={p} is over the work budget: its degree holds more "
+        "than 100000 admissible words\n"
+    )
 
 
 def test_cli_exit_codes(capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sympy import GF, ZZ
 from sympy.polys.matrices import DomainMatrix
 
+from padem import pdg as pdg_mod
 from padem.errors import DomainError, MismatchError, StructureError
 from padem.nilhecke import NilHeckeElement, Permutation
 from padem.pdg import (
@@ -195,6 +196,7 @@ def test_verify_pdg_reports_nilpotency_bounds():
     # x images of different degrees: no graded matrices on the polynomial
     # side, and the relations fail, so the operator side never runs
     mixed = Derivation(p, n, [x1**2, x2**3], [NilHeckeElement.zero(p, n)])
+    assert mixed.shift is None
     report = verify_pdg(mixed, degree_bound=12)
     assert report["nilpotency_degree_bound"] == {"poly": 10, "nh": None}
     # the inner derivation [z, -] by a non-homogeneous z is well defined
@@ -205,6 +207,37 @@ def test_verify_pdg_reports_nilpotency_bounds():
     report = verify_pdg(inner, degree_bound=12)
     assert report["relations_ok"]
     assert report["nilpotency_degree_bound"] == {"poly": 12, "nh": 6}
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_mixed_degree_derivation_iterates_directly(p):
+    # d = d/dx1 + x2^2 d/dx2 sends x1 to degree 0 and x2 to degree 4, so
+    # it has no degree shift; the two parts commute, and each has p-th
+    # power zero in characteristic p, so d^p = 0
+    n = 2
+    x1, x2 = xvar(p, n, 1), xvar(p, n, 2)
+    zero_d = [NilHeckeElement.zero(p, n)]
+    d = Derivation(p, n, [Polynomial.one(p, n), x2**2], zero_d)
+    assert d.shift is None
+    with pytest.raises(StructureError):
+        derivation_operator(polynomial_space(p, n, 8), d, n)
+    with pytest.raises(StructureError):
+        nh_derivation_operator(nilhecke_space(p, n, 8), d)
+    report = verify_pdg(d, degree_bound=14)
+    assert report["p_nilpotent_ok"]
+    assert report["nilpotency_degree_bound"]["poly"] == 10
+    assert pdg_mod._nh_nilpotency_failure(d, 14) == (None, 6)
+    # x1 -> x1 instead: d^p(x1) = x1, found by the direct iteration
+    broken = Derivation(p, n, [x1, x2**2], zero_d)
+    assert broken.shift is None
+    failure = f"d^{p} != 0 on the monomial with exponents (1, 0)"
+    assert pdg_mod._poly_nilpotency_failure(broken, 14) == (failure, 10)
+    assert pdg_mod._poly_nilpotency_failure(broken, 4) == (failure, 4)
+    # one x image with terms of two degrees
+    x = xvar(p, 1, 1)
+    inhomogeneous = Derivation(p, 1, [x + x**2], [])
+    assert inhomogeneous.shift is None
+    assert verify_pdg(inhomogeneous, degree_bound=14)["nilpotency_degree_bound"]["poly"] == 10
 
 
 @pytest.mark.parametrize("n, bound", ((0, 8), (2, -2)))

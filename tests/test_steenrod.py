@@ -2,6 +2,7 @@
 bar action, Margolis differentials, and the one-variable coaction."""
 
 import random
+import time
 
 import pytest
 
@@ -12,7 +13,10 @@ from padem.steenrod import (
     ACTION_NONSTANDARD,
     ACTION_STANDARD,
     GRADING_COMPRESSED,
+    MARGOLIS_TERM_BUDGET,
     SteenrodElement,
+    _admissible_count,
+    _is_admissible_word,
     act,
     adem_normalize,
     antipode,
@@ -312,6 +316,47 @@ def test_margolis_p_nilpotence_on_polynomials(p):
     for _ in range(10):
         f = random_poly(rng, p, 2)
         assert act(power, f).is_zero()
+
+
+def _admissible_words(p, degree):
+    """Every word P^{a_1} ... P^{a_k} with a_1 + ... + a_k = degree and
+    all a_i >= 1 that is admissible, by brute force over compositions."""
+    if degree == 0:
+        return [()]
+    out = []
+    for first in range(1, degree + 1):
+        out += [(first,) + w for w in _admissible_words(p, degree - first)]
+    return [w for w in out if _is_admissible_word(w, p)]
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_admissible_count_matches_enumeration(p):
+    for degree in range(0, 17):
+        count = len(_admissible_words(p, degree))
+        assert _admissible_count(p, degree, 10**6) == count, degree
+        capped = _admissible_count(p, degree, 2)
+        assert capped == count if count <= 2 else capped > 2
+
+
+@pytest.mark.parametrize(
+    "t, p", ((9, 2), (40, 2), (7, 3), (12, 3), (6, 5), (4, 97), (10**9, 97))
+)
+def test_margolis_d_over_budget_raises_before_rewriting(t, p):
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="work budget"):
+        margolis_d(t, p)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("t, p", ((8, 2), (6, 3), (5, 5), (3, 97)))
+def test_margolis_d_largest_within_budget(t, p):
+    degree = (p**t - 1) // (p - 1)
+    assert _admissible_count(p, degree, MARGOLIS_TERM_BUDGET) <= MARGOLIS_TERM_BUDGET
+    dt = margolis_d(t, p)
+    assert dt.degree() == 2 * (p**t - 1)
+    assert len(dt.terms) <= _admissible_count(p, degree, MARGOLIS_TERM_BUDGET)
+    with pytest.raises(DomainError):
+        margolis_d(t + 1, p)
 
 
 # -- coaction and dual differentials ----------------------------------------
