@@ -60,6 +60,38 @@ def reduce_terms(terms: dict, p: int) -> dict:
     return {key: c % p for key, c in terms.items() if c % p}
 
 
+def _echelon(vectors, p: int) -> list:
+    """The vectors {key: integer} that are independent over F_p of the
+    ones before them, reduced mod p: a basis of their span.  The keys are
+    matrix indices or any other totally ordered labels.
+
+    Sparse echelon elimination: each vector is reduced by the echelon row
+    at its lowest key, with the row's fill-in, until that key is new;
+    the reduced vector is then kept as the row there, scaled to a leading
+    1.  Exact Python ints, any prime."""
+    rows: dict = {}
+    kept = []
+    for vec in vectors:
+        vec = {i: c % p for i, c in vec.items() if c % p}
+        v = dict(vec)
+        while v:
+            lead = min(v)
+            row = rows.get(lead)
+            if row is None:
+                inv = pow(v[lead], -1, p)
+                rows[lead] = {i: c * inv % p for i, c in v.items()}
+                kept.append(vec)
+                break
+            c = v[lead]
+            for i, r in row.items():
+                x = (v.get(i, 0) - c * r) % p
+                if x:
+                    v[i] = x
+                else:
+                    del v[i]
+    return kept
+
+
 def _ring_text(x) -> str:
     return f"F_{x.p}" if x.n is None else f"F_{x.p}[{x.n} vars]"
 

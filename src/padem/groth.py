@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import IntPolynomial, cyclotomic, factor_quotient, require_prime
+from .arith import IntPolynomial, _echelon, cyclotomic, factor_quotient, require_prime
 from .errors import DomainError
 from .steenrod import (
     GRADING_TOPOLOGICAL,
@@ -130,11 +130,13 @@ def enumerate_an_basis(
     """Graded dimensions of the subalgebra generated by P^(p^j), j < n,
     found by closing the generators under product + admissible rewriting.
 
-    Products are explored in increasing degree, so every dimension at or
-    below the cap is exact.  The result is certified complete when an
-    entire band of width max(generator degree) above the top nonzero
-    degree fits under the cap and is empty; otherwise the flag is False
-    and the dimensions are a partial lower picture.
+    Degree d is spanned by the products gen * b over the generators and a
+    basis b of degree d - |gen|, reduced to a basis by one sparse F_p
+    elimination, so every dimension at or below the cap is exact.  The
+    result is certified complete when an entire band of width max(generator
+    degree) above the top nonzero degree fits under the cap and is empty;
+    otherwise the flag is False and the dimensions are a partial lower
+    picture.
     """
     require_prime(p)
     if n < 0:
@@ -143,51 +145,17 @@ def enumerate_an_basis(
     generators = [SteenrodElement.p_power(p, p**j, grading) for j in range(n)]
     gen_degrees = [scale * p**j for j in range(n)]
 
-    # Echelonized span vectors per degree, keyed by admissible word.
-    span: dict[int, list[dict]] = {}
-    word_key = lambda w: (sum(w), w)
+    # span[d]: a basis of degree d, as terms keyed by admissible word
+    span: dict[int, list[dict]] = {0: [SteenrodElement.one(p, grading).terms]}
+    for degree in range(scale, degree_cap + 1, scale):
+        products = [
+            adem_normalize(gen * SteenrodElement(p, b, grading)).terms
+            for gen, gdeg in zip(generators, gen_degrees)
+            for b in span.get(degree - gdeg, ())
+        ]
+        span[degree] = _echelon(products, p)
 
-    def reduce_and_insert(degree: int, vec: dict):
-        """Gaussian step; returns the reduced vector if independent."""
-        rows = span.setdefault(degree, [])
-        vec = dict(vec)
-        # Rows carry distinct leads and every entry of a row is at most
-        # its lead, so one descending pass fully reduces.
-        for row in sorted(rows, key=lambda r: word_key(max(r, key=word_key)), reverse=True):
-            lead = max(row, key=word_key)
-            if lead in vec:
-                c = vec[lead] * pow(row[lead], -1, p) % p
-                for w, rc in row.items():
-                    val = (vec.get(w, 0) - c * rc) % p
-                    if val:
-                        vec[w] = val
-                    else:
-                        vec.pop(w, None)
-        if not vec:
-            return None
-        rows.append(vec)
-        return vec
-
-    unit = SteenrodElement.one(p, grading)
-    reduce_and_insert(0, dict(unit.terms))
-    frontier: list[tuple[int, SteenrodElement]] = [(0, unit)]
-    while frontier:
-        frontier.sort(key=lambda item: item[0])
-        degree, element = frontier.pop(0)
-        for gen, gdeg in zip(generators, gen_degrees):
-            new_degree = degree + gdeg
-            if new_degree > degree_cap:
-                continue
-            product = adem_normalize(gen * element)
-            if product.is_zero():
-                continue
-            reduced = reduce_and_insert(new_degree, dict(product.terms))
-            if reduced is not None:
-                frontier.append(
-                    (new_degree, SteenrodElement(p, dict(reduced), grading))
-                )
-
-    dims = {deg: len(rows) for deg, rows in sorted(span.items()) if rows}
+    dims = {deg: len(rows) for deg, rows in span.items() if rows}
     if n == 0:
         return dims, True
     top = max(dims)

@@ -430,11 +430,14 @@ def reconstruct_operator(
     polynomials (processing permutations by increasing length peels off
     one D_w coefficient at a time) and then checked against fn on every
     monomial within the degree bound.  Operators that are not actually
-    nilHecke elements fail the check and raise ReconstructionError.
+    nilHecke elements fail the check and raise ReconstructionError.  A
+    negative bound, whose sweep would check nothing, raises DomainError.
     """
     from .errors import ReconstructionError
     from .poly import monomials_up_to_degree
 
+    if degree_bound < 0:
+        raise DomainError(f"degree bound {degree_bound} must be nonnegative")
     perms = sorted(all_permutations(n), key=lambda w: (w.length(), w.images))
     parts: dict[Permutation, Polynomial] = {}
     for w in perms:

@@ -17,6 +17,9 @@ from dataclasses import dataclass
 
 from .errors import ExprTypeError, ParseError
 
+# Deepest parenthesis nesting accepted; the parser recurses once per level.
+MAX_NESTING = 200
+
 TARGET_POLYNOMIAL = "polynomial"
 TARGET_NILHECKE = "nilhecke"
 TARGET_STEENROD = "steenrod"
@@ -102,6 +105,7 @@ class _Parser:
             raise ParseError(f"unknown target algebra {target!r}")
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.depth = 0
         self.target = target
 
     def peek(self) -> _Token:
@@ -159,8 +163,15 @@ class _Parser:
             return Num(tok.value)
         if tok.kind == "(":
             self.advance()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING} at position {tok.pos}",
+                    tok.pos,
+                )
             inner = self.expr()
             self.expect(")")
+            self.depth -= 1
             return inner
         if tok.kind == "name":
             self.advance()

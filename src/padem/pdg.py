@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from operator import add
 
-from .arith import reduce_terms, require_ring
+from .arith import _echelon, reduce_terms, require_ring
 from .errors import DomainError, MismatchError, StructureError
 from .nilhecke import (
     NilHeckeElement,
@@ -370,37 +370,6 @@ class GradedOperator:
             out.append(len(basis))
         chain = self._ranks[d] = tuple(out)
         return chain
-
-
-def _echelon(vectors, p: int) -> list:
-    """The vectors {index: integer} that are independent over F_p of the
-    ones before them, reduced mod p: a basis of their span.
-
-    Sparse echelon elimination: each vector is reduced by the echelon row
-    at its lowest index, with the row's fill-in, until that index is new;
-    the reduced vector is then kept as the row there, scaled to a leading
-    1.  Exact Python ints, any prime."""
-    rows: dict[int, dict[int, int]] = {}
-    kept = []
-    for vec in vectors:
-        vec = {i: c % p for i, c in vec.items() if c % p}
-        v = dict(vec)
-        while v:
-            lead = min(v)
-            row = rows.get(lead)
-            if row is None:
-                inv = pow(v[lead], -1, p)
-                rows[lead] = {i: c * inv % p for i, c in v.items()}
-                kept.append(vec)
-                break
-            c = v[lead]
-            for i, r in row.items():
-                x = (v.get(i, 0) - c * r) % p
-                if x:
-                    v[i] = x
-                else:
-                    del v[i]
-    return kept
 
 
 def rank_mod_p(rows, p: int) -> int:

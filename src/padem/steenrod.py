@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 
-from .arith import LinearCombination, binomial_mod_p, reduce_terms, require_prime
+from .arith import LinearCombination, _euler_row, binomial_mod_p, reduce_terms, require_prime
 from .errors import DomainError
 from .nilhecke import NilHeckeElement, reconstruct_operator
 from .poly import Monomial, Polynomial
@@ -183,29 +183,18 @@ def adem_normalize(e: SteenrodElement, strategy: str = "leftmost") -> SteenrodEl
 # -- actions on polynomial rings --------------------------------------
 
 
-@functools.cache
-def _nonstandard_row(p: int, a: int) -> tuple[int, ...]:
-    # Coefficients of P^* on x^a obtained by the Cartan rule from the
-    # single-generator values C(p-1, k): convolve the generator row a times.
-    base = tuple(binomial_mod_p(p - 1, m, p) for m in range(p))
-    row = (1,)
-    for _ in range(a):
-        new = [0] * (len(row) + p - 1)
-        for i, c in enumerate(row):
-            if c:
-                for m, bc in enumerate(base):
-                    new[i + m] = (new[i + m] + c * bc) % p
-        row = tuple(new)
-    return row
-
-
 @functools.lru_cache(maxsize=None)
 def _single_var_action(p: int, action: str, j: int, a: int) -> tuple[int, int]:
-    """(coefficient, new exponent) of P^j applied to x^a in one variable."""
+    """(coefficient, new exponent) of P^j applied to x^a in one variable.
+
+    The nonstandard P^j x^a is the coefficient of t^j in the a-th power of
+    sum_m C(p-1, m) t^m, by the Cartan rule from its values on x.  As
+    C(p-1, m) = (-1)^m mod p, that is (-1)^j times the coefficient of t^j
+    in (1 + t + ... + t^(p-1))^a."""
     if action == ACTION_STANDARD:
         return binomial_mod_p(a, j, p), a + j * (p - 1)
-    row = _nonstandard_row(p, a)
-    return (row[j] if j < len(row) else 0), a + j
+    c = _euler_row(a, p)[j]
+    return (-c if j % 2 else c) % p, a + j
 
 
 @functools.cache

@@ -12,7 +12,7 @@ import numpy as np
 from sympy import GF, ZZ
 from sympy.polys.matrices import DomainMatrix
 
-from padem import groth, pdg
+from padem import groth, pdg, verify
 from padem.arith import IntPolynomial, binomial_mod_p, cyclotomic, generalized_binomial
 from padem.cli import main
 from padem.nilhecke import NilHeckeElement, apply_word, apply_word_sum, divided_difference
@@ -36,6 +36,12 @@ PRIMES = (2, 3, 5)
 VARS = (2, 3, 4)
 DEGREE_BOUND = 24
 SEED = 20240808
+
+
+def run_check(failures, label, check):
+    """Record a shared verify-all check that failed, with its detail."""
+    if not check.ok:
+        failures.append(f"{check.name} {label}: {check.detail}")
 
 
 def report(number, name, failures):
@@ -172,33 +178,11 @@ def test_criterion_4_paper_theorems():
     # commutator identity, d <= 6, operators on P_n, n <= 3
     for p in PRIMES:
         for n in (2, 3):
-            s = {i: s_polynomial(p, n, i) for i in range(1, n)}
-            monos = monomials_up_to_degree(n, DEGREE_BOUND)
-            for d in range(1, 7):
-                powers = [P(p, j) for j in range(d + 1)]
-                for i in range(1, n):
-                    for exps in monos:
-                        f = Polynomial.monomial(p, n, exps)
-                        lhs = act(powers[d], divided_difference(f, i)) - divided_difference(
-                            act(powers[d], f), i
-                        )
-                        rhs = Polynomial.zero(p, n)
-                        for j in range(1, d + 1):
-                            rhs = rhs + s[i] ** j * divided_difference(
-                                act(powers[d - j], f), i
-                            ) * ((-1) ** j)
-                        if lhs != rhs:
-                            failures.append(f"commutator p={p} n={n} d={d} i={i}")
-                            break
+            run_check(failures, f"p={p} n={n}", verify.check_commutator(p, n, DEGREE_BOUND, 6))
 
     # powers on the geometric sum, d <= 2p
     for p in PRIMES:
-        s1 = s_polynomial(p, 2, 1)
-        for d in range(0, 2 * p + 1):
-            got = act(P(p, d), s1)
-            want = s1 ** (d + 1) * ((-1) ** d) if d < p else Polynomial.zero(p, 2)
-            if got != want:
-                failures.append(f"s-power p={p} d={d}")
+        run_check(failures, f"p={p}", verify.check_s_powers(p, 2, 2 * p))
 
     # generalized binomial rule on s^n, n <= 4, k <= 2p
     for p in PRIMES:
@@ -235,12 +219,7 @@ def test_criterion_4_paper_theorems():
     # the sign (-1)^(k-1) on x_i^(p^k)
     for p in PRIMES:
         for n in VARS:
-            for k in (1, 2):
-                dk = margolis_d(k, p)
-                for i in range(1, n + 1):
-                    x = Polynomial.variable(p, n, i)
-                    if act(dk, x) != x ** (p**k) * ((-1) ** (k - 1)):
-                        failures.append(f"margolis generator p={p} n={n} k={k} x{i}")
+            run_check(failures, f"p={p} n={n}", verify.check_margolis_generators(p, n, 2))
     for p in (2, 3):
         for nv in (2, 3):
             s = {i: s_polynomial(p, nv, i) for i in range(1, nv)}
@@ -282,30 +261,15 @@ def test_criterion_5_pdg_structures():
     failures = []
     rng = random.Random(SEED + 4)
 
+    # the Khovanov-Qi derivation and its twists a = 0, 1, 2
     for p in PRIMES:
         for n in (2, 3):
-            for a in (None, 0, 1, 2):
-                d = (
-                    pdg.khovanov_qi_derivation(p, n)
-                    if a is None
-                    else pdg.twisted_derivation(p, n, a)
-                )
-                result = pdg.verify_pdg(d, degree_bound=20, seed=SEED)
-                if not result["all_ok"]:
-                    label = "khovanov-qi" if a is None else f"twist a={a}"
-                    failures.append(f"p={p} n={n} {label}: {result['failures'][:1]}")
+            run_check(failures, f"p={p} n={n}", verify.check_pdg(p, n, 20, SEED))
 
     # symmetric-function images, generator rule vs closed formula
     for p in PRIMES:
         for n in VARS:
-            d = pdg.khovanov_qi_derivation(p, n)
-            e = [elementary_symmetric(i, n, p) for i in range(n + 1)]
-            for i in range(1, n + 1):
-                want = e[1] * e[i]
-                if i < n:
-                    want = want - e[i + 1] * (i + 1)
-                if d.apply_poly(e[i]) != want:
-                    failures.append(f"p={p} n={n}: symmetric rule fails on e_{i}")
+            run_check(failures, f"p={p} n={n}", verify.check_symmetric_derivative_rule(p, n))
 
     # conjugating by the twisting monomial reproduces the twisted images
     for p in PRIMES:
@@ -319,10 +283,7 @@ def test_criterion_5_pdg_structures():
 
     # one global sign per prime relating the induced power action and d
     for p in PRIMES:
-        result = pdg.compare_with_steenrod(p, 3, degree_bound=12, seed=SEED)
-        expected = 1 if p == 2 else -1
-        if not result["consistent"] or result["global_sign"] != expected:
-            failures.append(f"p={p}: sign report {result}")
+        run_check(failures, f"p={p}", verify.check_steenrod_sign(p, 3, 12, SEED))
 
     report(5, "p-nilpotent derivation axioms, twists, induced sign", failures)
 

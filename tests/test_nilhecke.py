@@ -432,3 +432,21 @@ def test_reconstruct_operator_rejects_non_nilhecke():
 
     with pytest.raises(ReconstructionError):
         reconstruct_operator(p, n, frobenius, 8)
+
+
+def test_reconstruction_rejects_a_negative_degree_bound():
+    # every caller's certifying sweep would be empty
+    from padem.steenrod import bar_act, bar_act_element, margolis_d
+
+    p, n = 3, 2
+    d1 = NilHeckeElement.d_gen(p, n, 1)
+    builds = (
+        lambda: reconstruct_operator(p, n, lambda f: f, -1),
+        lambda: bar_act(1, d1, "standard", -1),
+        lambda: bar_act_element(margolis_d(1, p), d1, "standard", -1),
+        lambda: pdg.power_one_derivation(p, n, -1),
+        lambda: pdg.conjugated_twist_image(p, n, 1, 1, -1),
+    )
+    for build in builds:
+        with pytest.raises(DomainError, match="degree bound -1 must be nonnegative"):
+            build()

@@ -14,6 +14,7 @@ from padem.cli import main
 from padem.errors import ExprTypeError, ParseError, ReconstructionError
 from padem.nilhecke import NilHeckeElement
 from padem.parser import (
+    MAX_NESTING,
     Gen,
     Num,
     Power,
@@ -230,6 +231,27 @@ def test_cli_margolis(capsys):
     assert code == 0 and out == "x1^4\n"
     code, out, _ = run_cli(capsys, "margolis", "--t", "1", "--op", "D1", "-p", "2", "-n", "2")
     assert code == 0 and out == "x1*D1 + x2*D1\n"
+
+
+def test_cli_margolis_rejects_a_negative_degree_bound(capsys):
+    # no monomial has negative degree, so the sweep that certifies the
+    # reconstructed operator would check nothing
+    argv = ("margolis", "--t", "1", "--op", "D1", "-p", "3", "-n", "2", "-D", "-1")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == "error: degree bound -1 must be nonnegative\n"
+
+
+def test_cli_parenthesis_nesting_limit(capsys):
+    nested = lambda depth: "(" * depth + "x1" + ")" * depth
+    code, out, _ = run_cli(capsys, "nh", "normalize", nested(MAX_NESTING), "-n", "2")
+    assert code == 0 and out == "x1\n"
+    with pytest.raises(ParseError) as info:
+        parse(nested(MAX_NESTING + 1), "nilhecke")
+    assert info.value.position == MAX_NESTING
+    code, out, err = run_cli(capsys, "nh", "normalize", nested(250), "-n", "2")
+    assert code == 2 and out == ""
+    assert err == f"parse error: parentheses nested deeper than {MAX_NESTING} at position {MAX_NESTING}\n"
 
 
 @pytest.mark.parametrize("t, p", (("40", "2"), ("12", "3")))

@@ -199,6 +199,26 @@ def test_nonstandard_power_sum_rule():
                     assert got == want, (p, n, k, d)
 
 
+def test_nonstandard_action_on_a_power_is_the_cartan_expansion():
+    # P^* x = sum_m C(p-1, m) x^(m+1) on one variable, so P^j x^a is the
+    # coefficient of t^j in (sum_m C(p-1, m) t^m)^a, expanded here by
+    # integer convolution and reduced mod p at the end
+    import math
+
+    for p in (2, 3, 5, 7, 11):
+        row = [1]  # (sum_m C(p-1, m) t^m)^a over Z
+        for a in range(13):
+            x_a = Polynomial.monomial(p, 1, (a,))
+            for j in range(len(row) + 2):
+                got = act(P(p, j), x_a, ACTION_NONSTANDARD)
+                c = row[j] if j < len(row) else 0
+                assert got == Polynomial.monomial(p, 1, (a + j,)) * c, (p, a, j)
+            row = [
+                sum(row[i - m] * math.comb(p - 1, m) for m in range(p) if 0 <= i - m < len(row))
+                for i in range(len(row) + p - 1)
+            ]
+
+
 # -- antipode -------------------------------------------------------------
 
 
