@@ -107,16 +107,18 @@ class LinearCombination:
     A subclass supplies the key check (_check_key), the unit's key
     (_unit_key), the product of two elements' terms (_product), and the
     order (_sort_key) and factors (_key_factors) of its terms in text.
-    Elements are immutable after construction.
+    Elements are immutable after construction, so each one caches its
+    hash and the powers it has been raised to (_hash, _powers).
     """
 
-    __slots__ = ("p", "n", "terms", "_hash")
+    __slots__ = ("p", "n", "terms", "_hash", "_powers")
 
     def __init__(self, p: int, n: int, terms: dict | None = None):
         require_ring(p, n)
         self.p = p
         self.n = n
         self._hash = None
+        self._powers = None
         self.terms = self._clean(terms)
 
     def _clean(self, terms) -> dict:
@@ -142,6 +144,7 @@ class LinearCombination:
         self.n = n
         self.terms = terms
         self._hash = None
+        self._powers = None
         return self
 
     def _new(self, terms: dict):
@@ -208,17 +211,25 @@ class LinearCombination:
         return self * other
 
     def __pow__(self, k: int):
-        """Square-and-multiply."""
+        """Square-and-multiply, memoized on this element: the cache is
+        per instance, never shared between equal elements, so a Steenrod
+        power keeps its own base's grading."""
         if k < 0:
             raise DomainError(f"negative power {k}")
+        if self._powers is None:
+            self._powers = {}
+        out = self._powers.get(k)
+        if out is not None:
+            return out
         out = self._new({self._unit_key(): 1})
-        base = self
-        while k:
-            if k & 1:
+        base, e = self, k
+        while e:
+            if e & 1:
                 out = out * base
-            k >>= 1
-            if k:
+            e >>= 1
+            if e:
                 base = base * base
+        self._powers[k] = out
         return out
 
     def __str__(self) -> str:

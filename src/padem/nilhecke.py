@@ -297,25 +297,38 @@ class NilHeckeElement(LinearCombination):
     # -- action ------------------------------------------------------
 
     def apply(self, f: Polynomial) -> Polynomial:
-        """Act on a polynomial: x^a * D_w sends f to x^a * D_w(f), with
-        D_w(f) computed once per permutation w."""
+        """Act on a polynomial: x^a * D_w sends f to x^a * D_w(f)."""
         self._check_compatible(f)
         p = self.p
-        out: dict[Monomial, int] = {}
-        get = out.get
-        d_images: dict[tuple[int, ...], dict[Monomial, int]] = {}
-        for (exps, images), c in self.terms.items():
-            g = d_images.get(images)
-            if g is None:
-                g = d_images[images] = _word_terms(_d_word(images), f.terms, p)
-            for m, v in g.items():
-                key = tuple(map(add, m, exps))
-                out[key] = get(key, 0) + c * v
-        return Polynomial._raw(p, self.n, reduce_terms(out, p))
+        return Polynomial._raw(p, self.n, reduce_terms(_apply_terms(self.terms, f.terms, p), p))
 
     def normalize(self) -> "NilHeckeElement":
         """The element itself: elements are stored in the x^a * D_w basis."""
         return self
+
+
+def _apply_terms(
+    terms: dict[BasisKey, int], f_terms: dict[Monomial, int], p: int
+) -> dict[Monomial, int]:
+    """Terms, not yet reduced mod p, of the element with these basis terms
+    applied to the polynomial with terms f_terms.  D_w(f) is computed once
+    per permutation w and shifted by each x^a in front of it; x^0 needs no
+    shift."""
+    out: dict[Monomial, int] = {}
+    get = out.get
+    d_images: dict[tuple[int, ...], dict[Monomial, int]] = {}
+    for (exps, images), c in terms.items():
+        g = d_images.get(images)
+        if g is None:
+            g = d_images[images] = _word_terms(_d_word(images), f_terms, p)
+        if any(exps):
+            for m, v in g.items():
+                key = tuple(map(add, m, exps))
+                out[key] = get(key, 0) + c * v
+        else:
+            for m, v in g.items():
+                out[m] = get(m, 0) + c * v
+    return out
 
 
 def _word_terms(word: Word, terms: dict[Monomial, int], p: int) -> dict[Monomial, int]:
@@ -459,7 +472,7 @@ def reconstruct_operator(
     )
 
     for exps in monomials_up_to_degree(n, degree_bound):
-        y = Polynomial.monomial(p, n, exps)
+        y = Polynomial._raw(p, n, {exps: 1})
         if result.apply(y) != fn(y):
             raise ReconstructionError(
                 f"{note} is not realized by a nilHecke element"

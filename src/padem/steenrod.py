@@ -16,7 +16,7 @@ import functools
 
 from .arith import LinearCombination, _euler_row, binomial_mod_p, reduce_terms, require_prime
 from .errors import DomainError
-from .nilhecke import NilHeckeElement, reconstruct_operator
+from .nilhecke import NilHeckeElement, _apply_terms, reconstruct_operator
 from .poly import Monomial, Polynomial
 
 GRADING_TOPOLOGICAL = "topological"
@@ -55,6 +55,7 @@ class SteenrodElement(LinearCombination):
         self.n = None
         self.grading = grading
         self._hash = None
+        self._powers = None
         self.terms = self._clean(terms)
 
     def _new(self, terms: dict[SteenrodWord, int]) -> "SteenrodElement":
@@ -236,23 +237,33 @@ def _act_power_terms(
     return reduce_terms(acc, p)
 
 
-def act(e: SteenrodElement, f: Polynomial, action: str = ACTION_STANDARD) -> Polynomial:
-    """Apply a sum of power words to a polynomial, rightmost letter first."""
-    if action not in ACTIONS:
-        raise DomainError(f"unknown action {action!r}")
-    e._check_compatible(f)
-    p = f.p
+def _act_terms(p: int, action: str, words, terms: dict[Monomial, int]) -> dict[Monomial, int]:
+    """Terms of the sum of power words ((word, coefficient), ...) applied
+    to the polynomial with these terms, rightmost letter first, reduced
+    mod p."""
     out: dict[Monomial, int] = {}
     get = out.get
-    for word, c in e.terms.items():
-        g = f.terms
+    for word, c in words:
+        g = terms
         for k in reversed(word):
             if not g:
                 break
             g = _act_power_terms(p, action, k, g)
         for m, v in g.items():
             out[m] = get(m, 0) + c * v
-    return Polynomial._raw(p, f.n, reduce_terms(out, p))
+    return reduce_terms(out, p)
+
+
+def _require_action(action: str) -> None:
+    if action not in ACTIONS:
+        raise DomainError(f"unknown action {action!r}")
+
+
+def act(e: SteenrodElement, f: Polynomial, action: str = ACTION_STANDARD) -> Polynomial:
+    """Apply a sum of power words to a polynomial, rightmost letter first."""
+    _require_action(action)
+    e._check_compatible(f)
+    return Polynomial._raw(f.p, f.n, _act_terms(f.p, action, e.terms.items(), f.terms))
 
 
 # -- antipode ----------------------------------------------------------
@@ -308,20 +319,21 @@ def bar_act(
     """
     if k < 0:
         raise DomainError("power index must be nonnegative")
+    _require_action(action)
     p, nv = e.p, e.n
     if k == 0:
         return e
-    antipodes = [antipode_power(p, i) for i in range(k + 1)]
+    antipodes = [_antipode_power_terms(p, i) for i in range(k + 1)]
 
     def transformed(y: Polynomial) -> Polynomial:
         out: dict[Monomial, int] = {}
         get = out.get
-        for i in range(k + 1):
-            g = act(antipodes[i], y, action)
-            if g.is_zero():
+        for i, words in enumerate(antipodes):
+            g = _act_terms(p, action, words, y.terms)
+            if not g:
                 continue
-            g = e.apply(g)
-            for m, v in _act_power_terms(p, action, k - i, g.terms).items():
+            g = _apply_terms(e.terms, g, p)
+            for m, v in _act_power_terms(p, action, k - i, g).items():
                 out[m] = get(m, 0) + v
         return Polynomial._raw(p, nv, reduce_terms(out, p))
 

@@ -259,7 +259,6 @@ def test_criterion_4_paper_theorems():
 
 def test_criterion_5_pdg_structures():
     failures = []
-    rng = random.Random(SEED + 4)
 
     # the Khovanov-Qi derivation and its twists a = 0, 1, 2
     for p in PRIMES:

@@ -5,12 +5,13 @@ compatibility check."""
 import functools
 import itertools
 import operator
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padem.errors import MismatchError
+from padem.errors import DomainError, MismatchError
 from padem.nilhecke import NilHeckeElement
 from padem.pdg import khovanov_qi_derivation
 from padem.poly import Polynomial
@@ -100,6 +101,54 @@ def test_power_is_repeated_product(kind, p, n, data):
     x = data.draw(elements(kind, p, n))
     for k in range(7):
         assert x**k == functools.reduce(operator.mul, [x] * k, one(kind, p, n)), k
+
+
+def seeded_element(rng, kind, p, n):
+    """Up to two terms with small keys, so that eighth powers stay small."""
+    terms = {}
+    for _ in range(rng.randint(1, 2)):
+        if kind == "polynomial":
+            key = tuple(rng.randint(0, 2) for _ in range(n))
+        elif kind == "nilhecke":
+            images = list(range(1, n + 1))
+            rng.shuffle(images)
+            key = (tuple(rng.randint(0, 1) for _ in range(n)), tuple(images))
+        else:
+            key = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 2)))
+        terms[key] = rng.randrange(1, p)
+    if kind == "polynomial":
+        return Polynomial(p, n, terms)
+    if kind == "nilhecke":
+        return NilHeckeElement(p, n, terms)
+    return SteenrodElement(p, terms)
+
+
+@pytest.mark.parametrize("kind, p, n", CONFIGS)
+def test_powers_are_memoized_without_changing_values(kind, p, n):
+    rng = random.Random(900 + 10 * p + (n or 0))
+    for _ in range(4):
+        f = seeded_element(rng, kind, p, n)
+        product = one(kind, p, n)
+        for k in range(9):
+            assert f**k == product, k
+            product = product * f
+        for a in range(9):
+            for b in range(9 - a):
+                assert f**a * f**b == f ** (a + b), (a, b)
+        for k in range(9):
+            first = f**k
+            assert f**k is first
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                f ** -1
+
+
+def test_power_memo_keeps_each_elements_grading():
+    top = SteenrodElement.p_power(3, 1)
+    compressed = SteenrodElement.p_power(3, 1, "compressed")
+    assert (top**2).grading == "topological"
+    assert compressed**2 == top**2
+    assert (compressed**2).grading == "compressed"
 
 
 @pytest.mark.parametrize("kind, p, n", CONFIGS)

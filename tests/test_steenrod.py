@@ -268,6 +268,41 @@ def test_bar_action_closed_forms(p):
         assert got == NilHeckeElement.from_polynomial(image)
 
 
+def bar_act_oracle(k, e, y, action):
+    """The bar action's defining sum, one Polynomial-level act at a time:
+    sum_i P^(k-i)(e(S(P^i) y))."""
+    out = Polynomial.zero(e.p, e.n)
+    for i in range(k + 1):
+        inner = e.apply(act(antipode_power(e.p, i), y, action))
+        out = out + act(P(e.p, k - i), inner, action)
+    return out
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("n", (2, 3))
+def test_bar_act_matches_polynomial_level_definition(p, n):
+    rng = random.Random(61 + 10 * p + n)
+    monomials = monomials_up_to_degree(n, 8)
+    for _ in range(3):
+        letters = tuple(
+            ("x", rng.randint(1, n)) if rng.random() < 0.5 else ("d", rng.randint(1, n - 1))
+            for _ in range(rng.randint(1, 3))
+        )
+        e = NilHeckeElement.from_word(p, n, letters, rng.randrange(1, p))
+        for action in (ACTION_STANDARD, ACTION_NONSTANDARD):
+            for k in range(4):
+                got = bar_act(k, e, action, 8)
+                for exps in monomials:
+                    y = Polynomial.monomial(p, n, exps)
+                    assert got.apply(y) == bar_act_oracle(k, e, y, action), (letters, action, k, exps)
+
+
+@pytest.mark.parametrize("k", (0, 1))
+def test_bar_act_rejects_an_unknown_action(k):
+    with pytest.raises(DomainError):
+        bar_act(k, NilHeckeElement.d_gen(3, 2, 1), "bogus")
+
+
 def test_bar_act_zero_power_is_identity():
     e = NilHeckeElement.from_word(3, 2, (("x", 1), ("d", 1)), 2)
     assert bar_act(0, e, ACTION_STANDARD, 8) == e
