@@ -204,6 +204,7 @@ def divided_difference(f: Polynomial, j: int) -> Polynomial:
     return Polynomial._raw(f.p, f.n, _divided_difference_terms(f.terms, j, f.p))
 
 
+@functools.cache
 def _d_word(images: tuple[int, ...]) -> Word:
     """The letters of D_w for the permutation with these images."""
     return tuple(("d", j) for j in _reduced_word(images))

@@ -4,14 +4,15 @@ A derivation here is determined by images of the generators x_i and D_i
 and extends by the Leibniz rule.  The module provides the degree +2
 differential sending x_i to x_i^2 together with its twisted deformations,
 structural verification (Leibniz, well-definedness on the defining
-relations, p-nilpotence on graded truncations), Margolis homology of
-graded truncations, and the comparison with the induced Steenrod action.
+relations, p-nilpotence on every basis element up to a degree bound),
+Margolis homology of graded truncations, and the comparison with the
+induced Steenrod action.
 """
 
 from __future__ import annotations
 
 import random
-from operator import add
+from operator import add, itemgetter
 
 from .arith import _echelon, reduce_terms, require_ring
 from .errors import DomainError, MismatchError, StructureError
@@ -33,8 +34,7 @@ class Derivation:
     permutation w and kept on the instance (at most n! entries).  shift
     is the degree shift read off the terms of the x images (|x_i| = 2), 2
     when they are all zero, and None when the terms have different
-    degrees: such a derivation has no graded operator, and its
-    nilpotency checks iterate it directly."""
+    degrees: such a derivation has no graded operator."""
 
     def __init__(
         self,
@@ -117,6 +117,10 @@ class Derivation:
                 key = (tuple(map(add, exps, b)), w)
                 out[key] = get(key, 0) + c * v
         return NilHeckeElement._raw(self.p, self.n, reduce_terms(out, self.p))
+
+    def _nh_basis_terms(self, label) -> dict:
+        """Terms of d(x^a D_w) for the basis label (a, images of w)."""
+        return self.apply_nh(NilHeckeElement._raw(self.p, self.n, {label: 1})).terms
 
 
 def khovanov_qi_derivation(p: int, n: int) -> Derivation:
@@ -482,27 +486,33 @@ def derivation_operator(
     return GradedOperator.from_callable(space, fn, shift)
 
 
-def nilhecke_space(p: int, n: int, top_degree: int) -> GradedSpace:
-    """Normal-form basis (exponents, permutation) of NH_n with operator
-    degree 2|a| - 2 l(w) at most top_degree."""
-    _require_grading(p, n, top_degree)
-    basis: dict[int, list] = {}
+def _nh_labels(n: int, top_degree: int) -> list[tuple[int, tuple]]:
+    """(degree, label) for the normal-form basis labels (exponents,
+    permutation images) of NH_n with operator degree 2|a| - 2 l(w) at
+    most top_degree, by degree."""
+    out = []
     for w in all_permutations(n):
         length = w.length()
         for exps in monomials_up_to_degree(n, top_degree + 2 * length):
             deg = 2 * sum(exps) - 2 * length
             if deg <= top_degree:
-                basis.setdefault(deg, []).append((exps, w.images))
+                out.append((deg, (exps, w.images)))
+    return sorted(out, key=itemgetter(0))
+
+
+def nilhecke_space(p: int, n: int, top_degree: int) -> GradedSpace:
+    """Normal-form basis (exponents, permutation) of NH_n with operator
+    degree 2|a| - 2 l(w) at most top_degree."""
+    _require_grading(p, n, top_degree)
+    basis: dict[int, list] = {}
+    for deg, label in _nh_labels(n, top_degree):
+        basis.setdefault(deg, []).append(label)
     return GradedSpace(p, basis, complete=False)
 
 
 def nh_derivation_operator(space: GradedSpace, d: Derivation) -> GradedOperator:
     shift = _require_shift(d)
-
-    def fn(label) -> dict:
-        return d.apply_nh(NilHeckeElement._raw(d.p, d.n, {label: 1})).terms
-
-    return GradedOperator.from_callable(space, fn, shift)
+    return GradedOperator.from_callable(space, d._nh_basis_terms, shift)
 
 
 def regular_nilpotent_module(p: int) -> tuple[GradedSpace, GradedOperator]:
@@ -531,11 +541,9 @@ def verify_pdg(
     Returns a report with leibniz_ok (random products, polynomial and
     operator sides), relations_ok (the Leibniz extension is well defined
     across every defining relation), p_nilpotent_ok (the p-th power of
-    the derivation vanishes on graded truncations of both the polynomial
-    ring and the operator algebra), nilpotency_degree_bound (the degree
-    bound each side's p-nilpotency check actually covered: the requested
-    one, a smaller cap when it falls back to direct iteration, None when
-    it did not run), and a failure list.
+    the derivation vanishes on every basis element up to the degree
+    bound: the monomials, and the operators x^a D_w when the relations
+    hold), and a failure list.
     """
     p, n = d.p, d.n
     _require_grading(p, n, degree_bound)
@@ -570,86 +578,52 @@ def verify_pdg(
             failures.append(f"not well defined on relation {name}")
 
     p_nilpotent_ok = True
-    checked_bound: dict[str, int | None] = {"poly": None, "nh": None}
-    failure, checked_bound["poly"] = _poly_nilpotency_failure(d, degree_bound)
-    if failure:
+    monos = monomials_up_to_degree(n, degree_bound)
+    m = _first_non_nilpotent(p, monos, lambda m: d._poly_terms({m: 1}))
+    if m is not None:
         p_nilpotent_ok = False
-        failures.append(failure)
+        failures.append(f"d^{p} != 0 on the monomial with exponents {m}")
     if relations_ok:
-        failure, checked_bound["nh"] = _nh_nilpotency_failure(d, degree_bound)
-        if failure:
+        labels = [label for _, label in _nh_labels(n, degree_bound)]
+        label = _first_non_nilpotent(p, labels, d._nh_basis_terms)
+        if label is not None:
             p_nilpotent_ok = False
-            failures.append(failure)
+            failures.append(f"d^{p} != 0 on x^{label[0]} D_{label[1]}")
 
     return {
         "leibniz_ok": leibniz_ok,
         "relations_ok": relations_ok,
         "p_nilpotent_ok": p_nilpotent_ok,
         "all_ok": leibniz_ok and relations_ok and p_nilpotent_ok,
-        "nilpotency_degree_bound": checked_bound,
         "failures": failures,
     }
 
 
-def _non_nilpotent_degree(op: GradedOperator, degree_bound: int) -> int | None:
-    """The first degree up to the bound out of which d^p has nonzero rank."""
-    p = op.space.p
-    for deg in op.space.degrees:
-        if deg <= degree_bound:
-            ranks = op.ranks(deg)
-            if len(ranks) > p and ranks[p]:
-                return deg
-    return None
+def _first_non_nilpotent(p: int, basis, image):
+    """The first basis element, in the order given, on which d^p is
+    nonzero, or None.  image(key) is d of one basis element as {key:
+    coefficient}; each key's image is computed once per call and kept,
+    so the p-fold iterations from all the basis elements share them."""
+    images: dict = {}
 
+    def apply(terms: dict) -> dict:
+        out: dict = {}
+        get = out.get
+        for key, c in terms.items():
+            img = images.get(key)
+            if img is None:
+                img = images[key] = image(key)
+            for k, v in img.items():
+                out[k] = get(k, 0) + c * v
+        return reduce_terms(out, p)
 
-def _poly_nilpotency_failure(d: Derivation, degree_bound: int) -> tuple[str | None, int]:
-    """d^p on the polynomial ring up to the degree bound, via the rank
-    chains of a graded operator.  A derivation without a uniform degree
-    shift (d.shift is None), or whose operator turns out not to be
-    homogeneous, falls back to direct iteration up to degree 10.  Returns
-    the failure, if any, and the degree bound checked."""
-    p, n = d.p, d.n
-    if d.shift is not None:
-        try:
-            pspace = polynomial_space(p, n, degree_bound + d.shift * p)
-            deg = _non_nilpotent_degree(derivation_operator(pspace, d, n), degree_bound)
-        except StructureError:
-            pass
-        else:
-            failure = None if deg is None else f"d^{p} != 0 on polynomial degree {deg}"
-            return failure, degree_bound
-    bound = min(degree_bound, 10)
-    for exps in monomials_up_to_degree(n, bound):
-        f = Polynomial.monomial(p, n, exps)
+    for key in basis:
+        terms = {key: 1}
         for _ in range(p):
-            f = d.apply_poly(f)
-        if not f.is_zero():
-            return f"d^{p} != 0 on the monomial with exponents {exps}", bound
-    return None, bound
-
-
-def _nh_nilpotency_failure(d: Derivation, degree_bound: int) -> tuple[str | None, int]:
-    """As _poly_nilpotency_failure on the operator algebra; the direct
-    iteration falls back to polynomial parts up to degree 6."""
-    p = d.p
-    if d.shift is not None:
-        try:
-            nspace = nilhecke_space(p, d.n, degree_bound + d.shift * p)
-            deg = _non_nilpotent_degree(nh_derivation_operator(nspace, d), degree_bound)
-        except StructureError:
-            pass
-        else:
-            failure = None if deg is None else f"d^{p} != 0 on operator degree {deg}"
-            return failure, degree_bound
-    bound = min(degree_bound, 6)
-    for w in all_permutations(d.n):
-        for exps in monomials_up_to_degree(d.n, bound):
-            e = NilHeckeElement(p, d.n, {(exps, w.images): 1})
-            for _ in range(p):
-                e = d.apply_nh(e)
-            if not e.is_zero():
-                return f"d^{p} != 0 on x^{exps} D_{w.images}", bound
-    return None, bound
+            terms = apply(terms)
+        if terms:
+            return key
+    return None
 
 
 def _random_poly(rng, p, n, pool) -> Polynomial:
@@ -659,14 +633,20 @@ def _random_poly(rng, p, n, pool) -> Polynomial:
     return Polynomial(p, n, terms)
 
 
-def _random_nh(rng, p, n) -> NilHeckeElement:
+def random_nh_word(rng, p: int, n: int) -> tuple[tuple, int]:
+    """A random generator word of one to four letters and a nonzero
+    coefficient; only x letters when n = 1."""
     letters = []
     for _ in range(rng.randint(1, 4)):
         if n == 1 or rng.random() < 0.5:
             letters.append(("x", rng.randint(1, n)))
         else:
             letters.append(("d", rng.randint(1, n - 1)))
-    return NilHeckeElement.from_word(p, n, tuple(letters), rng.randrange(1, p))
+    return tuple(letters), rng.randrange(1, p)
+
+
+def _random_nh(rng, p, n) -> NilHeckeElement:
+    return NilHeckeElement.from_word(p, n, *random_nh_word(rng, p, n))
 
 
 def compare_with_steenrod(

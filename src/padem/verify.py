@@ -61,17 +61,6 @@ def _random_poly(rng, p, n, max_exp_sum=5, terms=3):
     return Polynomial(p, n, t)
 
 
-def _random_nh_word(rng, p, n, max_len=4):
-    """A random generator word and a nonzero coefficient."""
-    letters = []
-    for _ in range(rng.randint(1, max_len)):
-        if rng.random() < 0.5:
-            letters.append(("x", rng.randint(1, n)))
-        else:
-            letters.append(("d", rng.randint(1, n - 1)))
-    return tuple(letters), rng.randrange(1, p)
-
-
 def _random_steenrod_word(rng, p, max_len=3, max_exp=9):
     word = tuple(rng.randint(1, max_exp) for _ in range(rng.randint(1, max_len)))
     return SteenrodElement(p, {word: rng.randrange(1, p)})
@@ -89,7 +78,7 @@ def check_nilhecke_relations(p, n, degree_bound) -> Check:
 
 def check_normalize_action(p, n, rng, words) -> Check:
     for _ in range(words):
-        letters, c = _random_nh_word(rng, p, n)
+        letters, c = pdg.random_nh_word(rng, p, n)
         e = NilHeckeElement.from_word(p, n, letters, c)
         for _ in range(3):
             f = _random_poly(rng, p, n)

@@ -188,25 +188,29 @@ def test_verify_pdg_detects_broken_nilpotence():
     assert not report["all_ok"]
 
 
-def test_verify_pdg_reports_nilpotency_bounds():
+def nilpotency_failures(report):
+    return [f for f in report["failures"] if f.startswith("d^")]
+
+
+def test_verify_pdg_nilpotency_sides():
     p, n = 3, 2
-    x1, x2 = xvar(p, n, 1), xvar(p, n, 2)
-    report = verify_pdg(khovanov_qi_derivation(p, n), degree_bound=8)
-    assert report["nilpotency_degree_bound"] == {"poly": 8, "nh": 8}
-    # x images of different degrees: no graded matrices on the polynomial
-    # side, and the relations fail, so the operator side never runs
-    mixed = Derivation(p, n, [x1**2, x2**3], [NilHeckeElement.zero(p, n)])
-    assert mixed.shift is None
-    report = verify_pdg(mixed, degree_bound=12)
-    assert report["nilpotency_degree_bound"] == {"poly": 10, "nh": None}
-    # the inner derivation [z, -] by a non-homogeneous z is well defined
-    # but sends D1 to mixed degrees
-    z = NilHeckeElement.from_polynomial(x1 + x1**2)
+    x1 = xvar(p, n, 1)
     d1 = NilHeckeElement.d_gen(p, n, 1)
+    assert verify_pdg(khovanov_qi_derivation(p, n), degree_bound=8)["p_nilpotent_ok"]
+    # x -> 0, D1 -> D1 fails the relations, so the operator side, where
+    # d^p(D1) = D1, never runs
+    loop = Derivation(p, n, [Polynomial.zero(p, n)] * 2, [d1])
+    assert loop.apply_nh(loop.apply_nh(loop.apply_nh(d1))) == d1
+    report = verify_pdg(loop, degree_bound=8)
+    assert not report["relations_ok"]
+    assert report["p_nilpotent_ok"] and nilpotency_failures(report) == []
+    # the inner derivation [z, -] by a non-homogeneous z is well defined;
+    # ad(z)^p = ad(z^p) is not zero, and the sweep meets it on D1 itself
+    z = NilHeckeElement.from_polynomial(x1 + x1**2)
     inner = Derivation(p, n, [Polynomial.zero(p, n)] * 2, [z * d1 - d1 * z])
     report = verify_pdg(inner, degree_bound=12)
     assert report["relations_ok"]
-    assert report["nilpotency_degree_bound"] == {"poly": 12, "nh": 6}
+    assert nilpotency_failures(report) == [f"d^{p} != 0 on x^(0, 0) D_(2, 1)"]
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -223,21 +227,110 @@ def test_mixed_degree_derivation_iterates_directly(p):
         derivation_operator(polynomial_space(p, n, 8), d, n)
     with pytest.raises(StructureError):
         nh_derivation_operator(nilhecke_space(p, n, 8), d)
-    report = verify_pdg(d, degree_bound=14)
-    assert report["p_nilpotent_ok"]
-    assert report["nilpotency_degree_bound"]["poly"] == 10
-    assert pdg_mod._nh_nilpotency_failure(d, 14) == (None, 6)
-    # x1 -> x1 instead: d^p(x1) = x1, found by the direct iteration
+    assert verify_pdg(d, degree_bound=14)["p_nilpotent_ok"]
+    # x1 -> x1 instead: d^p(x1) = x1
     broken = Derivation(p, n, [x1, x2**2], zero_d)
-    assert broken.shift is None
     failure = f"d^{p} != 0 on the monomial with exponents (1, 0)"
-    assert pdg_mod._poly_nilpotency_failure(broken, 14) == (failure, 10)
-    assert pdg_mod._poly_nilpotency_failure(broken, 4) == (failure, 4)
-    # one x image with terms of two degrees
+    for bound in (4, 14):
+        assert nilpotency_failures(verify_pdg(broken, degree_bound=bound)) == [failure]
+    # one x image with terms of two degrees; with n = 1 there are no
+    # relations, so the operator side runs too
     x = xvar(p, 1, 1)
     inhomogeneous = Derivation(p, 1, [x + x**2], [])
     assert inhomogeneous.shift is None
-    assert verify_pdg(inhomogeneous, degree_bound=14)["nilpotency_degree_bound"]["poly"] == 10
+    assert nilpotency_failures(verify_pdg(inhomogeneous, degree_bound=14)) == [
+        f"d^{p} != 0 on the monomial with exponents (1,)",
+        f"d^{p} != 0 on x^(1,) D_(1,)",
+    ]
+
+
+# d^p is again a derivation in characteristic p, so a derivation with
+# d^p != 0 already fails on a generator; only a planted fault can sit
+# high up.  Each planted fault adds the identity on one basis element of
+# degree 12, d(b) += b, so d^p(b) keeps b; no element before b in the
+# sweep reaches b.
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_planted_polynomial_fault_above_degree_ten(p, monkeypatch):
+    # x2 = 1 is out of reach from below: x2^0 -> 0 * x2^1 under x2^2 d/dx2
+    n, planted = 2, (5, 1)
+    d = Derivation(p, n, [Polynomial.one(p, n), xvar(p, n, 2) ** 2], [NilHeckeElement.zero(p, n)])
+    original = Derivation._poly_terms
+
+    def planted_poly_terms(self, terms):
+        out = original(self, terms)
+        c = (out.get(planted, 0) + terms.get(planted, 0)) % self.p
+        out.pop(planted, None)
+        if c:
+            out[planted] = c
+        return out
+
+    monkeypatch.setattr(Derivation, "_poly_terms", planted_poly_terms)
+    failure = f"d^{p} != 0 on the monomial with exponents {planted}"
+    assert nilpotency_failures(verify_pdg(d, degree_bound=14)) == [failure]
+    assert nilpotency_failures(verify_pdg(d, degree_bound=10)) == []
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_planted_operator_fault_above_degree_six(p, monkeypatch):
+    # x_i -> 1, D_i -> 0 is the sum of the d/dx_i; it is well defined, has
+    # degree shift -2, and d^p = 0.  It lowers degree, so nothing before
+    # the planted x1^7 D1 (degree 12) reaches it.
+    n, planted = 2, ((7, 0), (2, 1))
+    d = Derivation(p, n, [Polynomial.one(p, n)] * n, [NilHeckeElement.zero(p, n)])
+    assert d.shift == -2
+    original = Derivation.apply_nh
+
+    def planted_apply_nh(self, e):
+        out = original(self, e)
+        c = e.terms.get(planted)
+        return out + NilHeckeElement(self.p, self.n, {planted: c}) if c else out
+
+    monkeypatch.setattr(Derivation, "apply_nh", planted_apply_nh)
+    report = verify_pdg(d, degree_bound=14)
+    assert report["relations_ok"]
+    assert nilpotency_failures(report) == [f"d^{p} != 0 on x^(7, 0) D_(2, 1)"]
+    assert nilpotency_failures(verify_pdg(d, degree_bound=10)) == []
+
+
+def _first_rank_failure(space, op, degree_bound):
+    """Reference: the first degree up to the bound out of which the rank
+    chain of the graded operator gives d^p nonzero rank."""
+    p = space.p
+    for deg in space.degrees:
+        if deg <= degree_bound:
+            ranks = op.ranks(deg)
+            assert len(ranks) == p + 1, deg  # the chain stays in the space
+            if ranks[p]:
+                return deg
+    return None
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("n", (2, 3))
+def test_direct_sweep_matches_rank_chains(p, n):
+    # the direct sweep's verdict and first failing degree against the
+    # rank of d^p on the graded operators, on the polynomial ring and on
+    # the operator algebra; x1 -> x1 x2 is a homogeneous broken variant
+    bound = 12
+    kq = khovanov_qi_derivation(p, n)
+    broken = Derivation(p, n, [xvar(p, n, 1) * xvar(p, n, 2), *kq.x_images[1:]], list(kq.d_images))
+    for name, d in [*shipped_derivations(p, n), ("broken", broken)]:
+        top = bound + d.shift * p
+        monos = monomials_up_to_degree(n, bound)
+        m = pdg_mod._first_non_nilpotent(p, monos, lambda m: d._poly_terms({m: 1}))
+        space = polynomial_space(p, n, top)
+        want = _first_rank_failure(space, derivation_operator(space, d, n), bound)
+        assert (None if m is None else 2 * sum(m)) == want, (name, m)
+        labels = [label for _, label in pdg_mod._nh_labels(n, bound)]
+        label = pdg_mod._first_non_nilpotent(p, labels, d._nh_basis_terms)
+        space = nilhecke_space(p, n, top)
+        want = _first_rank_failure(space, nh_derivation_operator(space, d), bound)
+        got = None if label is None else space.index[label][0]
+        assert got == want, (name, label)
+        if name == "broken":
+            assert want is not None
 
 
 @pytest.mark.parametrize("n, bound", ((0, 8), (2, -2)))
