@@ -14,8 +14,8 @@ import math
 
 from .errors import DivisibilityError, DomainError, MismatchError
 
-#: Largest prime accepted by default.  Everything is exact, so the bound
-#: only guards against accidentally huge inputs.
+#: Largest prime accepted.  Everything is exact, so the bound only
+#: guards against accidentally huge inputs.
 MAX_PRIME = 97
 
 
@@ -37,13 +37,13 @@ def is_prime(n: int) -> bool:
 _checked_primes: set[int] = set()
 
 
-def require_prime(p: int, bound: int = MAX_PRIME) -> int:
-    if p in _checked_primes and p <= bound:
+def require_prime(p: int) -> int:
+    if p in _checked_primes:
         return p
     if not isinstance(p, int) or not is_prime(p):
         raise DomainError(f"{p!r} is not a prime")
-    if p > bound:
-        raise DomainError(f"prime {p} exceeds the configured bound {bound}")
+    if p > MAX_PRIME:
+        raise DomainError(f"prime {p} exceeds the configured bound {MAX_PRIME}")
     _checked_primes.add(p)
     return p
 
@@ -103,7 +103,7 @@ class LinearCombination:
     The constructor validates (p, n) with require_ring.  n is None for
     an algebra without a variable count (the Steenrod algebra acts on
     polynomials in any number of variables); such an element is
-    compatible with every n, and its class overrides __init__ and _new.
+    compatible with every n, and its class overrides __init__.
     A subclass supplies the key check (_check_key), the unit's key
     (_unit_key), the product of two elements' terms (_product), and the
     order (_sort_key) and factors (_key_factors) of its terms in text.
@@ -211,9 +211,8 @@ class LinearCombination:
         return self * other
 
     def __pow__(self, k: int):
-        """Square-and-multiply, memoized on this element: the cache is
-        per instance, never shared between equal elements, so a Steenrod
-        power keeps its own base's grading."""
+        """Square-and-multiply, memoized on this element: the cache
+        lives on the instance, like its hash, and goes with it."""
         if k < 0:
             raise DomainError(f"negative power {k}")
         if self._powers is None:

@@ -242,7 +242,7 @@ def _cmd_margolis(args) -> int:
     p = _prime(args)
     if (args.on_poly is None) == (args.on_op is None):
         raise UsageError("margolis needs exactly one of --on or --op")
-    dt = margolis_d(args.t, p, args.grading)
+    dt = margolis_d(args.t, p)
     if args.on_poly is not None:
         f = parse_and_evaluate(
             _read_expr(args.on_poly), TARGET_POLYNOMIAL, p, args.num_vars

@@ -18,6 +18,7 @@ from .steenrod import (
     GRADINGS,
     SteenrodElement,
     adem_normalize,
+    grading_scale,
 )
 
 
@@ -81,9 +82,7 @@ def xi_degree(k: int, profile: SubHopfProfile) -> int:
     if k < 1:
         raise DomainError("generator index must be positive")
     p = profile.p
-    if profile.grading == GRADING_TOPOLOGICAL:
-        return 2 * (p**k - 1)
-    return 2 * (p**k - 1) // (p - 1)
+    return grading_scale(p, profile.grading) * (p**k - 1) // (p - 1)
 
 
 def graded_dimension(profile: SubHopfProfile) -> IntPolynomial:
@@ -141,15 +140,15 @@ def enumerate_an_basis(
     require_prime(p)
     if n < 0:
         raise DomainError("level must be nonnegative")
-    scale = 2 * (p - 1) if grading == GRADING_TOPOLOGICAL else 2
-    generators = [SteenrodElement.p_power(p, p**j, grading) for j in range(n)]
+    scale = grading_scale(p, grading)
+    generators = [SteenrodElement.p_power(p, p**j) for j in range(n)]
     gen_degrees = [scale * p**j for j in range(n)]
 
     # span[d]: a basis of degree d, as terms keyed by admissible word
-    span: dict[int, list[dict]] = {0: [SteenrodElement.one(p, grading).terms]}
+    span: dict[int, list[dict]] = {0: [SteenrodElement.one(p).terms]}
     for degree in range(scale, degree_cap + 1, scale):
         products = [
-            adem_normalize(gen * SteenrodElement(p, b, grading)).terms
+            adem_normalize(gen * SteenrodElement(p, b)).terms
             for gen, gdeg in zip(generators, gen_degrees)
             for b in span.get(degree - gdeg, ())
         ]

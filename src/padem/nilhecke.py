@@ -19,20 +19,28 @@ Words over the letters ('x', i) for multiplication by x_i and ('d', j)
 for the divided difference at j are an input format: from_word
 multiplies them into the basis, and apply_word composes the generator
 actions one letter at a time on the terms of a polynomial as the
-word-level reference (apply_word_sum for a sum of words;
-first_word_sum_mismatch compares two sums on a whole monomial sweep, one
-chunk of monomials per kernel call).  Elements are immutable after
-construction.
+word-level reference.  first_word_sum_mismatch compares two sums of
+words on a whole monomial sweep, one chunk of monomials per kernel call.
+Elements are immutable after construction.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from operator import add
 
 from .arith import LinearCombination, reduce_terms, require_ring
-from .errors import DomainError, MismatchError
-from .poly import Monomial, Polynomial, _check_exponents, _monomial_factors, grlex_key
+from .errors import DomainError, MismatchError, ReconstructionError
+from .poly import (
+    Monomial,
+    Polynomial,
+    _check_exponents,
+    _monomial_factors,
+    elementary_symmetric,
+    grlex_key,
+    monomials_up_to_degree,
+)
 
 Letter = tuple[str, int]
 Word = tuple[Letter, ...]
@@ -377,12 +385,6 @@ def _word_sum_terms(words, terms: dict, p: int) -> dict:
     return reduce_terms(out, p)
 
 
-def apply_word_sum(words, f: Polynomial) -> Polynomial:
-    """Value on f of a sum ((coefficient, letters), ...) of generator words."""
-    _check_words(f.n, words)
-    return Polynomial._raw(f.p, f.n, _word_sum_terms(words, f.terms, f.p))
-
-
 # Monomials per batch in first_word_sum_mismatch: enough to spread the
 # per-word cost of a relation side over many monomials, few enough that a
 # batch's intermediate term dicts, and so peak memory, stay small.
@@ -393,8 +395,8 @@ def first_word_sum_mismatch(lhs, rhs, monomials, p: int, n: int) -> int | None:
     """Index of the first of the monomials on which the sums of generator
     words lhs and rhs differ, or None when they agree on all of them.
 
-    Agrees with comparing apply_word_sum(lhs, f) and apply_word_sum(rhs, f)
-    monomial by monomial, but each side runs once per chunk of SWEEP_CHUNK
+    Agrees with comparing the sums of apply_word values on each monomial
+    one by one, but each side runs once per chunk of SWEEP_CHUNK
     monomials: the chunk is one batch of keys exps + (index,), and the
     index coordinate passes through every letter (see _word_terms)."""
     _check_words(n, (*lhs, *rhs))
@@ -426,8 +428,6 @@ def schubert(w: Permutation, n: int, p: int) -> Polynomial:
 
 
 def all_permutations(n: int) -> list[Permutation]:
-    import itertools
-
     return [Permutation(images) for images in itertools.permutations(range(1, n + 1))]
 
 
@@ -447,9 +447,6 @@ def reconstruct_operator(
     nilHecke elements fail the check and raise ReconstructionError.  A
     negative bound, whose sweep would check nothing, raises DomainError.
     """
-    from .errors import ReconstructionError
-    from .poly import monomials_up_to_degree
-
     if degree_bound < 0:
         raise DomainError(f"degree bound {degree_bound} must be nonnegative")
     perms = sorted(all_permutations(n), key=lambda w: (w.length(), w.images))
@@ -484,8 +481,6 @@ def reconstruct_operator(
 def sym_linearity_check(e: NilHeckeElement, degree_bound: int) -> bool:
     """Does e commute with multiplication by every elementary symmetric
     polynomial, on all monomials within the degree bound?"""
-    from .poly import elementary_symmetric, monomials_up_to_degree
-
     p, n = e.p, e.n
     for i in range(1, n + 1):
         g = elementary_symmetric(i, n, p)

@@ -173,22 +173,6 @@ def twisted_derivation(p: int, n: int, a: int) -> Derivation:
     return Derivation(p, n, x_images, d_images)
 
 
-def power_one_derivation(p: int, n: int, degree_bound: int = 12) -> Derivation:
-    """The first reduced power acting as a derivation: x_i -> x_i^p on
-    polynomials, with the operator images induced through the bar action.
-
-    This is the degree 2(p-1) differential generating the smallest
-    filtration subalgebra."""
-    x_images = [
-        Polynomial.variable(p, n, i) ** p for i in range(1, n + 1)
-    ]
-    d_images = [
-        bar_act(1, NilHeckeElement.d_gen(p, n, i), "standard", degree_bound)
-        for i in range(1, n)
-    ]
-    return Derivation(p, n, x_images, d_images)
-
-
 def twist_weight(p: int, n: int, a: int) -> Polynomial:
     """The logarithmic derivative of x_2^a x_3^{2a} ... x_n^{(n-1)a} under
     x_i -> x_i^2, namely sum (i-1) a x_i."""
@@ -376,12 +360,6 @@ class GradedOperator:
         return chain
 
 
-def rank_mod_p(rows, p: int) -> int:
-    """Rank over F_p of the matrix with these rows of integers."""
-    vectors = ({j: int(c) for j, c in enumerate(row) if c} for row in rows)
-    return len(_echelon(vectors, p))
-
-
 def margolis_homology(
     space: GradedSpace, op: GradedOperator, s: int
 ) -> tuple[dict[int, int], list[int]]:
@@ -515,35 +493,23 @@ def nh_derivation_operator(space: GradedSpace, d: Derivation) -> GradedOperator:
     return GradedOperator.from_callable(space, d._nh_basis_terms, shift)
 
 
-def regular_nilpotent_module(p: int) -> tuple[GradedSpace, GradedOperator]:
-    """The rank-one free module over F_p[u]/(u^p) with u in degree 2,
-    together with multiplication by u."""
-    basis = {2 * k: [k] for k in range(p)}
-    space = GradedSpace(p, basis, complete=True)
-
-    def fn(k: int) -> dict[int, int]:
-        return {k + 1: 1} if k + 1 < p else {}
-
-    return space, GradedOperator.from_callable(space, fn, 2)
-
-
 # -- verification --------------------------------------------------------
 
+# Random product pairs verify_pdg checks the Leibniz rule on, per side.
+LEIBNIZ_SAMPLES = 40
+# Random operators compare_with_steenrod checks bar P^1 = sign * d on.
+SIGN_SAMPLES = 8
 
-def verify_pdg(
-    d: Derivation,
-    degree_bound: int = 20,
-    samples: int = 40,
-    seed: int = 0,
-) -> dict:
+
+def verify_pdg(d: Derivation, degree_bound: int = 20, seed: int = 0) -> dict:
     """Check the p-DG axioms for a derivation.
 
-    Returns a report with leibniz_ok (random products, polynomial and
-    operator sides), relations_ok (the Leibniz extension is well defined
-    across every defining relation), p_nilpotent_ok (the p-th power of
-    the derivation vanishes on every basis element up to the degree
-    bound: the monomials, and the operators x^a D_w when the relations
-    hold), and a failure list.
+    Returns a report with leibniz_ok (LEIBNIZ_SAMPLES random products,
+    polynomial and operator sides), relations_ok (the Leibniz extension
+    is well defined across every defining relation), p_nilpotent_ok (the
+    p-th power of the derivation vanishes on every basis element up to
+    the degree bound: the monomials, and the operators x^a D_w when the
+    relations hold), and a failure list.
     """
     p, n = d.p, d.n
     _require_grading(p, n, degree_bound)
@@ -552,7 +518,7 @@ def verify_pdg(
 
     mono_pool = [m for m in monomials_up_to_degree(n, degree_bound // 2) if sum(m)]
     leibniz_ok = True
-    for _ in range(samples):
+    for _ in range(LEIBNIZ_SAMPLES):
         f = _random_poly(rng, p, n, mono_pool)
         g = _random_poly(rng, p, n, mono_pool)
         lhs = d.apply_poly(f * g)
@@ -561,7 +527,7 @@ def verify_pdg(
             leibniz_ok = False
             failures.append(f"polynomial Leibniz fails on {f} | {g}")
             break
-    for _ in range(samples):
+    for _ in range(LEIBNIZ_SAMPLES):
         u = _random_nh(rng, p, n)
         v = _random_nh(rng, p, n)
         lhs = d.apply_nh(u * v)
@@ -649,15 +615,13 @@ def _random_nh(rng, p, n) -> NilHeckeElement:
     return NilHeckeElement.from_word(p, n, *random_nh_word(rng, p, n))
 
 
-def compare_with_steenrod(
-    p: int, n: int, degree_bound: int = 16, samples: int = 8, seed: int = 0
-) -> dict:
+def compare_with_steenrod(p: int, n: int, degree_bound: int = 16, seed: int = 0) -> dict:
     """Compare the induced action of P^1 (nonstandard structure) with the
     generator differential.
 
     Determines the sign on each generator empirically, checks the signs
-    agree globally, and confirms bar P^1 = sign * d on random operator
-    words.  Expected outcome: +1 at p = 2 and -1 at odd primes.
+    agree globally, and confirms bar P^1 = sign * d on SIGN_SAMPLES random
+    operator words.  Expected outcome: +1 at p = 2 and -1 at odd primes.
     """
     d = khovanov_qi_derivation(p, n)
     rng = random.Random(seed)
@@ -692,7 +656,7 @@ def compare_with_steenrod(
 
     elements_ok = global_sign != 0
     if elements_ok:
-        for _ in range(samples):
+        for _ in range(SIGN_SAMPLES):
             e = _random_nh(rng, p, n)
             if bar_act(1, e, ACTION_NONSTANDARD, degree_bound) != d.apply_nh(e) * global_sign:
                 elements_ok = False

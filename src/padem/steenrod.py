@@ -5,9 +5,10 @@ actions on polynomial rings (Cartan expansion on products), the antipode,
 the induced bar action on nilHecke operators, Margolis differentials, and
 the comodule coaction on a one-variable polynomial ring.
 
-Two gradings are supported as bookkeeping conventions: "topological"
-(|P^k| = 2k(p-1)) and "compressed" (|P^k| = 2k).  The rewriting and the
-actions are identical under both.
+A grading is a degree convention, not part of an element: "topological"
+(|P^k| = 2k(p-1), the default) or "compressed" (|P^k| = 2k), passed to
+SteenrodElement.degree and word_degree to read a degree.  The rewriting
+and the actions do not depend on it.
 """
 
 from __future__ import annotations
@@ -35,33 +36,18 @@ class SteenrodElement(LinearCombination):
 
     P^0 letters are identities and are stripped on construction; the
     empty word is the unit.  The ring is F_p alone (n is None), so an
-    element acts on polynomials in any number of variables.  The grading
-    is bookkeeping: a sum or product carries the left operand's grading,
-    and equality ignores it.
+    element acts on polynomials in any number of variables.
     """
 
-    __slots__ = ("grading",)
+    __slots__ = ()
 
-    def __init__(
-        self,
-        p: int,
-        terms: dict[SteenrodWord, int] | None = None,
-        grading: str = GRADING_TOPOLOGICAL,
-    ):
+    def __init__(self, p: int, terms: dict[SteenrodWord, int] | None = None):
         require_prime(p)
-        if grading not in GRADINGS:
-            raise DomainError(f"unknown grading {grading!r}")
         self.p = p
         self.n = None
-        self.grading = grading
         self._hash = None
         self._powers = None
         self.terms = self._clean(terms)
-
-    def _new(self, terms: dict[SteenrodWord, int]) -> "SteenrodElement":
-        out = self._raw(self.p, None, terms)
-        out.grading = self.grading
-        return out
 
     @staticmethod
     def _check_key(word) -> SteenrodWord:
@@ -92,36 +78,44 @@ class SteenrodElement(LinearCombination):
         return [f"P({k})" for k in word]
 
     @classmethod
-    def zero(cls, p: int, grading: str = GRADING_TOPOLOGICAL) -> "SteenrodElement":
-        return cls(p, None, grading)
+    def zero(cls, p: int) -> "SteenrodElement":
+        return cls(p)
 
     @classmethod
-    def one(cls, p: int, grading: str = GRADING_TOPOLOGICAL) -> "SteenrodElement":
-        return cls(p, {(): 1}, grading)
+    def one(cls, p: int) -> "SteenrodElement":
+        return cls(p, {(): 1})
 
     @classmethod
-    def p_power(cls, p: int, k: int, grading: str = GRADING_TOPOLOGICAL) -> "SteenrodElement":
+    def p_power(cls, p: int, k: int) -> "SteenrodElement":
         if k < 0:
             raise DomainError("power index must be nonnegative")
-        return cls(p, {(k,): 1}, grading)
+        return cls(p, {(k,): 1})
 
-    def word_degree(self, word: SteenrodWord) -> int:
-        scale = 2 * (self.p - 1) if self.grading == GRADING_TOPOLOGICAL else 2
-        return scale * sum(word)
+    def word_degree(self, word: SteenrodWord, grading: str = GRADING_TOPOLOGICAL) -> int:
+        """Degree of a word under the grading convention."""
+        return grading_scale(self.p, grading) * sum(word)
 
     def is_homogeneous(self) -> bool:
         return len({sum(w) for w in self.terms}) <= 1
 
-    def degree(self):
+    def degree(self, grading: str = GRADING_TOPOLOGICAL):
         if not self.terms:
             return None
-        degs = {self.word_degree(w) for w in self.terms}
+        degs = {self.word_degree(w, grading) for w in self.terms}
         if len(degs) != 1:
             raise DomainError("element is not homogeneous")
         return degs.pop()
 
     def is_admissible(self) -> bool:
         return all(_is_admissible_word(w, self.p) for w in self.terms)
+
+
+def grading_scale(p: int, grading: str) -> int:
+    """|P^1| under the grading convention: 2(p - 1) topological, 2
+    compressed."""
+    if grading not in GRADINGS:
+        raise DomainError(f"unknown grading {grading!r}")
+    return 2 * (p - 1) if grading == GRADING_TOPOLOGICAL else 2
 
 
 def _is_admissible_word(word: SteenrodWord, p: int) -> bool:
@@ -282,20 +276,20 @@ def _antipode_power_terms(p: int, d: int) -> tuple[tuple[SteenrodWord, int], ...
     return tuple(_adem_normalize_terms(p, acc, "leftmost").items())
 
 
-def antipode_power(p: int, d: int, grading: str = GRADING_TOPOLOGICAL) -> SteenrodElement:
+def antipode_power(p: int, d: int) -> SteenrodElement:
     """S(P^d) in admissible form."""
     if d < 0:
         raise DomainError("power index must be nonnegative")
-    return SteenrodElement(p, dict(_antipode_power_terms(p, d)), grading)
+    return SteenrodElement(p, dict(_antipode_power_terms(p, d)))
 
 
 def antipode(e: SteenrodElement) -> SteenrodElement:
     """Antipode: linear, and anti-multiplicative over words."""
-    out = SteenrodElement.zero(e.p, e.grading)
+    out = SteenrodElement.zero(e.p)
     for word, c in e.terms.items():
-        prod = SteenrodElement.one(e.p, e.grading)
+        prod = SteenrodElement.one(e.p)
         for k in reversed(word):
-            prod = prod * antipode_power(e.p, k, e.grading)
+            prod = prod * antipode_power(e.p, k)
         out = out + prod * c
     return adem_normalize(out)
 
@@ -414,7 +408,7 @@ def _require_margolis_budget(t: int, p: int) -> None:
 
 
 @functools.cache
-def margolis_d(t: int, p: int, grading: str = GRADING_TOPOLOGICAL) -> SteenrodElement:
+def margolis_d(t: int, p: int) -> SteenrodElement:
     """The primitive differential d_t, built from d_1 = P^1 and
     d_{i+1} = d_i P^{p^i} - P^{p^i} d_i, in admissible form.
 
@@ -429,9 +423,9 @@ def margolis_d(t: int, p: int, grading: str = GRADING_TOPOLOGICAL) -> SteenrodEl
     require_prime(p)
     _require_margolis_budget(t, p)
     if t == 1:
-        return SteenrodElement.p_power(p, 1, grading)
-    prev = margolis_d(t - 1, p, grading)
-    step = SteenrodElement.p_power(p, p ** (t - 1), grading)
+        return SteenrodElement.p_power(p, 1)
+    prev = margolis_d(t - 1, p)
+    step = SteenrodElement.p_power(p, p ** (t - 1))
     return adem_normalize(prev * step - step * prev)
 
 

@@ -13,6 +13,7 @@ hopf-antipode and groth run once per prime.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ from .arith import binomial_mod_p, require_ring
 from .errors import DomainError, PademError
 from .nilhecke import (
     NilHeckeElement,
+    Permutation,
     apply_word,
     divided_difference,
     first_word_sum_mismatch,
@@ -292,16 +294,12 @@ def check_hopf_antipode(p, max_d) -> Check:
 
 
 def check_schubert_unit(p, n) -> Check:
-    from .nilhecke import Permutation
-
     if schubert(Permutation.identity(n), n, p) != Polynomial.one(p, n):
         return Check("schubert-unit", False, "identity class is not 1")
     return Check("schubert-unit", True)
 
 
 def check_binomials(p, limit) -> Check:
-    import math
-
     for nn in range(limit):
         for kk in range(limit):
             if binomial_mod_p(nn, kk, p) != math.comb(nn, kk) % p:
@@ -309,20 +307,10 @@ def check_binomials(p, limit) -> Check:
     return Check("binomials", True)
 
 
-def run_suite(p: int, n: int, degree_bound: int = 24, seed: int = 0, words: int = 100) -> list[Check]:
-    """Run every check of the table in order; a check that raises a
-    PademError is reported as failed with the error as its detail, and the
-    rest still run.
-
-    The arguments are validated first, so a bad one raises DomainError
-    before any check runs: the checks use D_1..D_{n-1}, so n >= 2, and
-    the random-word checks need at least one word."""
-    return _run_table(p, n, degree_bound, seed, words, {})
-
-
 def _run_table(p, n, degree_bound, seed, words, kept) -> list[Check]:
-    """run_suite, with the Check of each row that does not use the rng
-    kept under (name, arguments): a repeated row reports the kept one."""
+    """Run every check of the table in order, with the Check of each row
+    that does not use the rng kept under (name, arguments): a repeated
+    row reports the kept one.  See run_matrix."""
     require_ring(p, n)
     if n < 2:
         raise DomainError(f"the invariant suite needs at least two variables, got n={n}")
@@ -379,8 +367,15 @@ def run_matrix(
     seed: int = 0,
     words: int = 100,
 ) -> list[tuple[str, list[Check]]]:
-    """run_suite for every prime and variable count, each distinct check
-    without the rng run once across the matrix."""
+    """Run the table of checks for every prime and variable count, each
+    distinct check without the rng run once across the matrix; a check
+    that raises a PademError is reported as failed with the error as its
+    detail, and the rest still run.
+
+    The arguments of each configuration are validated before any of its
+    checks runs, and a bad one raises DomainError: the checks use
+    D_1..D_{n-1}, so n >= 2, the degree bound is nonnegative, and the
+    random-word checks need at least one word."""
     kept: dict = {}
     out = []
     for p in primes:

@@ -32,6 +32,8 @@ from padem.steenrod import (
     margolis_d,
 )
 
+from oracles import regular_nilpotent_module
+
 PRIMES = (2, 3, 5)
 VARS = (2, 3, 4)
 DEGREE_BOUND = 24
@@ -291,7 +293,7 @@ def test_criterion_6_margolis_homology_oracle():
         failures.append(f"quotient example gave {dims}, excluded {excluded}")
 
     for p in PRIMES:
-        space, op = pdg.regular_nilpotent_module(p)
+        space, op = regular_nilpotent_module(p)
         for s in range(1, p):
             dims, _ = pdg.margolis_homology(space, op, s)
             if dims:

@@ -143,14 +143,6 @@ def test_powers_are_memoized_without_changing_values(kind, p, n):
                 f ** -1
 
 
-def test_power_memo_keeps_each_elements_grading():
-    top = SteenrodElement.p_power(3, 1)
-    compressed = SteenrodElement.p_power(3, 1, "compressed")
-    assert (top**2).grading == "topological"
-    assert compressed**2 == top**2
-    assert (compressed**2).grading == "compressed"
-
-
 @pytest.mark.parametrize("kind, p, n", CONFIGS)
 @LAWS
 @given(data=st.data())
@@ -160,14 +152,6 @@ def test_equal_elements_hash_equal(kind, p, n, data):
     assert rebuilt == x and hash(rebuilt) == hash(x)
     assert hash(x + y) == hash(y + x)
     assert hash(x - x) == hash(zero(kind, p, n))
-
-
-def test_steenrod_grading_is_bookkeeping():
-    top = SteenrodElement.p_power(3, 1)
-    compressed = SteenrodElement.p_power(3, 1, "compressed")
-    assert top == compressed and hash(top) == hash(compressed)
-    assert (compressed + top).grading == "compressed"
-    assert (top * compressed).grading == "topological"
 
 
 def _ring_pairs():

@@ -14,7 +14,6 @@ from padem.nilhecke import (
     all_permutations,
     apply_d_word,
     apply_word,
-    apply_word_sum,
     divided_difference,
     first_word_sum_mismatch,
     reconstruct_operator,
@@ -28,6 +27,8 @@ from padem.poly import (
     exact_divide,
     monomials_up_to_degree,
 )
+
+from oracles import apply_word_sum, power_one_derivation
 
 PRIMES = (2, 3, 5)
 
@@ -444,7 +445,7 @@ def test_reconstruction_rejects_a_negative_degree_bound():
         lambda: reconstruct_operator(p, n, lambda f: f, -1),
         lambda: bar_act(1, d1, "standard", -1),
         lambda: bar_act_element(margolis_d(1, p), d1, "standard", -1),
-        lambda: pdg.power_one_derivation(p, n, -1),
+        lambda: power_one_derivation(p, n, -1),
         lambda: pdg.conjugated_twist_image(p, n, 1, 1, -1),
     )
     for build in builds:

@@ -242,6 +242,47 @@ def test_cli_margolis_rejects_a_negative_degree_bound(capsys):
     assert err == "error: degree bound -1 must be nonnegative\n"
 
 
+GRADED_QUERIES = {
+    "act": ("act", "P(2)*P(1)", "on", "x1^2*x2", "-p", "5", "-n", "2"),
+    "margolis-on": ("margolis", "--t", "2", "--on", "x1*x2", "-p", "3", "-n", "2"),
+    "margolis-op": ("margolis", "--t", "2", "--op", "D1", "-p", "3", "-n", "2"),
+}
+
+
+@pytest.mark.parametrize("fmt", ("text", "json"))
+@pytest.mark.parametrize("name", GRADED_QUERIES)
+def test_cli_grading_changes_no_result(capsys, name, fmt):
+    # a grading is a degree convention: the results do not depend on it
+    argv = (*GRADED_QUERIES[name], "--format", fmt)
+    default = run_cli(capsys, *argv)
+    compressed = run_cli(capsys, *argv, "--grading", "compressed")
+    assert default[0] == 0 and default[1] and not default[2]
+    if name == "act" and fmt == "json":
+        # act echoes the flag, and nothing else changes
+        want, got = json.loads(default[1]), json.loads(compressed[1])
+        assert (want.pop("grading"), got.pop("grading")) == ("topological", "compressed")
+        assert got == want
+    else:
+        assert compressed == default
+
+
+def test_cli_groth_compressed_changes_the_degrees(capsys):
+    argv = ("groth", "--profile", "2,1", "-p", "3", "--format", "json")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    topological = json.loads(out)
+    code, out, _ = run_cli(capsys, *argv, "--compressed")
+    assert code == 0
+    compressed = json.loads(out)
+    assert (topological["grading"], compressed["grading"]) == ("topological", "compressed")
+    # |xi_k| is 2(p^k - 1) topological and 2(p^k - 1)/(p - 1) compressed,
+    # so at p = 3 every topological degree is twice the compressed one
+    assert topological["dim_q"] != compressed["dim_q"]
+    assert topological["dim_q"][::2] == compressed["dim_q"]
+    assert not any(topological["dim_q"][1::2])
+    assert sum(compressed["dim_q"]) == 27
+
+
 def test_cli_parenthesis_nesting_limit(capsys):
     nested = lambda depth: "(" * depth + "x1" + ")" * depth
     code, out, _ = run_cli(capsys, "nh", "normalize", nested(MAX_NESTING), "-n", "2")

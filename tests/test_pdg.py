@@ -24,13 +24,12 @@ from padem.pdg import (
     nh_derivation_operator,
     nilhecke_space,
     polynomial_space,
-    power_one_derivation,
-    rank_mod_p,
-    regular_nilpotent_module,
     twisted_derivation,
     verify_pdg,
 )
 from padem.poly import Polynomial, elementary_symmetric, monomials_up_to_degree
+
+from oracles import power_one_derivation, rank_mod_p, regular_nilpotent_module
 
 PRIMES = (2, 3, 5)
 

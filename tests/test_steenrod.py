@@ -64,9 +64,11 @@ def test_element_construction_strips_identity_letters():
 def test_word_degrees_by_grading():
     e = SteenrodElement(3, {(2, 1): 1})
     assert e.word_degree((2, 1)) == 12
-    c = SteenrodElement(3, {(2, 1): 1}, GRADING_COMPRESSED)
-    assert c.word_degree((2, 1)) == 6
+    assert e.word_degree((2, 1), GRADING_COMPRESSED) == 6
     assert e.degree() == 12
+    assert e.degree(GRADING_COMPRESSED) == 6
+    with pytest.raises(DomainError, match="unknown grading"):
+        e.degree("bogus")
 
 
 def test_rendering():

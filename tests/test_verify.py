@@ -38,7 +38,7 @@ def test_run_matrix_runs_each_distinct_check_once(monkeypatch):
         "check_commutator": 3,
     }
     monkeypatch.undo()
-    separate = [(f"p=3, n={n}", verify.run_suite(3, n, 12, 0, 5)) for n in (2, 3, 4)]
+    separate = [row for n in (2, 3, 4) for row in verify.run_matrix((3,), (n,), 12, 0, 5)]
     assert results == separate
     assert all(check.ok for _, checks in results for check in checks)
 
