@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 from .errors import DivisibilityError, DomainError, MismatchError
 
@@ -235,13 +236,17 @@ class LinearCombination:
         if not self.terms:
             return "0"
         parts = []
-        for key in sorted(self.terms, key=self._sort_key, reverse=True):
-            c = self.terms[key]
-            body = "*".join(self._key_factors(key))
-            if not body:
-                parts.append(str(c))
-            else:
-                parts.append(body if c == 1 else f"{c}*{body}")
+        try:
+            for key in sorted(self.terms, key=self._sort_key, reverse=True):
+                c = self.terms[key]
+                body = "*".join(self._key_factors(key))
+                if not body:
+                    parts.append(str(c))
+                else:
+                    parts.append(body if c == 1 else f"{c}*{body}")
+        except ValueError:  # an int longer than Python converts to decimal
+            limit = sys.get_int_max_str_digits()
+            raise DomainError(f"cannot print a number of more than {limit} digits")
         return " + ".join(parts)
 
     def __repr__(self) -> str:

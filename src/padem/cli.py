@@ -48,7 +48,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_prime() -> int:
+def _prime(args) -> int:
+    """-p when given, else PADEM_PRIME when set, else 2."""
+    if args.prime is not None:
+        return args.prime
     raw = os.environ.get(ENV_PRIME)
     if raw is None:
         return 2
@@ -78,10 +81,12 @@ def build_parser() -> _ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("adem", help="rewrite a power expression to admissible form")
+    sub.set_defaults(handler=_cmd_adem)
     sub.add_argument("expr")
     _add_common(sub, num_vars=False)
 
     sub = subs.add_parser("act", help="apply a power expression to a polynomial")
+    sub.set_defaults(handler=_cmd_act)
     sub.add_argument("expr")
     sub.add_argument("keyword", metavar="on")
     sub.add_argument("poly")
@@ -90,21 +95,25 @@ def build_parser() -> _ArgumentParser:
     nh = subs.add_parser("nh", help="nilHecke operator computations")
     nh_subs = nh.add_subparsers(dest="nh_command", required=True)
     sub = nh_subs.add_parser("apply", help="apply an operator expression to a polynomial")
+    sub.set_defaults(handler=_cmd_nh_apply)
     sub.add_argument("expr")
     sub.add_argument("keyword", metavar="to")
     sub.add_argument("poly")
     _add_common(sub)
     sub = nh_subs.add_parser("normalize", help="rewrite onto the x^a * D_w basis")
+    sub.set_defaults(handler=_cmd_nh_normalize)
     sub.add_argument("expr")
     _add_common(sub)
 
     sub = subs.add_parser("schubert", help="Schubert polynomial of a permutation")
+    sub.set_defaults(handler=_cmd_schubert)
     sub.add_argument("--n", type=int, required=True, help="symmetric group size")
     sub.add_argument("--perm", required=True, help="one-line notation, comma separated")
     sub.add_argument("-p", "--prime", type=int, default=None)
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
     sub = subs.add_parser("margolis", help="apply the t-th primitive differential")
+    sub.set_defaults(handler=_cmd_margolis)
     sub.add_argument("--t", type=int, required=True)
     sub.add_argument("--on", dest="on_poly", default=None, help="polynomial expression")
     sub.add_argument("--op", dest="on_op", default=None, help="operator expression")
@@ -113,21 +122,25 @@ def build_parser() -> _ArgumentParser:
     pdg = subs.add_parser("pdg", help="p-nilpotent derivation tools")
     pdg_subs = pdg.add_subparsers(dest="pdg_command", required=True)
     sub = pdg_subs.add_parser("verify", help="check the derivation axioms")
+    sub.set_defaults(handler=_cmd_pdg_verify)
     sub.add_argument("--twist", type=int, default=None, help="twisting parameter a")
     sub.add_argument("--seed", type=int, default=0)
     _add_common(sub, degree=True)
     sub = pdg_subs.add_parser("homology", help="slash homology of a truncation")
+    sub.set_defaults(handler=_cmd_pdg_homology)
     sub.add_argument("--truncate", type=int, required=True, help="top degree kept")
     sub.add_argument("--s", type=int, default=None, help="kernel power (default p-1)")
     _add_common(sub)
 
     sub = subs.add_parser("groth", help="graded dimension and K_0 presentation")
+    sub.set_defaults(handler=_cmd_groth)
     sub.add_argument("--profile", required=True, help="exponents r_1,...,r_N")
     sub.add_argument("--compressed", action="store_true", help="use |P^k| = 2k grading")
     sub.add_argument("-p", "--prime", type=int, default=None)
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
     sub = subs.add_parser("verify-all", help="run the invariant suite")
+    sub.set_defaults(handler=_cmd_verify_all)
     sub.add_argument("-p", "--prime", type=int, default=None, help="restrict to one prime")
     sub.add_argument("-n", "--num-vars", type=int, default=None, help="restrict to one size")
     sub.add_argument("-D", "--degree-bound", type=int, default=24)
@@ -138,21 +151,9 @@ def build_parser() -> _ArgumentParser:
     return parser
 
 
-def _read_expr(value: str) -> str:
-    if value == "-":
-        return sys.stdin.read()
-    return value
-
-
-def _prime(args) -> int:
-    return args.prime if args.prime is not None else _default_prime()
-
-
-def _emit(args, payload: dict, text: str) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(text)
+def _evaluate(raw: str, target: str, p: int, n: int):
+    """The value of an expression argument; "-" reads it from stdin."""
+    return parse_and_evaluate(sys.stdin.read() if raw == "-" else raw, target, p, n)
 
 
 def _parse_ints(raw: str, what: str) -> tuple[int, ...]:
@@ -163,131 +164,89 @@ def _parse_ints(raw: str, what: str) -> tuple[int, ...]:
 
 
 # -- handlers -----------------------------------------------------------
+#
+# Each handler returns (JSON payload, text, exit code); main prints one
+# of the two.
 
 
-def _cmd_adem(args) -> int:
+def _answer(result, **payload):
+    """Exit 0 with one element as the answer: the text is str(result),
+    and the payload carries it under "result"."""
+    text = str(result)
+    return {**payload, "result": text}, text, 0
+
+
+def _cmd_adem(args):
     p = _prime(args)
-    e = parse_and_evaluate(_read_expr(args.expr), TARGET_STEENROD, p, 1)
-    result = adem_normalize(e)
-    _emit(
-        args,
-        {"prime": p, "input": args.expr, "result": str(result)},
-        str(result),
-    )
-    return 0
+    e = _evaluate(args.expr, TARGET_STEENROD, p, 1)
+    return _answer(adem_normalize(e), prime=p, input=args.expr)
 
 
-def _cmd_act(args) -> int:
+def _cmd_act(args):
     if args.keyword != "on":
         raise UsageError("usage: padem act <power-expr> on <poly-expr>")
     p = _prime(args)
-    e = parse_and_evaluate(_read_expr(args.expr), TARGET_STEENROD, p, args.num_vars)
-    f = parse_and_evaluate(_read_expr(args.poly), TARGET_POLYNOMIAL, p, args.num_vars)
-    result = act(e, f, args.action)
-    _emit(
-        args,
-        {
-            "prime": p,
-            "action": args.action,
-            "grading": args.grading,
-            "result": str(result),
-        },
-        str(result),
-    )
-    return 0
+    e = _evaluate(args.expr, TARGET_STEENROD, p, args.num_vars)
+    f = _evaluate(args.poly, TARGET_POLYNOMIAL, p, args.num_vars)
+    return _answer(act(e, f, args.action), prime=p, action=args.action, grading=args.grading)
 
 
-def _cmd_nh(args) -> int:
+def _cmd_nh_apply(args):
     p = _prime(args)
-    if args.nh_command == "apply":
-        if args.keyword != "to":
-            raise UsageError("usage: padem nh apply <nh-expr> to <poly-expr>")
-        e = parse_and_evaluate(_read_expr(args.expr), TARGET_NILHECKE, p, args.num_vars)
-        f = parse_and_evaluate(_read_expr(args.poly), TARGET_POLYNOMIAL, p, args.num_vars)
-        result = e.apply(f)
-        _emit(
-            args,
-            {"prime": p, "num_vars": args.num_vars, "result": str(result)},
-            str(result),
-        )
-        return 0
-    e = parse_and_evaluate(_read_expr(args.expr), TARGET_NILHECKE, p, args.num_vars)
-    result = e.normalize()
-    _emit(
-        args,
-        {"prime": p, "num_vars": args.num_vars, "result": str(result)},
-        str(result),
-    )
-    return 0
+    if args.keyword != "to":
+        raise UsageError("usage: padem nh apply <nh-expr> to <poly-expr>")
+    e = _evaluate(args.expr, TARGET_NILHECKE, p, args.num_vars)
+    f = _evaluate(args.poly, TARGET_POLYNOMIAL, p, args.num_vars)
+    return _answer(e.apply(f), prime=p, num_vars=args.num_vars)
 
 
-def _cmd_schubert(args) -> int:
+def _cmd_nh_normalize(args):
+    # elements are stored in normal form, so the parsed element is the answer
+    p = _prime(args)
+    e = _evaluate(args.expr, TARGET_NILHECKE, p, args.num_vars)
+    return _answer(e, prime=p, num_vars=args.num_vars)
+
+
+def _cmd_schubert(args):
     p = _prime(args)
     images = _parse_ints(args.perm, "permutation")
     if len(images) != args.n:
-        raise DomainError(
-            f"permutation {args.perm} does not have length {args.n}"
-        )
-    w = Permutation(images)
-    result = schubert(w, args.n, p)
-    _emit(
-        args,
-        {"prime": p, "n": args.n, "perm": list(images), "result": str(result)},
-        str(result),
-    )
-    return 0
+        raise DomainError(f"permutation {args.perm} does not have length {args.n}")
+    result = schubert(Permutation(images), args.n, p)
+    return _answer(result, prime=p, n=args.n, perm=list(images))
 
 
-def _cmd_margolis(args) -> int:
+def _cmd_margolis(args):
     p = _prime(args)
     if (args.on_poly is None) == (args.on_op is None):
         raise UsageError("margolis needs exactly one of --on or --op")
     dt = margolis_d(args.t, p)
     if args.on_poly is not None:
-        f = parse_and_evaluate(
-            _read_expr(args.on_poly), TARGET_POLYNOMIAL, p, args.num_vars
-        )
+        f = _evaluate(args.on_poly, TARGET_POLYNOMIAL, p, args.num_vars)
         result = act(dt, f, args.action)
         target = "polynomial"
     else:
-        e = parse_and_evaluate(
-            _read_expr(args.on_op), TARGET_NILHECKE, p, args.num_vars
-        )
+        e = _evaluate(args.on_op, TARGET_NILHECKE, p, args.num_vars)
         result = bar_act_element(dt, e, args.action, args.degree_bound)
         target = "operator"
-    _emit(
-        args,
-        {"prime": p, "t": args.t, "target": target, "result": str(result)},
-        str(result),
-    )
-    return 0
+    return _answer(result, prime=p, t=args.t, target=target)
 
 
-def _cmd_pdg(args) -> int:
+def _cmd_pdg_verify(args):
     p = _prime(args)
-    if args.pdg_command == "verify":
-        if args.twist is None:
-            derivation = pdg_mod.khovanov_qi_derivation(p, args.num_vars)
-        else:
-            derivation = pdg_mod.twisted_derivation(p, args.num_vars, args.twist)
-        report = pdg_mod.verify_pdg(derivation, args.degree_bound, seed=args.seed)
-        text = "\n".join(
-            f"{key} {str(report[key]).lower()}"
-            for key in ("leibniz_ok", "relations_ok", "p_nilpotent_ok", "all_ok")
-        )
-        _emit(
-            args,
-            {
-                "prime": p,
-                "num_vars": args.num_vars,
-                "leibniz_ok": report["leibniz_ok"],
-                "relations_ok": report["relations_ok"],
-                "p_nilpotent_ok": report["p_nilpotent_ok"],
-                "all_ok": report["all_ok"],
-            },
-            text,
-        )
-        return 0 if report["all_ok"] else 4
+    if args.twist is None:
+        derivation = pdg_mod.khovanov_qi_derivation(p, args.num_vars)
+    else:
+        derivation = pdg_mod.twisted_derivation(p, args.num_vars, args.twist)
+    report = pdg_mod.verify_pdg(derivation, args.degree_bound, seed=args.seed)
+    keys = ("leibniz_ok", "relations_ok", "p_nilpotent_ok", "all_ok")
+    payload = {"prime": p, "num_vars": args.num_vars, **{key: report[key] for key in keys}}
+    text = "\n".join(f"{key} {str(report[key]).lower()}" for key in keys)
+    return payload, text, 0 if report["all_ok"] else 4
+
+
+def _cmd_pdg_homology(args):
+    p = _prime(args)
     s = args.s if args.s is not None else p - 1
     space = pdg_mod.polynomial_space(p, args.num_vars, args.truncate)
     op = pdg_mod.derivation_operator(
@@ -295,25 +254,19 @@ def _cmd_pdg(args) -> int:
     )
     dims, excluded = pdg_mod.margolis_homology(space, op, s)
     lines = [f"dim[{d}] = {dims[d]}" for d in sorted(dims)]
-    lines.append(
-        "excluded: " + (",".join(str(d) for d in excluded) if excluded else "none")
-    )
-    _emit(
-        args,
-        {
-            "prime": p,
-            "num_vars": args.num_vars,
-            "s": s,
-            "dims": {str(d): v for d, v in sorted(dims.items())},
-            "excluded_degrees": excluded,
-            "p_nilpotent": True,  # margolis_homology verifies d^p = 0 first
-        },
-        "\n".join(lines),
-    )
-    return 0
+    lines.append("excluded: " + (",".join(str(d) for d in excluded) if excluded else "none"))
+    payload = {
+        "prime": p,
+        "num_vars": args.num_vars,
+        "s": s,
+        "dims": {str(d): v for d, v in sorted(dims.items())},
+        "excluded_degrees": excluded,
+        "p_nilpotent": True,  # margolis_homology verifies d^p = 0 first
+    }
+    return payload, "\n".join(lines), 0
 
 
-def _cmd_groth(args) -> int:
+def _cmd_groth(args):
     p = _prime(args)
     exponents = _parse_ints(args.profile, "profile")
     grading = GRADING_COMPRESSED if args.compressed else GRADING_TOPOLOGICAL
@@ -322,73 +275,45 @@ def _cmd_groth(args) -> int:
     relation = presentation["relation"]
     factors = presentation["cyclotomic_factors"]
     factor_text = "[" + ", ".join(f"Phi_{d}" for d in factors) + "]"
-    text = f"relation {relation}\nfactors {factor_text}"
-    _emit(
-        args,
-        {
-            "prime": p,
-            "grading": grading,
-            "profile": list(exponents),
-            "dim_q": relation.coefficient_list(),
-            "relation": str(relation),
-            "factors": factors,
-        },
-        text,
-    )
-    return 0
+    payload = {
+        "prime": p,
+        "grading": grading,
+        "profile": list(exponents),
+        "dim_q": relation.coefficient_list(),
+        "relation": str(relation),
+        "factors": factors,
+    }
+    return payload, f"relation {relation}\nfactors {factor_text}", 0
 
 
-def _cmd_verify_all(args) -> int:
+def _cmd_verify_all(args):
     primes = (args.prime,) if args.prime is not None else (2, 3, 5)
     sizes = (args.num_vars,) if args.num_vars is not None else (2, 3, 4)
-    results = verify_mod.run_matrix(
-        primes, sizes, args.degree_bound, args.seed, args.words
-    )
-    passed = failed = 0
+    results = verify_mod.run_matrix(primes, sizes, args.degree_bound, args.seed, args.words)
     lines = []
     payload_checks = []
     for config, checks in results:
         for check in checks:
-            ok = check.ok
-            passed += ok
-            failed += not ok
-            status = "PASS" if ok else "FAIL"
+            status = "PASS" if check.ok else "FAIL"
             detail = f" :: {check.detail}" if check.detail else ""
             lines.append(f"{status} [{config}] {check.name}{detail}")
             payload_checks.append(
-                {
-                    "config": config,
-                    "name": check.name,
-                    "ok": ok,
-                    "detail": check.detail,
-                }
+                {"config": config, "name": check.name, "ok": check.ok, "detail": check.detail}
             )
+    failed = sum(not check["ok"] for check in payload_checks)
+    passed = len(payload_checks) - failed
     lines.append(f"passed {passed} failed {failed}")
-    _emit(
-        args,
-        {"passed": passed, "failed": failed, "checks": payload_checks},
-        "\n".join(lines),
-    )
-    return 0 if failed == 0 else 4
-
-
-_HANDLERS = {
-    "adem": _cmd_adem,
-    "act": _cmd_act,
-    "nh": _cmd_nh,
-    "schubert": _cmd_schubert,
-    "margolis": _cmd_margolis,
-    "pdg": _cmd_pdg,
-    "groth": _cmd_groth,
-    "verify-all": _cmd_verify_all,
-}
+    payload = {"passed": passed, "failed": failed, "checks": payload_checks}
+    return payload, "\n".join(lines), 0 if failed == 0 else 4
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        payload, text, code = args.handler(args)
+        print(json.dumps(payload, sort_keys=True) if args.format == "json" else text)
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -13,6 +13,7 @@ expressions take P(k).  Uppercase X is accepted as an alias for x.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .errors import ExprTypeError, ParseError
@@ -61,6 +62,16 @@ class Sum:
 # -- tokenizer ----------------------------------------------------------
 
 
+def _number(digits: str, pos: int) -> int:
+    """The value of a run of digits starting at pos; a run longer than
+    Python converts (sys.get_int_max_str_digits) is a parse error."""
+    try:
+        return int(digits)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"number at position {pos} has more than {limit} digits", pos)
+
+
 @dataclass(frozen=True)
 class _Token:
     kind: str
@@ -80,7 +91,7 @@ def _tokenize(source: str) -> list[_Token]:
             j = i
             while j < len(source) and source[j].isdigit():
                 j += 1
-            tokens.append(_Token("int", int(source[i:j]), i))
+            tokens.append(_Token("int", _number(source[i:j], i), i))
             i = j
             continue
         if ch in "+-*^()":
@@ -187,7 +198,7 @@ class _Parser:
                 return Gen("P", arg.value)
             if head in ("x", "D", "e", "p") and digits:
                 self._check_kind(head, tok.pos)
-                return Gen(head, int(digits))
+                return Gen(head, _number(digits, tok.pos + 1))
             raise ParseError(
                 f"unrecognized atom {name!r} at position {tok.pos}", tok.pos
             )

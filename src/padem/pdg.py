@@ -4,9 +4,8 @@ A derivation here is determined by images of the generators x_i and D_i
 and extends by the Leibniz rule.  The module provides the degree +2
 differential sending x_i to x_i^2 together with its twisted deformations,
 structural verification (Leibniz, well-definedness on the defining
-relations, p-nilpotence on every basis element up to a degree bound),
-Margolis homology of graded truncations, and the comparison with the
-induced Steenrod action.
+relations, p-nilpotence on every basis element up to a degree bound)
+and Margolis homology of graded truncations.
 """
 
 from __future__ import annotations
@@ -20,11 +19,9 @@ from .nilhecke import (
     NilHeckeElement,
     _d_word,
     all_permutations,
-    divided_difference,
-    reconstruct_operator,
+    divided_difference,  # noqa: F401 (perfbench/check_bench.py traces it here)
 )
 from .poly import Monomial, Polynomial, monomials_up_to_degree
-from .steenrod import ACTION_NONSTANDARD, bar_act
 
 
 class Derivation:
@@ -152,7 +149,8 @@ def twisted_derivation(p: int, n: int, a: int) -> Derivation:
 
     Setting a = 0 recovers khovanov_qi_derivation.  The family arises by
     conjugating the polynomial differential with multiplication by
-    x_2^a x_3^{2a} ... x_n^{(n-1)a}; see conjugated_twist_image.
+    x_2^a x_3^{2a} ... x_n^{(n-1)a}; the tests check the images against
+    that conjugation (conjugated_twist_image in tests/oracles.py).
     """
     x_images = [
         Polynomial.variable(p, n, i) * Polynomial.variable(p, n, i)
@@ -171,41 +169,6 @@ def twisted_derivation(p: int, n: int, a: int) -> Derivation:
         )
         d_images.append(img)
     return Derivation(p, n, x_images, d_images)
-
-
-def twist_weight(p: int, n: int, a: int) -> Polynomial:
-    """The logarithmic derivative of x_2^a x_3^{2a} ... x_n^{(n-1)a} under
-    x_i -> x_i^2, namely sum (i-1) a x_i."""
-    out = Polynomial.zero(p, n)
-    for i in range(2, n + 1):
-        out = out + Polynomial.variable(p, n, i) * ((i - 1) * a)
-    return out
-
-
-def conjugated_twist_image(
-    p: int, n: int, a: int, i: int, degree_bound: int = 16
-) -> NilHeckeElement:
-    """Image of D_i under the differential obtained by conjugating the
-    polynomial differential with the twisting monomial.
-
-    The conjugated differential on the polynomial ring is
-    f -> d(f) + (sum (j-1) a x_j) f; the returned element is its
-    commutator with D_i, reconstructed from the action.
-    """
-    base = khovanov_qi_derivation(p, n)
-    weight = twist_weight(p, n, a)
-
-    def conjugated(f: Polynomial) -> Polynomial:
-        return base.apply_poly(f) + weight * f
-
-    def commutator(y: Polynomial) -> Polynomial:
-        return conjugated(divided_difference(y, i)) - divided_difference(
-            conjugated(y), i
-        )
-
-    return reconstruct_operator(
-        p, n, commutator, degree_bound, note=f"conjugated image of D_{i}"
-    )
 
 
 # -- defining relations -------------------------------------------------
@@ -497,8 +460,6 @@ def nh_derivation_operator(space: GradedSpace, d: Derivation) -> GradedOperator:
 
 # Random product pairs verify_pdg checks the Leibniz rule on, per side.
 LEIBNIZ_SAMPLES = 40
-# Random operators compare_with_steenrod checks bar P^1 = sign * d on.
-SIGN_SAMPLES = 8
 
 
 def verify_pdg(d: Derivation, degree_bound: int = 20, seed: int = 0) -> dict:
@@ -613,58 +574,3 @@ def random_nh_word(rng, p: int, n: int) -> tuple[tuple, int]:
 
 def _random_nh(rng, p, n) -> NilHeckeElement:
     return NilHeckeElement.from_word(p, n, *random_nh_word(rng, p, n))
-
-
-def compare_with_steenrod(p: int, n: int, degree_bound: int = 16, seed: int = 0) -> dict:
-    """Compare the induced action of P^1 (nonstandard structure) with the
-    generator differential.
-
-    Determines the sign on each generator empirically, checks the signs
-    agree globally, and confirms bar P^1 = sign * d on SIGN_SAMPLES random
-    operator words.  Expected outcome: +1 at p = 2 and -1 at odd primes.
-    """
-    d = khovanov_qi_derivation(p, n)
-    rng = random.Random(seed)
-    per_generator: dict[str, int] = {}
-    signs = set()
-
-    def detect(bar_img: NilHeckeElement, der_img: NilHeckeElement, name: str):
-        plus = bar_img == der_img
-        minus = bar_img == -der_img
-        if plus:
-            per_generator[name] = 1
-            signs.add(1)
-        elif minus:
-            per_generator[name] = -1
-            signs.add(-1)
-        else:
-            per_generator[name] = 0
-            signs.add(0)
-
-    for i in range(1, n + 1):
-        bar_img = bar_act(1, NilHeckeElement.x_gen(p, n, i), ACTION_NONSTANDARD, degree_bound)
-        der_img = NilHeckeElement.from_polynomial(d.x_images[i - 1])
-        detect(bar_img, der_img, f"x{i}")
-    for i in range(1, n):
-        bar_img = bar_act(1, NilHeckeElement.d_gen(p, n, i), ACTION_NONSTANDARD, degree_bound)
-        detect(bar_img, d.d_images[i - 1], f"D{i}")
-
-    if p == 2:
-        global_sign = 1 if signs <= {1, -1} and 0 not in signs else 0
-    else:
-        global_sign = signs.pop() if len(signs) == 1 else 0
-
-    elements_ok = global_sign != 0
-    if elements_ok:
-        for _ in range(SIGN_SAMPLES):
-            e = _random_nh(rng, p, n)
-            if bar_act(1, e, ACTION_NONSTANDARD, degree_bound) != d.apply_nh(e) * global_sign:
-                elements_ok = False
-                break
-
-    return {
-        "per_generator": per_generator,
-        "global_sign": global_sign,
-        "elements_ok": elements_ok,
-        "consistent": global_sign != 0 and elements_ok,
-    }

@@ -1,11 +1,18 @@
-"""Reference constructions that only the tests use: a rank over F_p of a
-dense matrix, the regular module over F_p[u]/(u^p), the first reduced
-power as a derivation, and the word-by-word value of a sum of generator
-words."""
+"""Reference constructions that only the tests use, one copy each:
+ranks over F_p of dense matrices (by the package's elimination, by a
+row-reduction loop and by sympy), slash homology from whole-space dense
+matrices, the regular module over F_p[u]/(u^p), the first reduced power
+as a derivation, the twisted differential as a conjugation, the
+word-by-word value of a sum of generator words, and seeded random
+polynomials and nilHecke generator words."""
+
+import numpy as np
+from sympy import GF, ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from padem.arith import _echelon
-from padem.nilhecke import NilHeckeElement, apply_word
-from padem.pdg import Derivation, GradedOperator, GradedSpace
+from padem.nilhecke import NilHeckeElement, apply_word, divided_difference, reconstruct_operator
+from padem.pdg import Derivation, GradedOperator, GradedSpace, khovanov_qi_derivation
 from padem.poly import Polynomial
 from padem.steenrod import bar_act
 
@@ -14,6 +21,60 @@ def rank_mod_p(rows, p: int) -> int:
     """Rank over F_p of the matrix with these rows of integers."""
     vectors = ({j: int(c) for j, c in enumerate(row) if c} for row in rows)
     return len(_echelon(vectors, p))
+
+
+def row_reduction_rank(mat, p: int) -> int:
+    """Rank over F_p of a numpy matrix, by Gauss-Jordan elimination one
+    row at a time."""
+    m = mat.copy() % p
+    rows, cols = m.shape
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        pivot = next((i for i in range(r, rows) if m[i, c] % p), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[[r, pivot]] = m[[pivot, r]]
+        m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
+        for i in range(rows):
+            if i != r and m[i, c]:
+                m[i] = (m[i] - m[i, c] * m[r]) % p
+        r += 1
+    return r
+
+
+def sympy_rank(mat, p: int) -> int:
+    """Rank over F_p of a numpy matrix, computed by sympy."""
+    entries = [[int(v) for v in row] for row in mat]
+    return DomainMatrix(entries, mat.shape, ZZ).convert_to(GF(p)).rank()
+
+
+def dense_homology(space: GradedSpace, op: GradedOperator, s: int) -> dict[int, int]:
+    """Slash homology ker d^s / im d^(p-s) per degree, from powers of the
+    int64 matrix of op on the whole space and sympy ranks of its column
+    blocks; the nonzero dimensions only."""
+    p = space.p
+    labels = [(d, i) for d in space.degrees for i in range(space.dim(d))]
+    index = {lab: r for r, lab in enumerate(labels)}
+    big = np.zeros((len(labels), len(labels)), dtype=np.int64)
+    for d, cols in op.columns.items():
+        for col, image in enumerate(cols):
+            for row, c in image.items():
+                big[index[(d + op.shift, row)], index[(d, col)]] = c
+    ker_pow = np.linalg.matrix_power(big, s) % p
+    im_pow = np.linalg.matrix_power(big, p - s) % p
+    out = {}
+    for d in space.degrees:
+        cols = [index[(d, i)] for i in range(space.dim(d))]
+        dim_ker = len(cols) - sympy_rank(ker_pow[:, cols], p)
+        src = d - op.shift * (p - s)
+        src_cols = [index[(src, i)] for i in range(space.dim(src))] if src in space.basis else []
+        dim_im = sympy_rank(im_pow[:, src_cols], p) if src_cols else 0
+        if dim_ker - dim_im:
+            out[d] = dim_ker - dim_im
+    return out
 
 
 def regular_nilpotent_module(p: int) -> tuple[GradedSpace, GradedOperator]:
@@ -42,6 +103,41 @@ def power_one_derivation(p: int, n: int, degree_bound: int = 12) -> Derivation:
     return Derivation(p, n, x_images, d_images)
 
 
+def twist_weight(p: int, n: int, a: int) -> Polynomial:
+    """The logarithmic derivative of x_2^a x_3^{2a} ... x_n^{(n-1)a} under
+    x_i -> x_i^2, namely sum (i-1) a x_i."""
+    out = Polynomial.zero(p, n)
+    for i in range(2, n + 1):
+        out = out + Polynomial.variable(p, n, i) * ((i - 1) * a)
+    return out
+
+
+def conjugated_twist_image(
+    p: int, n: int, a: int, i: int, degree_bound: int = 16
+) -> NilHeckeElement:
+    """Image of D_i under the differential obtained by conjugating the
+    polynomial differential with the twisting monomial.
+
+    The conjugated differential on the polynomial ring is
+    f -> d(f) + (sum (j-1) a x_j) f; the returned element is its
+    commutator with D_i, reconstructed from the action.
+    """
+    base = khovanov_qi_derivation(p, n)
+    weight = twist_weight(p, n, a)
+
+    def conjugated(f: Polynomial) -> Polynomial:
+        return base.apply_poly(f) + weight * f
+
+    def commutator(y: Polynomial) -> Polynomial:
+        return conjugated(divided_difference(y, i)) - divided_difference(
+            conjugated(y), i
+        )
+
+    return reconstruct_operator(
+        p, n, commutator, degree_bound, note=f"conjugated image of D_{i}"
+    )
+
+
 def apply_word_sum(words, f: Polynomial) -> Polynomial:
     """Value on f of a sum ((coefficient, letters), ...) of generator
     words: the sum of c * apply_word(letters, f), one word at a time."""
@@ -49,3 +145,24 @@ def apply_word_sum(words, f: Polynomial) -> Polynomial:
     for c, letters in words:
         out = out + apply_word(letters, f) * c
     return out
+
+
+def random_poly(rng, p: int, n: int, max_exp: int, terms: int) -> Polynomial:
+    """One to `terms` monomials with exponents in 0..max_exp and nonzero
+    coefficients."""
+    t = {}
+    for _ in range(rng.randint(1, terms)):
+        t[tuple(rng.randint(0, max_exp) for _ in range(n))] = rng.randrange(1, p)
+    return Polynomial(p, n, t)
+
+
+def random_word(rng, p: int, n: int, max_len: int = 5) -> tuple[tuple, int]:
+    """A generator word of one to max_len letters, each x or D with
+    probability 1/2, and a nonzero coefficient."""
+    letters = []
+    for _ in range(rng.randint(1, max_len)):
+        if rng.random() < 0.5:
+            letters.append(("x", rng.randint(1, n)))
+        else:
+            letters.append(("d", rng.randint(1, n - 1)))
+    return tuple(letters), rng.randrange(1, p)

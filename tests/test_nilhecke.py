@@ -28,31 +28,21 @@ from padem.poly import (
     monomials_up_to_degree,
 )
 
-from oracles import apply_word_sum, power_one_derivation
+from oracles import (
+    apply_word_sum,
+    conjugated_twist_image,
+    power_one_derivation,
+    random_poly,
+    random_word,
+    row_reduction_rank,
+)
 
 PRIMES = (2, 3, 5)
-
-
-def random_word(rng, p, n, max_len=5):
-    letters = []
-    for _ in range(rng.randint(1, max_len)):
-        if rng.random() < 0.5:
-            letters.append(("x", rng.randint(1, n)))
-        else:
-            letters.append(("d", rng.randint(1, n - 1)))
-    return tuple(letters), rng.randrange(1, p)
 
 
 def random_word_element(rng, p, n, max_len=5):
     letters, c = random_word(rng, p, n, max_len)
     return NilHeckeElement.from_word(p, n, letters, c)
-
-
-def random_poly(rng, p, n, max_exp=3, terms=3):
-    t = {}
-    for _ in range(rng.randint(1, terms)):
-        t[tuple(rng.randint(0, max_exp) for _ in range(n))] = rng.randrange(1, p)
-    return Polynomial(p, n, t)
 
 
 # -- permutations --------------------------------------------------------
@@ -98,7 +88,7 @@ def test_divided_difference_never_fails_and_lowers_degree(p):
     rng = random.Random(5)
     for n in (2, 3):
         for _ in range(30):
-            f = random_poly(rng, p, n)
+            f = random_poly(rng, p, n, max_exp=3, terms=3)
             for j in range(1, n):
                 g = divided_difference(f, j)  # DivisibilityError = bug
                 if f.is_homogeneous() and not f.is_zero() and not g.is_zero():
@@ -110,7 +100,8 @@ def test_twisted_leibniz(p):
     rng = random.Random(7)
     for n in (2, 3):
         for _ in range(30):
-            f, g = random_poly(rng, p, n), random_poly(rng, p, n)
+            f = random_poly(rng, p, n, max_exp=3, terms=3)
+            g = random_poly(rng, p, n, max_exp=3, terms=3)
             for j in range(1, n):
                 lhs = divided_difference(f * g, j)
                 rhs = divided_difference(f, j) * g + f.transpose(j) * divided_difference(g, j)
@@ -122,7 +113,7 @@ def test_symmetric_equivariance(p):
     rng = random.Random(9)
     for n in (2, 3):
         for _ in range(20):
-            f = random_poly(rng, p, n)
+            f = random_poly(rng, p, n, max_exp=3, terms=3)
             for i in range(1, n + 1):
                 e = elementary_symmetric(i, n, p)
                 for j in range(1, n):
@@ -143,7 +134,7 @@ def test_apply_examples():
     d1d1 = NilHeckeElement.d_gen(p, n, 1) * NilHeckeElement.d_gen(p, n, 1)
     rng = random.Random(1)
     for _ in range(10):
-        assert d1d1.apply(random_poly(rng, p, n)).is_zero()
+        assert d1d1.apply(random_poly(rng, p, n, max_exp=3, terms=3)).is_zero()
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -250,7 +241,7 @@ def test_normalize_preserves_action(p):
                 assert len(exps) == n and all(e >= 0 for e in exps)
                 assert sorted(images) == list(range(1, n + 1))
             for _ in range(3):
-                f = random_poly(rng, p, n)
+                f = random_poly(rng, p, n, max_exp=3, terms=3)
                 assert apply_word(letters, f) * c == nf.apply(f)
 
 
@@ -259,7 +250,7 @@ def test_normalize_preserves_action(p):
 def test_divided_difference_matches_exact_division(p, n):
     rng = random.Random(17)
     for _ in range(30):
-        f = random_poly(rng, p, n, max_exp=12)
+        f = random_poly(rng, p, n, max_exp=12, terms=3)
         for j in range(1, n):
             root = Polynomial.variable(p, n, j) - Polynomial.variable(p, n, j + 1)
             assert divided_difference(f, j) == exact_divide(f - f.transpose(j), root)
@@ -276,7 +267,7 @@ def test_basis_products_match_word_actions(p, n):
         w = random_word_element(rng, p, n)
         assert (u * v) * w == u * (v * w)
         for _ in range(2):
-            f = random_poly(rng, p, n)
+            f = random_poly(rng, p, n, max_exp=3, terms=3)
             assert u.apply(f) == apply_word(letters, f) * c
             assert (u * v).apply(f) == u.apply(v.apply(f))
 
@@ -363,40 +354,16 @@ def test_schubert_basis_independent_in_coinvariants(p, n):
                     row[index[mm]] = c
                 ideal_rows.append(row)
         base = np.array(ideal_rows, dtype=np.int64) if ideal_rows else np.zeros((0, len(monos)), dtype=np.int64)
-        base_rank = _rank(base, p)
+        base_rank = row_reduction_rank(base, p)
         rows = list(base)
         for f in schuberts:
             row = np.zeros(len(monos), dtype=np.int64)
             for mm, c in f.terms.items():
                 row[index[mm]] = c
             rows.append(row)
-        full_rank = _rank(np.array(rows, dtype=np.int64), p)
+        full_rank = row_reduction_rank(np.array(rows, dtype=np.int64), p)
         assert full_rank == base_rank + len(schuberts)
 
-
-def _rank(mat, p):
-    if mat.size == 0:
-        return 0
-    m = mat.copy() % p
-    rows, cols = m.shape
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        piv = None
-        for i in range(r, rows):
-            if m[i, c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[[r, piv]] = m[[piv, r]]
-        m[r] = m[r] * pow(int(m[r, c]), -1, p) % p
-        for i in range(rows):
-            if i != r and m[i, c]:
-                m[i] = (m[i] - m[i, c] * m[r]) % p
-        r += 1
-    return r
 
 
 # -- Sym-linearity and reconstruction --------------------------------------
@@ -446,7 +413,7 @@ def test_reconstruction_rejects_a_negative_degree_bound():
         lambda: bar_act(1, d1, "standard", -1),
         lambda: bar_act_element(margolis_d(1, p), d1, "standard", -1),
         lambda: power_one_derivation(p, n, -1),
-        lambda: pdg.conjugated_twist_image(p, n, 1, 1, -1),
+        lambda: conjugated_twist_image(p, n, 1, 1, -1),
     )
     for build in builds:
         with pytest.raises(DomainError, match="degree bound -1 must be nonnegative"):

@@ -295,6 +295,36 @@ def test_cli_parenthesis_nesting_limit(capsys):
     assert err == f"parse error: parentheses nested deeper than {MAX_NESTING} at position {MAX_NESTING}\n"
 
 
+def test_cli_number_longer_than_python_converts_is_a_parse_error(capsys):
+    # Python turns at most sys.get_int_max_str_digits() digits into an int;
+    # both an integer atom and an x<index> are held to it
+    limit = sys.get_int_max_str_digits()
+    long = "9" * 5000
+    for argv, position in (
+        (("adem", f"P(1)*{long}", "-p", "3"), 5),
+        (("act", "P(0)", "on", f"x{long}", "-p", "3", "-n", "1"), 1),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"parse error: number at position {position} has more than {limit} digits\n"
+    with pytest.raises(ParseError) as info:
+        parse(f"x1 + 2*x{long}", "polynomial")
+    assert info.value.position == 8
+
+
+@pytest.mark.parametrize("fmt", ("text", "json"))
+def test_cli_result_too_long_to_print_is_a_domain_error(capsys, fmt):
+    # the exponent of (x1^N)^N has about 8000 digits: computed exactly,
+    # but not printable in decimal
+    limit = sys.get_int_max_str_digits()
+    huge = "9" * 4000
+    code, out, err = run_cli(
+        capsys, "act", "P(0)", "on", f"(x1^{huge})^{huge}", "-p", "3", "-n", "1", "--format", fmt
+    )
+    assert (code, out) == (3, "")
+    assert err == f"error: cannot print a number of more than {limit} digits\n"
+
+
 @pytest.mark.parametrize("t, p", (("40", "2"), ("12", "3")))
 def test_cli_margolis_over_budget_exits_3_fast(capsys, t, p):
     start = time.perf_counter()

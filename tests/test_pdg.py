@@ -6,18 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import GF, ZZ
-from sympy.polys.matrices import DomainMatrix
 
 from padem import pdg as pdg_mod
+from padem import verify
 from padem.errors import DomainError, MismatchError, StructureError
 from padem.nilhecke import NilHeckeElement, Permutation
 from padem.pdg import (
     Derivation,
     GradedOperator,
     GradedSpace,
-    compare_with_steenrod,
-    conjugated_twist_image,
     derivation_operator,
     khovanov_qi_derivation,
     margolis_homology,
@@ -29,7 +26,15 @@ from padem.pdg import (
 )
 from padem.poly import Polynomial, elementary_symmetric, monomials_up_to_degree
 
-from oracles import power_one_derivation, rank_mod_p, regular_nilpotent_module
+from oracles import (
+    conjugated_twist_image,
+    dense_homology,
+    power_one_derivation,
+    rank_mod_p,
+    regular_nilpotent_module,
+    row_reduction_rank,
+    sympy_rank,
+)
 
 PRIMES = (2, 3, 5)
 
@@ -432,37 +437,6 @@ def _dense(op, d):
     return mat
 
 
-def _dense_oracle(space, op, s):
-    """Whole-space dense matrices; ranks per degree from the global map."""
-    p = space.p
-    labels = [(d, i) for d in space.degrees for i in range(space.dim(d))]
-    index = {lab: r for r, lab in enumerate(labels)}
-    big = np.zeros((len(labels), len(labels)), dtype=np.int64)
-    for d in space.degrees:
-        mat = _dense(op, d)
-        if mat is None:
-            continue
-        for col in range(space.dim(d)):
-            for row in range(space.dim(d + op.shift)):
-                if mat[row, col]:
-                    big[index[(d + op.shift, row)], index[(d, col)]] = mat[row, col]
-    ker_pow = np.linalg.matrix_power(big, s) % p
-    im_pow = np.linalg.matrix_power(big, p - s) % p
-    dims = {}
-    for d in space.degrees:
-        cols = [index[(d, i)] for i in range(space.dim(d))]
-        if not cols:
-            continue
-        sub = ker_pow[:, cols]
-        dim_ker = len(cols) - _row_loop_rank(sub, p)
-        src = d - op.shift * (p - s)
-        src_cols = [index[(src, i)] for i in range(space.dim(src))] if src in space.basis else []
-        dim_im = _row_loop_rank(im_pow[:, src_cols], p) if src_cols else 0
-        if dim_ker - dim_im:
-            dims[d] = dim_ker - dim_im
-    return dims
-
-
 @pytest.mark.parametrize("p", PRIMES)
 def test_homology_matches_dense_oracle(p):
     configs = [
@@ -476,7 +450,7 @@ def test_homology_matches_dense_oracle(p):
         for s in range(1, p):
             dims, excluded = margolis_homology(space, op, s)
             assert excluded == []
-            assert dims == _dense_oracle(space, op, s), (p, s)
+            assert dims == dense_homology(space, op, s), (p, s)
 
 
 def test_homology_on_operator_algebra_truncation():
@@ -488,7 +462,7 @@ def test_homology_on_operator_algebra_truncation():
     op = nh_derivation_operator(space, d)
     for s in range(1, p):
         dims, excluded = margolis_homology(space, op, s)
-        oracle = _dense_oracle(space, op, s)
+        oracle = dense_homology(space, op, s)
         for deg in excluded:
             oracle.pop(deg, None)
         for deg in list(dims):
@@ -514,16 +488,16 @@ def test_nh_operator_nilpotence_matrices():
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_global_sign_per_prime(p):
-    report = compare_with_steenrod(p, 2, degree_bound=10)
-    assert report["consistent"]
-    assert report["global_sign"] == (1 if p == 2 else -1)
-    assert report["elements_ok"]
+    # bar P^1 = d at p = 2 and -d at odd p, on the generators and on
+    # random operator words
+    check = verify.check_steenrod_sign(p, 2, 10, 0)
+    assert check.ok, check.detail
 
 
 def test_sign_is_uniform_across_generators():
-    report = compare_with_steenrod(3, 3, degree_bound=10)
-    values = set(report["per_generator"].values())
-    assert values == {-1}
+    # at p = 3 every generator carries the sign -1
+    check = verify.check_steenrod_sign(3, 3, 10, 0)
+    assert check.ok, check.detail
 
 
 # -- exact F_p linear algebra ----------------------------------------------------
@@ -548,7 +522,7 @@ def _chain(p, dims, seed, full=False, complete=True):
 
 @pytest.mark.parametrize("p", ORACLE_PRIMES)
 @pytest.mark.parametrize("full", (False, True))
-def test_power_matrix_matches_exact_integer_product(p, full):
+def test_rank_chain_matches_exact_integer_product(p, full):
     # long inner dimensions, long outer ones, and an empty degree; the
     # chain out of each degree holds the ranks of d^0..d^p, which must be
     # those of the integer products (exact in int64: every sum stays below
@@ -562,7 +536,7 @@ def test_power_matrix_matches_exact_integer_product(p, full):
             exact = None
             for k, step in enumerate(mats[start : start + p], start=1):
                 exact = step if exact is None else step @ exact % p
-                assert ranks[k] == _row_loop_rank(exact, p), (p, dims, start, k)
+                assert ranks[k] == row_reduction_rank(exact, p), (p, dims, start, k)
             assert not any(ranks[len(mats) - start + 1 :])
 
 
@@ -584,20 +558,14 @@ def test_chain_and_rank_exact_at_a_large_prime():
     exact = np.eye(dims[0], dtype=object)
     for k, step in enumerate(mats, start=1):
         exact = step.astype(object) @ exact % big
-        assert op.ranks(0)[k] == _sympy_rank(exact, big) > 0
+        assert op.ranks(0)[k] == sympy_rank(exact, big) > 0
     rng = random.Random(big)
     low_rank = [[rng.randrange(big) for _ in range(3)] for _ in range(9)]
     mat = np.array(low_rank, dtype=object) @ np.array(
         [[rng.randrange(big) for _ in range(8)] for _ in range(3)], dtype=object
     )
     for m in (mat, mat[:, :2], np.eye(5, dtype=object) * (big - 1)):
-        assert rank_mod_p(m, big) == _sympy_rank(m, big)
-
-
-def _sympy_rank(mat, p):
-    rows, cols = mat.shape
-    entries = [[int(v) for v in row] for row in mat]
-    return DomainMatrix(entries, (rows, cols), ZZ).convert_to(GF(p)).rank()
+        assert rank_mod_p(m, big) == sympy_rank(m, big)
 
 
 @pytest.mark.parametrize("p", ORACLE_PRIMES)
@@ -614,7 +582,7 @@ def test_rank_matches_sympy(p):
         np.zeros((7, 0), dtype=np.int64),
     ]
     for mat in cases:
-        want = _sympy_rank(mat, p)
+        want = sympy_rank(mat, p)
         assert rank_mod_p(mat, p) == want, (p, mat.shape)
         assert rank_mod_p(mat.astype(np.float64), p) == want
         assert rank_mod_p(mat - p * 3, p) == want  # negative representatives
@@ -631,7 +599,7 @@ def test_rank_matches_sympy_on_small_matrices(p, rows, cols, data):
     size = rows * cols
     entries = data.draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))
     mat = np.array(entries, dtype=np.int64).reshape(rows, cols)
-    assert rank_mod_p(mat, p) == _sympy_rank(mat, p)
+    assert rank_mod_p(mat, p) == sympy_rank(mat, p)
 
 
 def _int64_power_matrix(op, d, k):
@@ -645,26 +613,6 @@ def _int64_power_matrix(op, d, k):
         mat = (step.astype(np.int64) @ mat) % p
         cur += op.shift
     return mat
-
-
-def _row_loop_rank(mat, p):
-    m = mat.copy() % p
-    rows, cols = m.shape
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        pivot = next((i for i in range(r, rows) if m[i, c] % p), None)
-        if pivot is None:
-            continue
-        if pivot != r:
-            m[[r, pivot]] = m[[pivot, r]]
-        m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
-        for i in range(rows):
-            if i != r and m[i, c]:
-                m[i] = (m[i] - m[i, c] * m[r]) % p
-        r += 1
-    return r
 
 
 def _reference_homology(space, op, s):
@@ -682,7 +630,7 @@ def _reference_homology(space, op, s):
         if ker_mat is None or incoming is None:
             excluded.append(d)
             continue
-        value = space.dim(d) - _row_loop_rank(ker_mat, p) - _row_loop_rank(incoming, p)
+        value = space.dim(d) - row_reduction_rank(ker_mat, p) - row_reduction_rank(incoming, p)
         if value:
             dims[d] = value
     return dims, excluded

@@ -28,6 +28,8 @@ from padem.steenrod import (
     milnor_coaction,
 )
 
+from oracles import random_poly
+
 PRIMES = (2, 3, 5)
 
 
@@ -38,13 +40,6 @@ def P(p, *word):
 def random_word(rng, p, max_len=3, max_exp=9):
     word = tuple(rng.randint(1, max_exp) for _ in range(rng.randint(1, max_len)))
     return SteenrodElement(p, {word: rng.randrange(1, p)})
-
-
-def random_poly(rng, p, n, max_exp=3, terms=2):
-    t = {}
-    for _ in range(rng.randint(1, terms)):
-        t[tuple(rng.randint(0, max_exp) for _ in range(n))] = rng.randrange(1, p)
-    return Polynomial(p, n, t)
 
 
 def s_polynomial(p, n, i):
@@ -103,7 +98,7 @@ def test_adem_output_admissible_and_action_compatible(p):
         assert nf.is_homogeneous()
         assert adem_normalize(e, "rightmost") == nf
         for _ in range(2):
-            f = random_poly(rng, p, 2)
+            f = random_poly(rng, p, 2, max_exp=3, terms=2)
             for action in (ACTION_STANDARD, ACTION_NONSTANDARD):
                 assert act(e, f, action) == act(nf, f, action)
 
@@ -142,7 +137,8 @@ def test_cartan_formula(p):
     rng = random.Random(29)
     for action in (ACTION_STANDARD, ACTION_NONSTANDARD):
         for _ in range(25):
-            f, g = random_poly(rng, p, 3), random_poly(rng, p, 3)
+            f = random_poly(rng, p, 3, max_exp=3, terms=2)
+            g = random_poly(rng, p, 3, max_exp=3, terms=2)
             k = rng.randint(0, 5)
             lhs = act(P(p, k), f * g, action)
             rhs = Polynomial.zero(p, 3)
@@ -170,7 +166,7 @@ def test_nonstandard_violates_instability_at_odd_primes():
     # at p = 2 the nonstandard action coincides with the standard one
     rng = random.Random(31)
     for _ in range(20):
-        f = random_poly(rng, 2, 2)
+        f = random_poly(rng, 2, 2, max_exp=3, terms=2)
         k = rng.randint(0, 6)
         assert act(P(2, k), f) == act(P(2, k), f, ACTION_NONSTANDARD)
 
@@ -371,7 +367,7 @@ def test_margolis_p_nilpotence_on_polynomials(p):
         power = power * dt
     rng = random.Random(41)
     for _ in range(10):
-        f = random_poly(rng, p, 2)
+        f = random_poly(rng, p, 2, max_exp=3, terms=2)
         assert act(power, f).is_zero()
 
 
@@ -471,7 +467,7 @@ def test_coaction_counit(p):
     # the empty dual monomial carries the element itself
     rng = random.Random(43)
     for _ in range(10):
-        f = random_poly(rng, p, 1, max_exp=6)
+        f = random_poly(rng, p, 1, max_exp=6, terms=2)
         out = milnor_coaction(f, 2 * (p**2 - 1))
         assert out.get((), Polynomial.zero(p, 1)) == f
 
