@@ -4,7 +4,8 @@ Residues mod a prime p are plain ints in [0, p).  LinearCombination is
 the one F_p-linear arithmetic behind polynomials, nilHecke elements and
 Steenrod elements.  Polynomials in Z[q] keep arbitrary-precision integer
 coefficients so that cyclotomic division and multiplication stay exact
-no matter how the coefficients grow.
+no matter how the coefficients grow.  Record is the immutable value type
+of the parse tree and of sub-Hopf profiles.
 """
 
 from __future__ import annotations
@@ -91,6 +92,41 @@ def _echelon(vectors, p: int) -> list:
                 else:
                     del v[i]
     return kept
+
+
+class Record:
+    """Immutable value with the fields named in a subclass's __slots__:
+    equal to a record of the same class with equal fields, hashable, and
+    shown as Class(field=value, ...).  The subclass's __init__ sets the
+    fields once, in slot order, with _set; assigning one later raises
+    AttributeError."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 def _ring_text(x) -> str:
@@ -275,6 +311,23 @@ def binomial_mod_p(n: int, k: int, p: int) -> int:
         out = (out * math.comb(nd, kd)) % p
         n //= p
         k //= p
+    return out
+
+
+def capped_binomial(n: int, k: int, cap: int) -> int:
+    """C(n, k), or some number above cap once it is known to exceed it.
+
+    With k <= n - k, the partial products C(n - k + i, i), i = 0..k, grow
+    at least as fast as 2^i, so the loop stops after about log2(cap)
+    steps however large n and k are."""
+    if not 0 <= k <= n:
+        return 0
+    k = min(k, n - k)
+    out = 1
+    for i in range(1, k + 1):
+        out = out * (n - k + i) // i
+        if out > cap:
+            break
     return out
 
 

@@ -1,15 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage, 2 parse error, 3 math domain error,
-4 verification failure.  The default prime comes from the PADEM_PRIME
-environment variable when set.  Expression arguments accept "-" to read
-from stdin.
+4 verification failure.  Exit 5, outside that contract, marks a padem
+bug: any other exception ends in one "internal error:" line.  The
+default prime comes from the PADEM_PRIME environment variable when set.
+Expression arguments accept "-" to read from stdin.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -17,7 +17,7 @@ from . import groth as groth_mod
 from . import pdg as pdg_mod
 from . import verify as verify_mod
 from .errors import DomainError, ParseError, PademError
-from .nilhecke import Permutation, schubert
+from .nilhecke import Permutation, require_apply_budget, schubert
 from .parser import (
     TARGET_NILHECKE,
     TARGET_POLYNOMIAL,
@@ -197,6 +197,7 @@ def _cmd_nh_apply(args):
         raise UsageError("usage: padem nh apply <nh-expr> to <poly-expr>")
     e = _evaluate(args.expr, TARGET_NILHECKE, p, args.num_vars)
     f = _evaluate(args.poly, TARGET_POLYNOMIAL, p, args.num_vars)
+    require_apply_budget(e, f)
     return _answer(e.apply(f), prime=p, num_vars=args.num_vars)
 
 
@@ -312,7 +313,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         payload, text, code = args.handler(args)
-        print(json.dumps(payload, sort_keys=True) if args.format == "json" else text)
+        if args.format == "json":
+            import json  # here, not at the top: a text query never loads it
+
+            text = json.dumps(payload, sort_keys=True)
+        print(text)
         return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -323,6 +328,10 @@ def main(argv=None) -> int:
     except PademError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

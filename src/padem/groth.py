@@ -9,9 +9,7 @@ presentation factors it into cyclotomic polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .arith import IntPolynomial, _echelon, cyclotomic, factor_quotient, require_prime
+from .arith import IntPolynomial, Record, _echelon, cyclotomic, factor_quotient, require_prime
 from .errors import DomainError
 from .steenrod import (
     GRADING_TOPOLOGICAL,
@@ -46,23 +44,21 @@ def _check_profile_condition(r: tuple[int, ...]) -> None:
             )
 
 
-@dataclass(frozen=True)
-class SubHopfProfile:
+class SubHopfProfile(Record):
     """Profile of a finite-dimensional sub-Hopf algebra of the reduced
     powers: prime, exponent sequence r_k, and grading convention."""
 
-    p: int
-    exponents: tuple[int, ...]
-    grading: str = GRADING_TOPOLOGICAL
+    __slots__ = ("p", "exponents", "grading")
 
-    def __post_init__(self):
-        require_prime(self.p)
-        object.__setattr__(self, "exponents", tuple(self.exponents))
-        if any(r < 0 for r in self.exponents):
+    def __init__(self, p: int, exponents: tuple[int, ...], grading: str = GRADING_TOPOLOGICAL):
+        require_prime(p)
+        exponents = tuple(exponents)
+        if any(r < 0 for r in exponents):
             raise DomainError("profile exponents must be nonnegative")
-        if self.grading not in GRADINGS:
-            raise DomainError(f"unknown grading {self.grading!r}")
-        _check_profile_condition(self.exponents)
+        if grading not in GRADINGS:
+            raise DomainError(f"unknown grading {grading!r}")
+        _check_profile_condition(exponents)
+        self._set(p, exponents, grading)
 
     @classmethod
     def filtration(cls, n: int, p: int, grading: str = GRADING_TOPOLOGICAL) -> "SubHopfProfile":

@@ -30,7 +30,7 @@ import functools
 import itertools
 from operator import add
 
-from .arith import LinearCombination, reduce_terms, require_ring
+from .arith import LinearCombination, capped_binomial, reduce_terms, require_ring
 from .errors import DomainError, MismatchError, ReconstructionError
 from .poly import (
     Monomial,
@@ -338,6 +338,53 @@ def _apply_terms(
             for m, v in g.items():
                 out[m] = get(m, 0) + c * v
     return out
+
+
+# Most terms one apply may make, as counted by _apply_term_count.
+APPLY_TERM_BUDGET = 1_000_000
+
+
+def _apply_term_count(e: NilHeckeElement, f: Polynomial, cap: int) -> int:
+    """An upper bound on the terms e.apply(f) makes, or some number above
+    cap once it is known to exceed it; counted from the degrees of f's
+    monomials, before any term is made.
+
+    D_w(f) is computed once per permutation w of e, one divided
+    difference at a time.  A divided difference splits a monomial of
+    degree d into at most d monomials of degree d - 1, and there are
+    C(d - 1 + n - 1, n - 1) of those, so on one monomial the smaller of
+    the two bounds, taken letter by letter, caps the terms after each
+    letter.  Each term x^a D_w of e then makes a shifted copy of D_w(f)."""
+    n = e.n
+    degrees: dict[int, int] = {}
+    for m in f.terms:
+        d = sum(m)
+        degrees[d] = degrees.get(d, 0) + 1
+    heads: dict[tuple[int, ...], int] = {}
+    for _, images in e.terms:
+        heads[images] = heads.get(images, 0) + 1
+    total = 0
+    for images, count in heads.items():
+        length = len(_reduced_word(images))
+        for d, monomials in degrees.items():
+            size = 1  # terms after the letters so far, on one monomial
+            for k in range(1, length + 1):
+                size = min(size * max(d - k + 1, 0), capped_binomial(d - k + n - 1, n - 1, cap))
+                total += monomials * size
+            total += count * monomials * size
+            if total > cap:
+                return total
+    return total
+
+
+def require_apply_budget(e: NilHeckeElement, f: Polynomial) -> None:
+    """Raise DomainError when e.apply(f) may make more than
+    APPLY_TERM_BUDGET terms."""
+    if _apply_term_count(e, f, APPLY_TERM_BUDGET) > APPLY_TERM_BUDGET:
+        raise DomainError(
+            f"applying this element is over the work budget: it may make "
+            f"more than {APPLY_TERM_BUDGET} terms"
+        )
 
 
 def _word_terms(word: Word, terms: dict[Monomial, int], p: int) -> dict[Monomial, int]:

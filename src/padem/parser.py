@@ -14,8 +14,8 @@ expressions take P(k).  Uppercase X is accepted as an alias for x.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
+from .arith import Record
 from .errors import ExprTypeError, ParseError
 
 # Deepest parenthesis nesting accepted; the parser recurses once per level.
@@ -32,31 +32,39 @@ _ALLOWED = {
 }
 
 
-@dataclass(frozen=True)
-class Num:
-    value: int
+class Num(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self._set(value)
 
 
-@dataclass(frozen=True)
-class Gen:
-    kind: str
-    index: int
+class Gen(Record):
+    __slots__ = ("kind", "index")
+
+    def __init__(self, kind: str, index: int):
+        self._set(kind, index)
 
 
-@dataclass(frozen=True)
-class Power:
-    base: object
-    exponent: int
+class Power(Record):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base, exponent: int):
+        self._set(base, exponent)
 
 
-@dataclass(frozen=True)
-class Product:
-    factors: tuple
+class Product(Record):
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple):
+        self._set(factors)
 
 
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple  # of (sign, Product) with sign +1 / -1
+class Sum(Record):
+    __slots__ = ("terms",)  # of (sign, Product) with sign +1 / -1
+
+    def __init__(self, terms: tuple):
+        self._set(terms)
 
 
 # -- tokenizer ----------------------------------------------------------
@@ -72,11 +80,11 @@ def _number(digits: str, pos: int) -> int:
         raise ParseError(f"number at position {pos} has more than {limit} digits", pos)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    value: object
-    pos: int
+class _Token(Record):
+    __slots__ = ("kind", "value", "pos")
+
+    def __init__(self, kind: str, value, pos: int):
+        self._set(kind, value, pos)
 
 
 def _tokenize(source: str) -> list[_Token]:

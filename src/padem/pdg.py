@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from operator import add, itemgetter
 
-from .arith import _echelon, reduce_terms, require_ring
+from .arith import _echelon, capped_binomial, reduce_terms, require_ring
 from .errors import DomainError, MismatchError, StructureError
 from .nilhecke import (
     NilHeckeElement,
@@ -361,10 +361,56 @@ def margolis_homology(
 # -- builders ------------------------------------------------------------
 
 
+# Most basis elements a graded space, or the p-nilpotency sweep of
+# verify_pdg, may hold.
+BASIS_BUDGET = 100_000
+
+
 def _require_grading(p: int, n: int, degree_bound: int) -> None:
     require_ring(p, n)
     if degree_bound < 0:
         raise DomainError(f"degree bound {degree_bound} must be nonnegative")
+
+
+def _nh_label_count(n: int, half: int, cap: int) -> int:
+    """Number of normal-form labels (a, w) of NH_n with |a| <= half +
+    l(w), or some number above cap once it is known to exceed it: the sum
+    over lengths l of C(half + l + n, n) times the number of permutations
+    with l inversions.  Every permutation has a label (a = 0), so n! above
+    the cap decides before those numbers are made."""
+    size = 1
+    for i in range(2, n + 1):
+        size *= i
+        if size > cap:
+            return size
+    inversions = [1]  # inversions[l]: permutations of 1..i with l inversions
+    for i in range(2, n + 1):
+        inversions = [
+            sum(inversions[max(0, l - i + 1) : l + 1]) for l in range(len(inversions) + i - 1)
+        ]
+    total = 0
+    for length, count in enumerate(inversions):
+        total += count * capped_binomial(half + length + n, n, cap)
+        if total > cap:
+            break
+    return total
+
+
+def _require_basis_budget(n: int, top_degree: int, monomials: bool, labels: bool) -> None:
+    """Raise DomainError when the basis up to top_degree holds more than
+    BASIS_BUDGET elements, counted before any is made: the C(top_degree
+    // 2 + n, n) monomials, and the nilHecke labels."""
+    half = top_degree // 2
+    size = 0
+    if monomials:
+        size += capped_binomial(half + n, n, BASIS_BUDGET)
+    if labels:
+        size += _nh_label_count(n, half, BASIS_BUDGET)
+    if size > BASIS_BUDGET:
+        raise DomainError(
+            f"the basis up to degree {top_degree} with n={n} is over the work budget: "
+            f"it holds more than {BASIS_BUDGET} elements"
+        )
 
 
 def polynomial_space(
@@ -377,6 +423,7 @@ def polynomial_space(
     the whole quotient fits under the degree cap.
     """
     _require_grading(p, n, top_degree)
+    _require_basis_budget(n, top_degree, monomials=True, labels=False)
     if powers is not None and len(powers) != n:
         raise MismatchError("need one power per variable")
     basis: dict[int, list[Monomial]] = {}
@@ -445,6 +492,7 @@ def nilhecke_space(p: int, n: int, top_degree: int) -> GradedSpace:
     """Normal-form basis (exponents, permutation) of NH_n with operator
     degree 2|a| - 2 l(w) at most top_degree."""
     _require_grading(p, n, top_degree)
+    _require_basis_budget(n, top_degree, monomials=False, labels=True)
     basis: dict[int, list] = {}
     for deg, label in _nh_labels(n, top_degree):
         basis.setdefault(deg, []).append(label)
@@ -474,6 +522,7 @@ def verify_pdg(d: Derivation, degree_bound: int = 20, seed: int = 0) -> dict:
     """
     p, n = d.p, d.n
     _require_grading(p, n, degree_bound)
+    _require_basis_budget(n, degree_bound, monomials=True, labels=True)
     rng = random.Random(seed)
     failures: list[str] = []
 

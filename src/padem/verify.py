@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 
 from . import groth, pdg
 from .arith import binomial_mod_p, require_ring
@@ -42,11 +41,24 @@ from .steenrod import (
 )
 
 
-@dataclass
 class Check:
-    name: str
-    ok: bool
-    detail: str = ""
+    """One check's outcome: its name, whether it passed, and a detail
+    that says what failed."""
+
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        self.name = name
+        self.ok = ok
+        self.detail = detail
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Check:
+            return NotImplemented
+        return (self.name, self.ok, self.detail) == (other.name, other.ok, other.detail)
+
+    def __repr__(self) -> str:
+        return f"Check(name={self.name!r}, ok={self.ok!r}, detail={self.detail!r})"
 
 
 def _random_monomial(rng, n, max_exp_sum):

@@ -7,6 +7,7 @@ import pytest
 from padem.arith import (
     IntPolynomial,
     binomial_mod_p,
+    capped_binomial,
     cyclotomic,
     divisors,
     factor_quotient,
@@ -78,6 +79,17 @@ def test_vandermonde(p):
                     for j in range(k + 1)
                 )
                 assert lhs == rhs % p
+
+
+def test_capped_binomial():
+    for n in range(-2, 30):
+        for k in range(-2, 32):
+            want = math.comb(n, k) if 0 <= k <= n else 0
+            got = capped_binomial(n, k, 1000)
+            assert got == want if want <= 1000 else got > 1000
+    # a huge argument stops after a few steps
+    assert capped_binomial(10**4000 + 40, 40, 10**6) > 10**6
+    assert capped_binomial(2 * 10**6, 10**6, 10**6) > 10**6
 
 
 def test_generalized_binomial_examples():

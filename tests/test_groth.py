@@ -31,6 +31,20 @@ def test_profile_validation():
         SubHopfProfile(4, (1,))
 
 
+def test_profiles_are_read_only_values():
+    prof = SubHopfProfile(3, [1, 1])
+    assert prof.exponents == (1, 1) and prof.grading == "topological"
+    assert prof == SubHopfProfile(3, (1, 1), "topological")
+    assert hash(prof) == hash(SubHopfProfile(3, (1, 1)))
+    assert prof != SubHopfProfile(3, (1, 1), "compressed")
+    assert prof != SubHopfProfile(2, (1, 1))
+    assert repr(prof) == "SubHopfProfile(p=3, exponents=(1, 1), grading='topological')"
+    with pytest.raises(AttributeError):
+        prof.p = 5
+    with pytest.raises(DomainError):
+        SubHopfProfile(3, (1,), "bogus")
+
+
 def test_filtration_profiles():
     prof = SubHopfProfile.filtration(3, 2)
     assert prof.exponents == (3, 2, 1)

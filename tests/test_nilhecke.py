@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from padem import pdg, verify
+from padem import nilhecke, pdg, verify
 from padem.errors import DivisibilityError, DomainError
 from padem.nilhecke import (
     SWEEP_CHUNK,
@@ -93,6 +93,42 @@ def test_divided_difference_never_fails_and_lowers_degree(p):
                 g = divided_difference(f, j)  # DivisibilityError = bug
                 if f.is_homogeneous() and not f.is_zero() and not g.is_zero():
                     assert g.homogeneous_degree() == f.homogeneous_degree() - 2
+
+
+def test_apply_term_count_bounds_the_terms_made():
+    # the count against the terms each letter really makes, one monomial
+    # at a time (a sum of monomials only merges terms), plus one shifted
+    # copy of D_w(f) per term x^a D_w; p = 97 keeps cancellations rare
+    p, rng = 97, random.Random(13)
+    for n in (2, 3, 4):
+        for _ in range(40):
+            e = sum(
+                (random_word_element(rng, p, n, max_len=7) for _ in range(3)),
+                NilHeckeElement.zero(p, n),
+            )
+            f = random_poly(rng, p, n, max_exp=6, terms=4)
+            made = 0
+            heads = [images for _, images in e.terms]
+            for images in set(heads):
+                for m in f.terms:
+                    terms = {m: 1}
+                    for _, j in reversed(nilhecke._d_word(images)):
+                        terms = nilhecke._divided_difference_terms(terms, j, p)
+                        made += len(terms)
+                    made += heads.count(images) * len(terms)
+            assert nilhecke._apply_term_count(e, f, 10**12) >= made
+    # one divided difference of a pure power: the bound is exact
+    x1 = Polynomial.variable(5, 2, 1)
+    assert nilhecke._apply_term_count(NilHeckeElement.d_gen(5, 2, 1), x1**40, 10**6) == 80
+
+
+def test_apply_budget_refuses_only_above_the_budget(monkeypatch):
+    d1 = NilHeckeElement.d_gen(3, 2, 1)
+    x1 = Polynomial.variable(3, 2, 1)
+    monkeypatch.setattr(nilhecke, "APPLY_TERM_BUDGET", 80)
+    nilhecke.require_apply_budget(d1, x1**40)
+    with pytest.raises(DomainError, match="over the work budget"):
+        nilhecke.require_apply_budget(d1, x1**41)
 
 
 @pytest.mark.parametrize("p", PRIMES)

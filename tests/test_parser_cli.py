@@ -132,6 +132,31 @@ def random_ast(rng, target, depth=0):
     return Sum(tuple(terms))
 
 
+def test_nodes_are_values_of_their_type_and_fields():
+    x = Gen("x", 1)
+    assert x == Gen("x", 1) and hash(x) == hash(Gen("x", 1))
+    assert x != Gen("x", 2) and x != Gen("D", 1)
+    assert Num(1) != Gen("x", 1)
+    terms = ((1, Product((x,))),)
+    assert Product(terms) != Sum(terms)
+    assert Sum(terms) == Sum(((1, Product((Gen("x", 1),))),))
+    assert len({Power(x, 2), Power(Gen("x", 1), 2), Power(x, 3)}) == 2
+    assert repr(Power(Num(3), 2)) == "Power(base=Num(value=3), exponent=2)"
+    assert repr(x) == "Gen(kind='x', index=1)"
+
+
+def test_nodes_are_read_only():
+    x = Gen("x", 1)
+    for node, field in ((x, "index"), (Num(2), "value"), (Power(x, 2), "exponent")):
+        with pytest.raises(AttributeError):
+            setattr(node, field, 5)
+        with pytest.raises(AttributeError):
+            delattr(node, field)
+    with pytest.raises(AttributeError):
+        x.other = 1
+    assert x == Gen("x", 1)
+
+
 @pytest.mark.parametrize("target", ["polynomial", "nilhecke", "steenrod"])
 def test_render_parse_round_trip(target):
     rng = random.Random(99)
@@ -337,6 +362,65 @@ def test_cli_margolis_over_budget_exits_3_fast(capsys, t, p):
     )
 
 
+NINES = "9" * 4000
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("nh", "apply", "D1", "to", f"(x1^{NINES})^{NINES}", "-p", "3", "-n", "2"),
+            "applying this element is over the work budget: it may make more than 1000000 terms",
+        ),
+        (
+            ("pdg", "homology", "--truncate", "100000", "-p", "3", "-n", "2"),
+            "the basis up to degree 100000 with n=2 is over the work budget: "
+            "it holds more than 100000 elements",
+        ),
+        (
+            ("pdg", "homology", "--truncate", "30", "-p", "97", "-n", "8"),
+            "the basis up to degree 30 with n=8 is over the work budget: "
+            "it holds more than 100000 elements",
+        ),
+        (
+            ("pdg", "verify", "-p", "3", "-n", "40"),
+            "the basis up to degree 24 with n=40 is over the work budget: "
+            "it holds more than 100000 elements",
+        ),
+    ],
+)
+def test_cli_over_work_budget_exits_3_fast(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == f"error: {message}\n"
+
+
+def test_cli_internal_error_is_one_line_exit_5(capsys, monkeypatch):
+    # any exception that is not a padem error marks a bug: exit 5, outside
+    # the 0-4 contract, with one line and no traceback
+    monkeypatch.setattr("padem.cli._cmd_adem", lambda args: {}["missing"])
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "adem", "P(1)", "-p", "3")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (5, "", "internal error: KeyError: 'missing'\n")
+
+    def broken(args):
+        raise RuntimeError("two\nlines")
+
+    monkeypatch.setattr("padem.cli._cmd_adem", broken)
+    code, out, err = run_cli(capsys, "adem", "P(1)", "--format", "json")
+    assert (code, out, err) == (5, "", "internal error: RuntimeError: two lines\n")
+
+
+def test_cli_help_still_exits_through_system_exit(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert "usage: padem" in capsys.readouterr().out
+
+
 def test_cli_exit_codes(capsys):
     assert run_cli(capsys, "adem", "P(1")[0] == 2  # syntax
     assert run_cli(capsys, "act", "D1", "on", "x1")[0] == 2  # type error
@@ -481,6 +565,24 @@ def test_cli_verify_all_reports_a_raising_check(capsys, monkeypatch):
         failed if "bar-closed-form" in line else line for line in clean.splitlines()[:-1]
     ]
     assert out.splitlines() == expected + ["passed 16 failed 1"]
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_json():
+    # each query is a fresh process: the CLI's import path stays off these
+    # modules (json only loads for --format json); -S keeps site's .pth
+    # files from loading anything first
+    code = (
+        "import sys\n"
+        "import padem.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_cli_runs_without_numpy():

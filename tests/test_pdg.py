@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from padem import pdg as pdg_mod
 from padem import verify
+from padem.arith import capped_binomial
 from padem.errors import DomainError, MismatchError, StructureError
 from padem.nilhecke import NilHeckeElement, Permutation
 from padem.pdg import (
@@ -335,6 +336,38 @@ def test_direct_sweep_matches_rank_chains(p, n):
         assert got == want, (name, label)
         if name == "broken":
             assert want is not None
+
+
+def test_basis_counts_match_the_enumerations():
+    for n in range(1, 5):
+        for bound in (0, 1, 8, 15, 20):
+            half = bound // 2
+            monomials = capped_binomial(half + n, n, 10**9)
+            assert monomials == len(monomials_up_to_degree(n, bound))
+            labels = pdg_mod._nh_label_count(n, half, 10**9)
+            assert labels == len(pdg_mod._nh_labels(n, bound))
+    # verify_pdg's sweep at the CLI's default bound, n = 4, stays inside
+    assert capped_binomial(16, 4, 10**9) + pdg_mod._nh_label_count(4, 12, 10**9) == 98831
+    assert 98831 <= pdg_mod.BASIS_BUDGET
+
+
+def test_builders_refuse_a_basis_over_the_budget(monkeypatch):
+    # C(3 + 3, 3) = 20 monomials of degree <= 6 in 3 variables
+    monkeypatch.setattr(pdg_mod, "BASIS_BUDGET", 20)
+    assert polynomial_space(3, 3, 6).total_dim() == 20
+    with pytest.raises(DomainError, match="over the work budget"):
+        polynomial_space(3, 3, 8)
+    # at n = 2 and degree <= 2: 3 monomials, and 3 + 6 labels x^a, x^a D_1
+    assert nilhecke_space(3, 2, 2).total_dim() == 9
+    monkeypatch.setattr(pdg_mod, "BASIS_BUDGET", 8)
+    with pytest.raises(DomainError, match="over the work budget"):
+        nilhecke_space(3, 2, 2)
+    # verify_pdg counts both: at n = 2 and degree <= 4, 6 monomials and 16 labels
+    monkeypatch.setattr(pdg_mod, "BASIS_BUDGET", 22)
+    assert verify_pdg(khovanov_qi_derivation(3, 2), degree_bound=4)["all_ok"]
+    monkeypatch.setattr(pdg_mod, "BASIS_BUDGET", 21)
+    with pytest.raises(DomainError, match="over the work budget"):
+        verify_pdg(khovanov_qi_derivation(3, 2), degree_bound=4)
 
 
 @pytest.mark.parametrize("n, bound", ((0, 8), (2, -2)))

@@ -7,6 +7,14 @@ from padem import pdg, verify
 from padem.steenrod import act
 
 
+def test_check_records_compare_by_fields():
+    assert verify.Check("groth", True) == verify.Check("groth", True, "")
+    assert verify.Check("groth", True) != verify.Check("groth", False)
+    assert verify.Check("groth", False, "a") != verify.Check("groth", False, "b")
+    assert verify.Check("groth", True) != ("groth", True, "")
+    assert repr(verify.Check("adem", False, "x")) == "Check(name='adem', ok=False, detail='x')"
+
+
 def test_run_matrix_runs_each_distinct_check_once(monkeypatch):
     calls = dict.fromkeys(
         (
