@@ -64,18 +64,19 @@ def reduce_terms(terms: dict, p: int) -> dict:
 
 def _echelon(vectors, p: int) -> list:
     """The vectors {key: integer} that are independent over F_p of the
-    ones before them, reduced mod p: a basis of their span.  The keys are
-    matrix indices or any other totally ordered labels.
+    ones before them, as given (the same objects, not reduced mod p): a
+    basis of their span.  The keys are matrix indices or any other totally
+    ordered labels.
 
-    Sparse echelon elimination: each vector is reduced by the echelon row
-    at its lowest key, with the row's fill-in, until that key is new;
-    the reduced vector is then kept as the row there, scaled to a leading
-    1.  Exact Python ints, any prime."""
+    Sparse echelon elimination: each vector is copied once, reduced mod p,
+    into a working dict, which is reduced by the echelon row at its lowest
+    key, with the row's fill-in, until that key is new; the working dict
+    is then kept as the row there, scaled to a leading 1.  Exact Python
+    ints, any prime."""
     rows: dict = {}
     kept = []
     for vec in vectors:
-        vec = {i: c % p for i, c in vec.items() if c % p}
-        v = dict(vec)
+        v = {i: r for i, c in vec.items() if (r := c % p)}
         while v:
             lead = min(v)
             row = rows.get(lead)

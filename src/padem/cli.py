@@ -249,10 +249,11 @@ def _cmd_pdg_verify(args):
 def _cmd_pdg_homology(args):
     p = _prime(args)
     s = args.s if args.s is not None else p - 1
+    # the derivation's budget is checked first: each monomial of the space
+    # is a tuple of n exponents
+    derivation = pdg_mod.khovanov_qi_derivation(p, args.num_vars)
     space = pdg_mod.polynomial_space(p, args.num_vars, args.truncate)
-    op = pdg_mod.derivation_operator(
-        space, pdg_mod.khovanov_qi_derivation(p, args.num_vars), args.num_vars
-    )
+    op = pdg_mod.derivation_operator(space, derivation, args.num_vars)
     dims, excluded = pdg_mod.margolis_homology(space, op, s)
     lines = [f"dim[{d}] = {dims[d]}" for d in sorted(dims)]
     lines.append("excluded: " + (",".join(str(d) for d in excluded) if excluded else "none"))

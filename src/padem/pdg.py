@@ -11,6 +11,7 @@ and Margolis homology of graded truncations.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from operator import add, itemgetter
 
 from .arith import _echelon, capped_binomial, reduce_terms, require_ring
@@ -27,8 +28,10 @@ from .poly import Monomial, Polynomial, monomials_up_to_degree
 class Derivation:
     """Degree +2 derivation given on generators, extended by Leibniz.
 
-    The images are stored as tuples; d(D_w) is computed once per
-    permutation w and kept on the instance (at most n! entries).  shift
+    The images are stored as tuples, and for each variable x_i the terms
+    c x^b of d(x_i) also as exponent shifts (b - e_i, c), which take a
+    monomial x^m with m_i > 0 to x^(m - e_i) x^b.  d(D_w) is computed once
+    per permutation w and kept on the instance (at most n! entries).  shift
     is the degree shift read off the terms of the x images (|x_i| = 2), 2
     when they are all zero, and None when the terms have different
     degrees: such a derivation has no graded operator."""
@@ -49,6 +52,12 @@ class Derivation:
         self.n = n
         self.x_images = tuple(x_images)
         self.d_images = tuple(d_images)
+        self._x_shifts = tuple(
+            tuple(
+                (tuple(e - (j == i) for j, e in enumerate(b)), v) for b, v in f.terms.items()
+            )
+            for i, f in enumerate(x_images)
+        )
         shifts = {2 * sum(m) - 2 for f in x_images for m in f.terms}
         self.shift: int | None = None
         if len(shifts) <= 1:
@@ -60,14 +69,14 @@ class Derivation:
         d(x^m) = sum_i m_i x^(m - e_i) d(x_i)."""
         out: dict[Monomial, int] = {}
         get = out.get
+        shifts = self._x_shifts
         for m, c in terms.items():
             for i, e in enumerate(m):
-                if not e:
-                    continue
-                lowered = m[:i] + (e - 1,) + m[i + 1 :]
-                for b, v in self.x_images[i].terms.items():
-                    key = tuple(map(add, lowered, b))
-                    out[key] = get(key, 0) + c * e * v
+                if e:
+                    ce = c * e
+                    for delta, v in shifts[i]:
+                        key = tuple(map(add, m, delta))
+                        out[key] = get(key, 0) + ce * v
         return reduce_terms(out, self.p)
 
     def apply_poly(self, f: Polynomial) -> Polynomial:
@@ -101,15 +110,20 @@ class Derivation:
         return terms
 
     def apply_nh(self, e: NilHeckeElement) -> NilHeckeElement:
-        """Leibniz on the basis: d(x^a D_w) = d(x^a) D_w + x^a d(D_w),
-        where x^a d(D_w) shifts the exponents of the cached d(D_w)."""
+        """Leibniz on the basis: d(x^a D_w) = d(x^a) D_w + x^a d(D_w).
+        d(x^a) D_w is written from the exponent shifts as in _poly_terms,
+        and x^a d(D_w) shifts the exponents of the cached d(D_w)."""
         e._check_compatible(self)
         out: dict = {}
         get = out.get
+        shifts = self._x_shifts
         for (exps, images), c in e.terms.items():
-            for m, v in self._poly_terms({exps: c}).items():
-                key = (m, images)
-                out[key] = get(key, 0) + v
+            for i, a in enumerate(exps):
+                if a:
+                    ca = c * a
+                    for delta, v in shifts[i]:
+                        key = (tuple(map(add, exps, delta)), images)
+                        out[key] = get(key, 0) + ca * v
             for (b, w), v in self._permutation_terms(images).items():
                 key = (tuple(map(add, exps, b)), w)
                 out[key] = get(key, 0) + c * v
@@ -128,6 +142,7 @@ def khovanov_qi_derivation(p: int, n: int) -> Derivation:
     relation D_i x_i - x_{i+1} D_i = 1; it is the commutator with the
     polynomial differential and coincides with twisted_derivation(p, n, 0).
     """
+    _require_derivation_budget(p, n)
     x_images = [
         Polynomial.variable(p, n, i) * Polynomial.variable(p, n, i)
         for i in range(1, n + 1)
@@ -152,6 +167,7 @@ def twisted_derivation(p: int, n: int, a: int) -> Derivation:
     x_2^a x_3^{2a} ... x_n^{(n-1)a}; the tests check the images against
     that conjugation (conjugated_twist_image in tests/oracles.py).
     """
+    _require_derivation_budget(p, n)
     x_images = [
         Polynomial.variable(p, n, i) * Polynomial.variable(p, n, i)
         for i in range(1, n + 1)
@@ -290,34 +306,39 @@ class GradedOperator:
         """Ranks of d^0, d^1, ..., d^j out of degree d, with j = p unless
         the chain reaches a boundary degree first.
 
-        A basis of im d^(i-1) is pushed through d and reduced by _echelon
-        to a basis of im d^i, so step i eliminates at most rank d^(i-1)
-        sparse vectors.  The basis is made of images of unit vectors,
-        which stay as sparse as the columns of d^i.  The chain is kept per
-        degree."""
+        _echelon picks from the columns out of degree d a basis of im d;
+        then a basis of im d^(i-1) is pushed through d and reduced by
+        _echelon to a basis of im d^i, so step i eliminates at most rank
+        d^(i-1) sparse vectors.  The basis is made of columns of d^i, which
+        stay as sparse as they are; their coefficients are reduced mod p
+        as they are pushed.  The chain is kept per degree."""
         chain = self._ranks.get(d)
         if chain is not None:
             return chain
         space = self.space
-        basis = [{i: 1} for i in range(space.dim(d))]
-        out = [len(basis)]
-        for step in range(space.p):
+        p = space.p
+        out = [space.dim(d)]
+        for step in range(p):
             cur = d + step * self.shift
             cols = self.columns.get(cur)
             if cols is None:
                 if space.dim(cur) and not space.complete:
                     break  # a boundary degree
                 basis = []  # a zero map
+            elif step == 0:
+                basis = _echelon(cols, p)
             else:
                 images = []
                 for vec in basis:
                     image: dict[int, int] = {}
                     get = image.get
                     for i, c in vec.items():
-                        for j, v in cols[i].items():
-                            image[j] = get(j, 0) + c * v
+                        c %= p
+                        if c:
+                            for j, v in cols[i].items():
+                                image[j] = get(j, 0) + c * v
                     images.append(image)
-                basis = _echelon(images, space.p)
+                basis = _echelon(images, p)
             out.append(len(basis))
         chain = self._ranks[d] = tuple(out)
         return chain
@@ -361,9 +382,13 @@ def margolis_homology(
 # -- builders ------------------------------------------------------------
 
 
-# Most basis elements a graded space, or the p-nilpotency sweep of
-# verify_pdg, may hold.
+# The work budget of a pdg query.  A graded space, or the p-nilpotency
+# sweep of verify_pdg, may hold at most BASIS_BUDGET basis elements, and
+# those elements times p at most WORK_BUDGET: each element takes up to p
+# steps of a rank chain or of the sweep.  A derivation on n variables
+# writes n images of n exponents, so n * n may be at most WORK_BUDGET.
 BASIS_BUDGET = 100_000
+WORK_BUDGET = 300_000
 
 
 def _require_grading(p: int, n: int, degree_bound: int) -> None:
@@ -396,20 +421,37 @@ def _nh_label_count(n: int, half: int, cap: int) -> int:
     return total
 
 
-def _require_basis_budget(n: int, top_degree: int, monomials: bool, labels: bool) -> None:
+def _require_basis_budget(
+    p: int, n: int, top_degree: int, monomials: bool, labels: bool
+) -> None:
     """Raise DomainError when the basis up to top_degree holds more than
-    BASIS_BUDGET elements, counted before any is made: the C(top_degree
-    // 2 + n, n) monomials, and the nilHecke labels."""
+    BASIS_BUDGET elements, or its elements times p are more than
+    WORK_BUDGET, counted before any element is made: the C(top_degree // 2
+    + n, n) monomials, and the nilHecke labels."""
     half = top_degree // 2
     size = 0
     if monomials:
         size += capped_binomial(half + n, n, BASIS_BUDGET)
     if labels:
         size += _nh_label_count(n, half, BASIS_BUDGET)
+    over = f"the basis up to degree {top_degree} with n={n} is over the work budget"
     if size > BASIS_BUDGET:
+        raise DomainError(f"{over}: it holds more than {BASIS_BUDGET} elements")
+    if size * p > WORK_BUDGET:
         raise DomainError(
-            f"the basis up to degree {top_degree} with n={n} is over the work budget: "
-            f"it holds more than {BASIS_BUDGET} elements"
+            f"{over}: its {size} elements take up to p={p} steps each, "
+            f"more than {WORK_BUDGET} in all"
+        )
+
+
+def _require_derivation_budget(p: int, n: int) -> None:
+    """Raise DomainError when a derivation on n variables is over the
+    work budget, before any of its images is made."""
+    require_ring(p, n)
+    if n * n > WORK_BUDGET:
+        raise DomainError(
+            f"the derivation with n={n} is over the work budget: its images hold "
+            f"n*n = {n * n} exponents, more than {WORK_BUDGET}"
         )
 
 
@@ -423,7 +465,7 @@ def polynomial_space(
     the whole quotient fits under the degree cap.
     """
     _require_grading(p, n, top_degree)
-    _require_basis_budget(n, top_degree, monomials=True, labels=False)
+    _require_basis_budget(p, n, top_degree, monomials=True, labels=False)
     if powers is not None and len(powers) != n:
         raise MismatchError("need one power per variable")
     basis: dict[int, list[Monomial]] = {}
@@ -464,12 +506,15 @@ def _require_shift(d: Derivation) -> int:
 def derivation_operator(
     space: GradedSpace, d: Derivation, n: int
 ) -> GradedOperator:
+    """The derivation d on a monomial space in n variables, which must be
+    d's own."""
+    if n != d.n:
+        raise MismatchError(f"a derivation in {d.n} variables on monomials in {n}")
     shift = _require_shift(d)
     project = _ideal_projector(space)
 
     def fn(exps: Monomial) -> dict[Monomial, int]:
-        f = d.apply_poly(Polynomial.monomial(d.p, n, exps))
-        return project(dict(f.terms))
+        return project(d._poly_terms({exps: 1}))
 
     return GradedOperator.from_callable(space, fn, shift)
 
@@ -477,14 +522,19 @@ def derivation_operator(
 def _nh_labels(n: int, top_degree: int) -> list[tuple[int, tuple]]:
     """(degree, label) for the normal-form basis labels (exponents,
     permutation images) of NH_n with operator degree 2|a| - 2 l(w) at
-    most top_degree, by degree."""
+    most top_degree, by degree: for each w in turn, the monomials with
+    |a| <= top_degree // 2 + l(w), a prefix of the monomials enumerated
+    once at the bound of the longest permutation."""
+    perms = all_permutations(n)
+    lengths = [w.length() for w in perms]
+    monos = monomials_up_to_degree(n, top_degree + 2 * max(lengths))
+    totals = [sum(m) for m in monos]
+    half = top_degree // 2
     out = []
-    for w in all_permutations(n):
-        length = w.length()
-        for exps in monomials_up_to_degree(n, top_degree + 2 * length):
-            deg = 2 * sum(exps) - 2 * length
-            if deg <= top_degree:
-                out.append((deg, (exps, w.images)))
+    for w, length in zip(perms, lengths):
+        stop = bisect_right(totals, half + length)
+        for exps, total in zip(monos[:stop], totals):
+            out.append((2 * (total - length), (exps, w.images)))
     return sorted(out, key=itemgetter(0))
 
 
@@ -492,7 +542,7 @@ def nilhecke_space(p: int, n: int, top_degree: int) -> GradedSpace:
     """Normal-form basis (exponents, permutation) of NH_n with operator
     degree 2|a| - 2 l(w) at most top_degree."""
     _require_grading(p, n, top_degree)
-    _require_basis_budget(n, top_degree, monomials=False, labels=True)
+    _require_basis_budget(p, n, top_degree, monomials=False, labels=True)
     basis: dict[int, list] = {}
     for deg, label in _nh_labels(n, top_degree):
         basis.setdefault(deg, []).append(label)
@@ -522,11 +572,13 @@ def verify_pdg(d: Derivation, degree_bound: int = 20, seed: int = 0) -> dict:
     """
     p, n = d.p, d.n
     _require_grading(p, n, degree_bound)
-    _require_basis_budget(n, degree_bound, monomials=True, labels=True)
+    _require_basis_budget(p, n, degree_bound, monomials=True, labels=True)
     rng = random.Random(seed)
     failures: list[str] = []
 
     mono_pool = [m for m in monomials_up_to_degree(n, degree_bound // 2) if sum(m)]
+    if not mono_pool:  # degree_bound < 4: the pairs are drawn from the variables
+        mono_pool = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     leibniz_ok = True
     for _ in range(LEIBNIZ_SAMPLES):
         f = _random_poly(rng, p, n, mono_pool)

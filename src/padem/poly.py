@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-from operator import add
+from operator import add, sub
 
 from .arith import LinearCombination, reduce_terms
 from .errors import DivisibilityError, DomainError, MismatchError
@@ -209,10 +209,12 @@ def monomials_up_to_degree(n: int, max_degree: int) -> tuple[Monomial, ...]:
 
 
 def _compositions(total: int, n: int) -> list[Monomial]:
-    if n == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, n - 1):
-            out.append((first,) + rest)
-    return out
+    """The exponent tuples of n >= 1 entries summing to total, in
+    lexicographic order.  Stars and bars: the n - 1 cut points 0 <= c_1
+    <= ... <= c_(n-1) <= total, in lexicographic order, give the parts
+    c_1, c_2 - c_1, ..., total - c_(n-1), with no recursion in n."""
+    last, first = (total,), (0,)
+    return [
+        tuple(map(sub, cuts + last, first + cuts))
+        for cuts in itertools.combinations_with_replacement(range(total + 1), n - 1)
+    ]

@@ -1,10 +1,11 @@
 """Reference constructions that only the tests use, one copy each:
 ranks over F_p of dense matrices (by the package's elimination, by a
-row-reduction loop and by sympy), slash homology from whole-space dense
-matrices, the regular module over F_p[u]/(u^p), the first reduced power
-as a derivation, the twisted differential as a conjugation, the
-word-by-word value of a sum of generator words, and seeded random
-polynomials and nilHecke generator words."""
+row-reduction loop and by sympy), dense powers of graded operators and
+their ranks, slash homology from whole-space dense matrices, the regular
+module over F_p[u]/(u^p), the first reduced power as a derivation, the
+twisted differential as a conjugation, the word-by-word value of a sum of
+generator words, and seeded random polynomials and nilHecke generator
+words."""
 
 import numpy as np
 from sympy import GF, ZZ
@@ -75,6 +76,48 @@ def dense_homology(space: GradedSpace, op: GradedOperator, s: int) -> dict[int, 
         if dim_ker - dim_im:
             out[d] = dim_ker - dim_im
     return out
+
+
+def dense_matrix(op: GradedOperator, d: int):
+    """The int64 matrix of op out of degree d, read from its sparse
+    columns; None at a boundary degree."""
+    space = op.space
+    cols = op.columns.get(d)
+    if cols is None and space.dim(d) and not space.complete:
+        return None
+    mat = np.zeros((space.dim(d + op.shift), space.dim(d)), dtype=np.int64)
+    for j, col in enumerate(cols or ()):
+        for i, c in col.items():
+            mat[i, j] = c
+    return mat
+
+
+def dense_power_matrix(op: GradedOperator, d: int, k: int):
+    """The int64 matrix of op^k out of degree d, a product of k dense
+    steps reduced mod p; None when a step starts at a boundary degree."""
+    p = op.space.p
+    mat = np.eye(op.space.dim(d), dtype=np.int64)
+    cur = d
+    for _ in range(k):
+        step = dense_matrix(op, cur)
+        if step is None:
+            return None
+        mat = (step @ mat) % p
+        cur += op.shift
+    return mat
+
+
+def dense_power_ranks(op: GradedOperator, d: int) -> tuple[int, ...]:
+    """Ranks of op^0, op^1, ..., op^j out of degree d by row reduction of
+    the dense powers, with j = p unless a power reaches a boundary degree
+    first."""
+    out = []
+    for k in range(op.space.p + 1):
+        mat = dense_power_matrix(op, d, k)
+        if mat is None:
+            break
+        out.append(row_reduction_rank(mat, op.space.p))
+    return tuple(out)
 
 
 def regular_nilpotent_module(p: int) -> tuple[GradedSpace, GradedOperator]:

@@ -387,6 +387,33 @@ NINES = "9" * 4000
             "the basis up to degree 24 with n=40 is over the work budget: "
             "it holds more than 100000 elements",
         ),
+        # 97,461 monomials, each taking up to 97 steps of a rank chain
+        (
+            ("pdg", "homology", "--truncate", "880", "-p", "97", "-n", "2"),
+            "the basis up to degree 880 with n=2 is over the work budget: "
+            "its 97461 elements take up to p=97 steps each, more than 300000 in all",
+        ),
+        # one monomial, but a derivation of n * n exponents
+        (
+            ("pdg", "homology", "--truncate", "0", "-n", "1000"),
+            "the derivation with n=1000 is over the work budget: "
+            "its images hold n*n = 1000000 exponents, more than 300000",
+        ),
+        (
+            ("pdg", "homology", "--truncate", "0", "-n", "10000"),
+            "the derivation with n=10000 is over the work budget: "
+            "its images hold n*n = 100000000 exponents, more than 300000",
+        ),
+        (
+            ("pdg", "verify", "-n", "10000"),
+            "the derivation with n=10000 is over the work budget: "
+            "its images hold n*n = 100000000 exponents, more than 300000",
+        ),
+        (
+            ("pdg", "verify", "-n", "900"),
+            "the derivation with n=900 is over the work budget: "
+            "its images hold n*n = 810000 exponents, more than 300000",
+        ),
     ],
 )
 def test_cli_over_work_budget_exits_3_fast(capsys, argv, message):
@@ -519,6 +546,17 @@ def test_cli_pdg_sizes_and_bounds(capsys, argv, code):
         assert err.startswith("error: ") and err.count("\n") == 1
     else:
         assert out.endswith("all_ok true\n") and err == ""
+
+
+@pytest.mark.parametrize("bound", ("0", "1", "2", "3"))
+def test_cli_pdg_verify_below_degree_four(capsys, bound):
+    # no nonconstant monomial has degree <= bound / 2, so the Leibniz
+    # pairs are drawn from the variables
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "pdg", "verify", "-p", "3", "-n", "2", "-D", bound)
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    assert out == "leibniz_ok true\nrelations_ok true\np_nilpotent_ok true\nall_ok true\n"
 
 
 @pytest.mark.parametrize("n", ("0", "-2"))

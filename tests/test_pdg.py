@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from padem import pdg as pdg_mod
 from padem import verify
-from padem.arith import capped_binomial
+from padem.arith import _echelon, capped_binomial
 from padem.errors import DomainError, MismatchError, StructureError
-from padem.nilhecke import NilHeckeElement, Permutation
+from padem.nilhecke import NilHeckeElement, Permutation, all_permutations
 from padem.pdg import (
     Derivation,
     GradedOperator,
@@ -30,6 +30,8 @@ from padem.poly import Polynomial, elementary_symmetric, monomials_up_to_degree
 from oracles import (
     conjugated_twist_image,
     dense_homology,
+    dense_power_matrix,
+    dense_power_ranks,
     power_one_derivation,
     rank_mod_p,
     regular_nilpotent_module,
@@ -153,6 +155,9 @@ def test_derivation_rejects_bad_sizes():
     with pytest.raises(MismatchError):
         # an x image over F_3 in a derivation over F_5
         Derivation(5, 2, [xvar(5, 2, 1), x], [NilHeckeElement.d_gen(5, 2, 1)])
+    with pytest.raises(MismatchError):
+        # a derivation in 2 variables on monomials in 3
+        derivation_operator(polynomial_space(3, 3, 4), khovanov_qi_derivation(3, 2), 3)
 
 
 def test_apply_nh_repeats_with_a_warm_cache():
@@ -164,6 +169,48 @@ def test_apply_nh_repeats_with_a_warm_cache():
         assert len(d._d_permutation) == 6
         assert [d.apply_nh(e) for e in elements] == first, name
         assert len(d._d_permutation) == 6
+
+
+def _leibniz_monomial(d, m):
+    """d(x^m) = sum_i m_i x^(m - e_i) d(x_i), in Polynomial arithmetic."""
+    out = Polynomial.zero(d.p, d.n)
+    for i, e in enumerate(m):
+        if e:
+            lowered = m[:i] + (e - 1,) + m[i + 1 :]
+            out = out + Polynomial.monomial(d.p, d.n, lowered) * d.x_images[i] * e
+    return out
+
+
+@st.composite
+def _derivation_and_label(draw):
+    """A derivation with random x images (several terms, constants, or
+    no x_i at all) and the D images of khovanov_qi_derivation, and a
+    basis label (a, w)."""
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    x_images = []
+    for _ in range(n):
+        terms = draw(st.dictionaries(exps, st.integers(-2 * p, 2 * p), max_size=4))
+        x_images.append(Polynomial(p, n, terms))
+    d = Derivation(p, n, x_images, list(khovanov_qi_derivation(p, n).d_images))
+    w = draw(st.sampled_from(all_permutations(n)))
+    return d, (draw(exps), w.images)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_derivation_and_label())
+def test_term_kernels_match_polynomial_leibniz(case):
+    d, (a, images) = case
+    p, n = d.p, d.n
+    want = _leibniz_monomial(d, a)
+    assert d._poly_terms({a: 1}) == want.terms
+    assert d._poly_terms({a: 2}) == (want * 2).terms
+    # d(x^a D_w) = d(x^a) D_w + x^a d(D_w)
+    d_w = NilHeckeElement(p, n, {((0,) * n, images): 1})
+    x_a = NilHeckeElement.from_polynomial(Polynomial.monomial(p, n, a))
+    got = d.apply_nh(NilHeckeElement(p, n, {(a, images): 1}))
+    assert got == NilHeckeElement.from_polynomial(want) * d_w + x_a * d.apply_nh(d_w)
 
 
 # -- axiom verification -------------------------------------------------------
@@ -349,6 +396,27 @@ def test_basis_counts_match_the_enumerations():
     # verify_pdg's sweep at the CLI's default bound, n = 4, stays inside
     assert capped_binomial(16, 4, 10**9) + pdg_mod._nh_label_count(4, 12, 10**9) == 98831
     assert 98831 <= pdg_mod.BASIS_BUDGET
+    assert 98831 * 3 <= pdg_mod.WORK_BUDGET < 98831 * 5
+
+
+def _old_nh_labels(n, top_degree):
+    """The per-length enumeration _nh_labels replaced: one monomial list
+    per permutation length, filtered by degree, then sorted stably."""
+    out = []
+    for w in all_permutations(n):
+        length = w.length()
+        for exps in monomials_up_to_degree(n, top_degree + 2 * length):
+            deg = 2 * sum(exps) - 2 * length
+            if deg <= top_degree:
+                out.append((deg, (exps, w.images)))
+    return sorted(out, key=lambda item: item[0])
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_nh_labels_keep_their_order(n):
+    # verify_pdg's "first failing label" depends on this order
+    for bound in (0, 1, 2, 5, 8, 13):
+        assert pdg_mod._nh_labels(n, bound) == _old_nh_labels(n, bound)
 
 
 def test_builders_refuse_a_basis_over_the_budget(monkeypatch):
@@ -368,6 +436,37 @@ def test_builders_refuse_a_basis_over_the_budget(monkeypatch):
     monkeypatch.setattr(pdg_mod, "BASIS_BUDGET", 21)
     with pytest.raises(DomainError, match="over the work budget"):
         verify_pdg(khovanov_qi_derivation(3, 2), degree_bound=4)
+
+
+def test_budget_counts_p_steps_per_element(monkeypatch):
+    # 20 monomials of degree <= 6 in 3 variables take 60 steps at p = 3
+    # and 100 at p = 5; the element count alone is far inside its budget
+    monkeypatch.setattr(pdg_mod, "WORK_BUDGET", 60)
+    assert polynomial_space(3, 3, 6).total_dim() == 20
+    with pytest.raises(DomainError, match="its 20 elements take up to p=5 steps each"):
+        polynomial_space(5, 3, 6)
+    # 9 labels at n = 2 and degree <= 2
+    monkeypatch.setattr(pdg_mod, "WORK_BUDGET", 26)
+    with pytest.raises(DomainError, match="its 9 elements take up to p=3 steps each"):
+        nilhecke_space(3, 2, 2)
+    # verify_pdg: 6 monomials and 16 labels at degree <= 4, 22 * 3 = 66
+    monkeypatch.setattr(pdg_mod, "WORK_BUDGET", 66)
+    assert verify_pdg(khovanov_qi_derivation(3, 2), degree_bound=4)["all_ok"]
+    monkeypatch.setattr(pdg_mod, "WORK_BUDGET", 65)
+    with pytest.raises(DomainError, match="more than 65 in all"):
+        verify_pdg(khovanov_qi_derivation(3, 2), degree_bound=4)
+
+
+def test_derivation_builders_refuse_before_building(monkeypatch):
+    # n * n exponents against the budget, before any image is made
+    monkeypatch.setattr(pdg_mod, "WORK_BUDGET", 16)
+    assert khovanov_qi_derivation(3, 4).n == 4
+    assert twisted_derivation(3, 4, 1).n == 4
+    for build in (khovanov_qi_derivation, lambda p, n: twisted_derivation(p, n, 1)):
+        with pytest.raises(DomainError, match="the derivation with n=5 is over the work budget"):
+            build(3, 5)
+        with pytest.raises(DomainError, match="need at least one variable"):
+            build(3, 0)
 
 
 @pytest.mark.parametrize("n, bound", ((0, 8), (2, -2)))
@@ -454,20 +553,6 @@ def test_nilpotence_precondition_enforced():
     op = derivation_operator(space, broken, 1)
     with pytest.raises(StructureError):
         margolis_homology(space, op, 1)
-
-
-def _dense(op, d):
-    """The int64 matrix of op out of degree d, read from its sparse
-    columns; None at a boundary degree."""
-    space = op.space
-    cols = op.columns.get(d)
-    if cols is None and space.dim(d) and not space.complete:
-        return None
-    mat = np.zeros((space.dim(d + op.shift), space.dim(d)), dtype=np.int64)
-    for j, col in enumerate(cols or ()):
-        for i, c in col.items():
-            mat[i, j] = c
-    return mat
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -573,6 +658,51 @@ def test_rank_chain_matches_exact_integer_product(p, full):
             assert not any(ranks[len(mats) - start + 1 :])
 
 
+@st.composite
+def _graded_operator(draw):
+    """A graded space with up to six degrees 0, 2, 4, ... of dimension
+    0..5, complete or a truncation, and an operator of shift -2, 2 or 4
+    with sparse random columns; a degree may store no columns (a zero
+    map, or a boundary degree of a truncation) or only empty ones."""
+    p = draw(st.sampled_from(PRIMES))
+    dims = draw(st.lists(st.integers(0, 5), min_size=1, max_size=6))
+    complete = draw(st.booleans())
+    shift = draw(st.sampled_from((-2, 2, 4)))
+    space = GradedSpace(p, {2 * i: list(range(k)) for i, k in enumerate(dims)}, complete)
+    columns = {}
+    for d in space.degrees:
+        kind = draw(st.sampled_from(("random", "random", "none", "empty")))
+        if kind == "none":
+            continue
+        rows = space.dim(d + shift) if kind == "random" else 0
+        entry = st.dictionaries(st.integers(0, rows - 1), st.integers(1, p - 1), max_size=3)
+        columns[d] = [draw(entry) if rows else {} for _ in range(space.dim(d))]
+    return GradedOperator(space, shift, columns)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_graded_operator())
+def test_rank_chains_match_dense_powers(op):
+    # every degree of the space and the boundary degrees around it,
+    # where margolis_homology asks for chains out of an empty source
+    for d in range(-8, 2 * len(op.space.basis) + 10, 2):
+        assert op.ranks(d) == dense_power_ranks(op, d), d
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(PRIMES), st.integers(0, 7), st.data())
+def test_echelon_keeps_input_vectors_of_oracle_rank(p, cols, data):
+    # unreduced integers: multiples of p, negatives and large values
+    coeff = st.integers(-3 * p, 3 * p) | st.integers(-(10**30), 10**30)
+    vec = st.dictionaries(st.integers(0, cols - 1), coeff, max_size=cols) if cols else st.just({})
+    vectors = data.draw(st.lists(vec, max_size=8))
+    kept = _echelon(vectors, p)
+    mat = np.array([[v.get(j, 0) % p for j in range(cols)] for v in vectors], dtype=np.int64)
+    assert len(kept) == row_reduction_rank(mat.reshape(len(vectors), cols), p)
+    positions = [next(i for i, v in enumerate(vectors) if v is k) for k in kept]
+    assert positions == sorted(positions)  # the inputs themselves, in input order
+
+
 def test_powers_stop_at_a_boundary_degree():
     space = polynomial_space(2, 1, 6)
     op = derivation_operator(space, khovanov_qi_derivation(2, 1), 1)
@@ -635,31 +765,18 @@ def test_rank_matches_sympy_on_small_matrices(p, rows, cols, data):
     assert rank_mod_p(mat, p) == sympy_rank(mat, p)
 
 
-def _int64_power_matrix(op, d, k):
-    p = op.space.p
-    mat = np.eye(op.space.dim(d), dtype=np.int64)
-    cur = d
-    for _ in range(k):
-        step = _dense(op, cur)
-        if step is None:
-            return None
-        mat = (step.astype(np.int64) @ mat) % p
-        cur += op.shift
-    return mat
-
-
 def _reference_homology(space, op, s):
     """The int64 matrix-power and Python row-loop computation, one power
     matrix per degree and per use."""
     p = space.p
     for d in space.degrees:
-        full = _int64_power_matrix(op, d, p)
+        full = dense_power_matrix(op, d, p)
         if full is not None and full.size and (full % p).any():
             raise StructureError("operator is not p-nilpotent on this space")
     dims, excluded = {}, []
     for d in space.degrees:
-        ker_mat = _int64_power_matrix(op, d, s)
-        incoming = _int64_power_matrix(op, d - op.shift * (p - s), p - s)
+        ker_mat = dense_power_matrix(op, d, s)
+        incoming = dense_power_matrix(op, d - op.shift * (p - s), p - s)
         if ker_mat is None or incoming is None:
             excluded.append(d)
             continue

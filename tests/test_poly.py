@@ -7,6 +7,7 @@ import pytest
 from padem.errors import DivisibilityError, DomainError, MismatchError
 from padem.poly import (
     Polynomial,
+    _compositions,
     elementary_symmetric,
     exact_divide,
     is_sigma_invariant,
@@ -153,3 +154,32 @@ def test_monomial_enumeration():
     monos = monomials_up_to_degree(2, 6)
     assert (0, 0) in monos and (3, 0) in monos and (2, 2) not in monos
     assert len(monos) == 10  # exponent sums 0..3 in two variables
+
+
+def _recursive_compositions(total, n):
+    """The recursive enumeration monomials_up_to_degree used to make: the
+    first exponent ascending, then the rest in the same order."""
+    if n == 1:
+        return [(total,)]
+    return [
+        (first,) + rest
+        for first in range(total + 1)
+        for rest in _recursive_compositions(total - first, n - 1)
+    ]
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+def test_monomial_enumeration_keeps_its_order(n):
+    # the sweeps report the first failing monomial in this order
+    for bound in (0, 1, 2, 7, 12):
+        want = [m for total in range(bound // 2 + 1) for m in _recursive_compositions(total, n)]
+        assert list(monomials_up_to_degree(n, bound)) == want
+
+
+def test_monomial_enumeration_has_no_recursion_in_n():
+    # one frame per variable would pass Python's recursion limit here
+    n = 1500
+    assert monomials_up_to_degree(n, 0) == ((0,) * n,)
+    degree_one = _compositions(1, n)
+    assert len(degree_one) == n
+    assert degree_one[0] == (0,) * (n - 1) + (1,) and degree_one[-1] == (1,) + (0,) * (n - 1)
