@@ -12,15 +12,16 @@ relation D_i x_i - x_{i+1} D_i = 1 read as D_i f = d_i(f) + s_i(f) D_i,
 together with D_i D_w = D_{s_i w} or 0, which subsumes D_i^2 = 0 and the
 braid relation.  The divided difference of a monomial has the closed
 form (x^a y^b - x^b y^a) / (x - y) = +-(xy)^min(a,b) h_{|a-b|-1}(x, y),
-cached per exponent pair; it is the one kernel behind divided_difference,
-apply and the product.
+cached per exponent pair; it is the one closed form behind
+divided_difference, apply, the product and the relation sweep.
 
 Words over the letters ('x', i) for multiplication by x_i and ('d', j)
 for the divided difference at j are an input format: from_word
 multiplies them into the basis, and apply_word composes the generator
 actions one letter at a time on the terms of a polynomial as the
 word-level reference.  first_word_sum_mismatch compares two sums of
-words on a whole monomial sweep, one chunk of monomials per kernel call.
+words on a whole monomial sweep, one chunk of monomials per word, each
+monomial packed into one int with its chunk-local index on top.
 Elements are immutable after construction.
 """
 
@@ -189,8 +190,7 @@ def _divided_difference_terms(
     terms: dict[Monomial, int], j: int, p: int
 ) -> dict[Monomial, int]:
     """Terms of the divided difference at j of the polynomial with these
-    terms, monomial by monomial in closed form.  Only coordinates j and
-    j + 1 of a key are rewritten; see _word_terms for the trailing tag."""
+    terms, monomial by monomial in closed form."""
     out: dict[Monomial, int] = {}
     get = out.get
     for m, c in terms.items():
@@ -390,12 +390,9 @@ def require_apply_budget(e: NilHeckeElement, f: Polynomial) -> None:
 def _word_terms(word: Word, terms: dict[Monomial, int], p: int) -> dict[Monomial, int]:
     """Terms of word applied to the polynomial with these terms, one
     letter at a time, rightmost first: ('x', i) bumps the exponent of x_i
-    in every monomial, ('d', j) is the divided difference at j.
-
-    A letter rewrites only coordinates 1..n of a key, so a key may carry
-    extra trailing coordinates, and they come through every letter
-    unchanged.  first_word_sum_mismatch tags each monomial of a batch
-    with its sweep index this way, so the monomials of a batch never mix."""
+    in every monomial, ('d', j) is the divided difference at j.  The
+    tuple-keyed kernel behind apply_word and apply; the relation sweep
+    runs the same letters on packed int keys (_add_packed_word)."""
     for kind, i in reversed(word):
         if kind == "x":
             terms = {m[: i - 1] + (m[i - 1] + 1,) + m[i:]: c for m, c in terms.items()}
@@ -423,19 +420,67 @@ def _check_words(n: int, words) -> None:
             _check_letter(n, letter)
 
 
-def _word_sum_terms(words, terms: dict, p: int) -> dict:
-    out: dict = {}
-    get = out.get
-    for c, word in words:
-        for m, v in _word_terms(word, terms, p).items():
-            out[m] = get(m, 0) + c * v
-    return reduce_terms(out, p)
-
-
 # Monomials per batch in first_word_sum_mismatch: enough to spread the
 # per-word cost of a relation side over many monomials, few enough that a
 # batch's intermediate term dicts, and so peak memory, stay small.
 SWEEP_CHUNK = 64
+
+
+def _add_shifted(terms: dict[int, int], step: int, scale: int, out: dict[int, int]) -> None:
+    for k, c in terms.items():
+        key = k + step
+        if key in out:
+            out[key] += scale * c
+        else:
+            out[key] = scale * c
+
+
+def _add_packed_letter(
+    letter: Letter, terms: dict[int, int], scale: int, out: dict[int, int], width: int, tables
+) -> None:
+    """Add scale times the letter applied to packed monomials into out:
+    the exponent of x_i sits in the width bits from width * (i - 1) up.
+    ('x', i) adds one to that field; ('d', j) reads the fields a, b of x_j
+    and x_{j+1} and adds the offsets of the terms of _dd_pair(a, b), kept
+    in tables[j] under a | b << width.  Coefficients are not reduced."""
+    kind, i = letter
+    shift = width * (i - 1)
+    if kind == "x":
+        _add_shifted(terms, 1 << shift, scale, out)
+        return
+    table = tables[i]
+    pair = (1 << 2 * width) - 1
+    for k, c in terms.items():
+        ab = (k >> shift) & pair
+        offsets = table.get(ab)
+        if offsets is None:
+            a, b = ab & ((1 << width) - 1), ab >> width
+            offsets = table[ab] = tuple(
+                (((x - a) << shift) + ((y - b) << (shift + width)), sign)
+                for x, y, sign in _dd_pair(a, b)
+            )
+        c *= scale
+        for offset, sign in offsets:
+            key = k + offset
+            if key in out:
+                out[key] += c * sign
+            else:
+                out[key] = c * sign
+
+
+def _add_packed_word(
+    word: Word, terms: dict[int, int], scale: int, out: dict[int, int], width: int, tables
+) -> None:
+    """Add scale times word applied to packed monomials into out, one
+    letter at a time, rightmost first; the leftmost letter adds into out."""
+    for letter in reversed(word[1:]):
+        applied: dict[int, int] = {}
+        _add_packed_letter(letter, terms, 1, applied, width, tables)
+        terms = applied
+    if word:
+        _add_packed_letter(word[0], terms, scale, out, width, tables)
+    else:
+        _add_shifted(terms, 0, scale, out)
 
 
 def first_word_sum_mismatch(lhs, rhs, monomials, p: int, n: int) -> int | None:
@@ -443,18 +488,34 @@ def first_word_sum_mismatch(lhs, rhs, monomials, p: int, n: int) -> int | None:
     words lhs and rhs differ, or None when they agree on all of them.
 
     Agrees with comparing the sums of apply_word values on each monomial
-    one by one, but each side runs once per chunk of SWEEP_CHUNK
-    monomials: the chunk is one batch of keys exps + (index,), and the
-    index coordinate passes through every letter (see _word_terms)."""
+    one by one, but each word runs once per chunk of SWEEP_CHUNK
+    monomials, on keys that are ints: each exponent gets a field of width
+    bits and the chunk-local index the field above them.  A letter never
+    takes an exponent past the largest one plus the x letters of its word
+    (a divided difference lowers max(a, b)), so width is chosen to hold
+    that and no field overflows into the next.  lhs minus rhs is summed
+    into one dict of unreduced coefficients, and the chunk fails where
+    one of them is nonzero mod p."""
     _check_words(n, (*lhs, *rhs))
+    if not monomials:
+        return None
+    words = [(c, word) for c, word in lhs] + [(-c, word) for c, word in rhs]
+    lifts = max((sum(kind == "x" for kind, _ in word) for _, word in words), default=0)
+    width = (max(map(max, monomials)) + lifts).bit_length() or 1
+    tables: dict[int, dict] = {j: {} for j in range(1, n)}
     for start in range(0, len(monomials), SWEEP_CHUNK):
-        chunk = monomials[start : start + SWEEP_CHUNK]
-        batch = {exps + (i,): 1 for i, exps in enumerate(chunk, start)}
-        left = _word_sum_terms(lhs, batch, p)
-        right = _word_sum_terms(rhs, batch, p)
-        if left != right:
-            differ = (k for k in left.keys() | right.keys() if left.get(k) != right.get(k))
-            return min(k[-1] for k in differ)
+        batch = {}
+        for index, exps in enumerate(monomials[start : start + SWEEP_CHUNK]):
+            key = index
+            for e in reversed(exps):
+                key = key << width | e
+            batch[key] = 1
+        diff: dict[int, int] = {}
+        for c, word in words:
+            _add_packed_word(word, batch, c, diff, width, tables)
+        failing = [k for k, v in diff.items() if v % p]
+        if failing:
+            return start + (min(failing) >> (width * n))
     return None
 
 
@@ -478,6 +539,10 @@ def all_permutations(n: int) -> list[Permutation]:
     return [Permutation(images) for images in itertools.permutations(range(1, n + 1))]
 
 
+# Most monomials the sweep of reconstruct_operator may check.
+RECONSTRUCT_BUDGET = 100_000
+
+
 def reconstruct_operator(
     p: int,
     n: int,
@@ -492,10 +557,17 @@ def reconstruct_operator(
     one D_w coefficient at a time) and then checked against fn on every
     monomial within the degree bound.  Operators that are not actually
     nilHecke elements fail the check and raise ReconstructionError.  A
-    negative bound, whose sweep would check nothing, raises DomainError.
+    negative bound, whose sweep would check nothing, raises DomainError,
+    and so does a sweep of more than RECONSTRUCT_BUDGET monomials, counted
+    as C(degree_bound // 2 + n, n) before any Schubert value is built.
     """
     if degree_bound < 0:
         raise DomainError(f"degree bound {degree_bound} must be nonnegative")
+    if capped_binomial(degree_bound // 2 + n, n, RECONSTRUCT_BUDGET) > RECONSTRUCT_BUDGET:
+        raise DomainError(
+            f"the reconstruction sweep up to degree {degree_bound} with n={n} is over "
+            f"the work budget: it checks more than {RECONSTRUCT_BUDGET} monomials"
+        )
     perms = sorted(all_permutations(n), key=lambda w: (w.length(), w.images))
     parts: dict[Permutation, Polynomial] = {}
     for w in perms:

@@ -630,25 +630,35 @@ def verify_pdg(d: Derivation, degree_bound: int = 20, seed: int = 0) -> dict:
 def _first_non_nilpotent(p: int, basis, image):
     """The first basis element, in the order given, on which d^p is
     nonzero, or None.  image(key) is d of one basis element as {key:
-    coefficient}; each key's image is computed once per call and kept,
-    so the p-fold iterations from all the basis elements share them."""
-    images: dict = {}
+    coefficient}.  Each key gets a dense index the first time it is seen,
+    and its image is computed once per call and kept as a list of (index,
+    coefficient), so the p-fold iterations from all the basis elements
+    share the images and run on int keys."""
+    index: dict = {}
+    keys: list = []  # keys[i] has index i
+    rows: dict[int, list[tuple[int, int]]] = {}
 
-    def apply(terms: dict) -> dict:
-        out: dict = {}
-        get = out.get
-        for key, c in terms.items():
-            img = images.get(key)
-            if img is None:
-                img = images[key] = image(key)
-            for k, v in img.items():
-                out[k] = get(k, 0) + c * v
-        return reduce_terms(out, p)
+    def intern(key) -> int:
+        i = index.get(key)
+        if i is None:
+            i = index[key] = len(keys)
+            keys.append(key)
+        return i
 
     for key in basis:
-        terms = {key: 1}
+        terms = {intern(key): 1}
         for _ in range(p):
-            terms = apply(terms)
+            out: dict[int, int] = {}
+            for i, c in terms.items():
+                row = rows.get(i)
+                if row is None:
+                    row = rows[i] = [(intern(k), v) for k, v in image(keys[i]).items()]
+                for j, v in row:
+                    if j in out:
+                        out[j] += c * v
+                    else:
+                        out[j] = c * v
+            terms = {j: r for j, c in out.items() if (r := c % p)}
         if terms:
             return key
     return None

@@ -4,8 +4,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padem import nilhecke, pdg, verify
+from padem.arith import capped_binomial
 from padem.errors import DivisibilityError, DomainError
 from padem.nilhecke import (
     SWEEP_CHUNK,
@@ -244,6 +247,89 @@ def test_relation_sweep_passes_true_relations(p, n, degree_bound):
     assert verify.check_nilhecke_relations(p, n, degree_bound).ok
 
 
+def _normal_form_words(lhs, p, n):
+    """The basis terms c x^a D_w of the sum of words lhs, each written
+    back as a word: a_i letters x_i to the left of the reduced word of w.
+    The same operator as lhs, through other letters."""
+    e = sum(
+        (NilHeckeElement.from_word(p, n, word, c) for c, word in lhs),
+        NilHeckeElement.zero(p, n),
+    )
+    words = []
+    for (exps, images), c in e.terms.items():
+        xs = tuple(("x", i + 1) for i, a in enumerate(exps) for _ in range(a))
+        words.append((c, xs + nilhecke._d_word(images)))
+    return tuple(words)
+
+
+@st.composite
+def _word_sums(draw):
+    """(p, n, lhs, rhs, monomials): rhs is the normal form of lhs, and so
+    agrees with it everywhere, plus at times one more word ending in D1,
+    which makes a mismatch on the first monomial with a1 != a2 once its
+    coefficient is nonzero mod p; a prefix of the monomials has a1 = a2,
+    so that one may come late, in any chunk.  Exponents sit at and next
+    to 2^k - 1, and the x letters of the normal form carry them past it."""
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.sampled_from((2, 3, 4)))
+    x_letter = st.tuples(st.just("x"), st.integers(1, n))
+    letter = st.one_of(x_letter, st.tuples(st.just("d"), st.integers(1, n - 1)))
+    coefficient = st.integers(-p, 2 * p)
+    word = st.tuples(coefficient, st.lists(letter, max_size=4).map(tuple))
+    lhs = tuple(draw(st.lists(word, min_size=1, max_size=3)))
+    rhs = _normal_form_words(lhs, p, n)
+    killed_on_prefix = st.lists(x_letter, max_size=2).map(lambda xs: (*xs, ("d", 1)))
+    rhs += tuple(draw(st.lists(st.tuples(coefficient, killed_on_prefix), max_size=1)))
+    exponent = st.sampled_from((0, 1, 2, 3, 4, 7, 8, 15))
+    count = draw(st.integers(1, 2 * SWEEP_CHUNK + 10))
+    monomials = draw(st.lists(st.tuples(*[exponent] * n), min_size=count, max_size=count))
+    prefix = draw(st.integers(0, count))
+    monomials = [(m[0], m[0], *m[2:]) for m in monomials[:prefix]] + monomials[prefix:]
+    return p, n, lhs, rhs, monomials
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_word_sums())
+def test_packed_sweep_matches_the_word_reference(case):
+    p, n, lhs, rhs, monomials = case
+    want = next(
+        (
+            i
+            for i, exps in enumerate(monomials)
+            if apply_word_sum(lhs, f := Polynomial.monomial(p, n, exps))
+            != apply_word_sum(rhs, f)
+        ),
+        None,
+    )
+    assert first_word_sum_mismatch(lhs, rhs, monomials, p, n) == want
+    assert first_word_sum_mismatch(rhs, lhs, monomials, p, n) == want
+
+
+_DD_PAIR = nilhecke._dd_pair
+
+
+def _flipped_sign(a, b):
+    return tuple((x, y, -sign) for x, y, sign in _DD_PAIR(a, b))
+
+
+def _dropped_term(a, b):
+    return _DD_PAIR(a, b)[1:]
+
+
+def _unsigned(a, b):
+    return tuple((x, y, 1) for x, y, _ in _DD_PAIR(a, b))
+
+
+@pytest.mark.parametrize("fault", (_flipped_sign, _dropped_term, _unsigned))
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_relation_sweep_checks_the_shared_closed_form(monkeypatch, fault, n):
+    # divided_difference, apply, the product and the relation sweep all
+    # read _dd_pair; a wrong closed form must fail the sweep
+    assert verify.check_nilhecke_relations(3, n, 12).ok
+    monkeypatch.setattr(nilhecke, "_dd_pair", fault)
+    assert not verify.check_nilhecke_relations(3, n, 12).ok
+
+
 def test_word_sum_mismatch_checks_letters():
     monos = monomials_up_to_degree(3, 4)
     with pytest.raises(DomainError):
@@ -436,6 +522,27 @@ def test_reconstruct_operator_rejects_non_nilhecke():
 
     with pytest.raises(ReconstructionError):
         reconstruct_operator(p, n, frobenius, 8)
+
+
+def test_reconstruction_budget_refuses_only_above_the_budget(monkeypatch):
+    # the count is C(degree_bound // 2 + n, n), the monomials of the sweep
+    p, n = 3, 2
+    d1 = NilHeckeElement.d_gen(p, n, 1)
+    assert len(monomials_up_to_degree(n, 9)) == 15
+    monkeypatch.setattr(nilhecke, "RECONSTRUCT_BUDGET", 15)
+    assert reconstruct_operator(p, n, d1.apply, 9) == d1
+    with pytest.raises(DomainError, match="checks more than 15 monomials"):
+        reconstruct_operator(p, n, d1.apply, 10)
+
+
+def test_reconstruction_bounds_in_use_stay_inside_the_budget():
+    # n = 4 at degree 24 is the largest reconstruction the tests,
+    # verify-all, the README and the benchmark ask for; margolis --op at
+    # n = 2, degree 400 is slow but inside, and at n = 3 it is refused
+    budget = nilhecke.RECONSTRUCT_BUDGET
+    assert len(monomials_up_to_degree(4, 24)) <= budget
+    assert len(monomials_up_to_degree(2, 400)) == 20301 <= budget
+    assert capped_binomial(200 + 3, 3, 10**9) == 1373701 > budget
 
 
 def test_reconstruction_rejects_a_negative_degree_bound():

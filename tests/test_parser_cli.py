@@ -267,6 +267,19 @@ def test_cli_margolis_rejects_a_negative_degree_bound(capsys):
     assert err == "error: degree bound -1 must be nonnegative\n"
 
 
+def test_cli_margolis_over_reconstruction_budget_exits_3_fast(capsys):
+    # C(203, 3) = 1,373,701 monomials would certify the reconstruction
+    argv = ("margolis", "--t", "1", "--op", "D1", "-p", "3", "-n", "3", "-D", "400")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: the reconstruction sweep up to degree 400 with n=3 is over "
+        "the work budget: it checks more than 100000 monomials\n"
+    )
+
+
 GRADED_QUERIES = {
     "act": ("act", "P(2)*P(1)", "on", "x1^2*x2", "-p", "5", "-n", "2"),
     "margolis-on": ("margolis", "--t", "2", "--on", "x1*x2", "-p", "3", "-n", "2"),
@@ -603,6 +616,19 @@ def test_cli_verify_all_reports_a_raising_check(capsys, monkeypatch):
         failed if "bar-closed-form" in line else line for line in clean.splitlines()[:-1]
     ]
     assert out.splitlines() == expected + ["passed 16 failed 1"]
+
+
+def test_cli_verify_all_output_is_the_recorded_one(capsys):
+    # the recorded text stdout, then JSON stdout, of verify-all -p 3
+    # --seed 0: a change to the sweeps must report the same checks, in the
+    # same order, with the same details
+    golden = (Path(__file__).parent / "data" / "verify_all_p3_seed0.txt").read_text()
+    argv = ("verify-all", "-p", "3", "--seed", "0")
+    code, text, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    code, payload, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert text + payload == golden
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_json():
