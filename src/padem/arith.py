@@ -332,6 +332,17 @@ def capped_binomial(n: int, k: int, cap: int) -> int:
     return out
 
 
+def capped_factorial(n: int, cap: int) -> int:
+    """n!, or some number above cap once it is known to exceed it: the
+    product stops at the first factor that takes it over cap."""
+    out = 1
+    for i in range(2, n + 1):
+        out *= i
+        if out > cap:
+            break
+    return out
+
+
 @functools.cache
 def _euler_row(n: int, p: int) -> tuple[int, ...]:
     # Coefficients of (1 + x + ... + x^(p-1))^n mod p, by repeated

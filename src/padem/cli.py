@@ -29,7 +29,6 @@ from .steenrod import (
     ACTIONS,
     GRADING_COMPRESSED,
     GRADING_TOPOLOGICAL,
-    GRADINGS,
     act,
     adem_normalize,
     bar_act_element,
@@ -61,7 +60,7 @@ def _prime(args) -> int:
         raise UsageError(f"{ENV_PRIME} is not an integer: {raw!r}")
 
 
-def _add_common(sub, *, num_vars=True, degree=False, grading=False, action=False):
+def _add_common(sub, *, num_vars=True, degree=False, action=False):
     sub.add_argument("-p", "--prime", type=int, default=None, help="coefficient prime")
     if num_vars:
         sub.add_argument("-n", "--num-vars", type=int, default=3, help="variable count")
@@ -69,8 +68,6 @@ def _add_common(sub, *, num_vars=True, degree=False, grading=False, action=False
         sub.add_argument(
             "-D", "--degree-bound", type=int, default=24, help="verification degree bound"
         )
-    if grading:
-        sub.add_argument("--grading", choices=GRADINGS, default=GRADING_TOPOLOGICAL)
     if action:
         sub.add_argument("--action", choices=ACTIONS, default=ACTION_STANDARD)
     sub.add_argument("--format", choices=("text", "json"), default="text")
@@ -90,7 +87,7 @@ def build_parser() -> _ArgumentParser:
     sub.add_argument("expr")
     sub.add_argument("keyword", metavar="on")
     sub.add_argument("poly")
-    _add_common(sub, grading=True, action=True)
+    _add_common(sub, action=True)
 
     nh = subs.add_parser("nh", help="nilHecke operator computations")
     nh_subs = nh.add_subparsers(dest="nh_command", required=True)
@@ -117,13 +114,15 @@ def build_parser() -> _ArgumentParser:
     sub.add_argument("--t", type=int, required=True)
     sub.add_argument("--on", dest="on_poly", default=None, help="polynomial expression")
     sub.add_argument("--op", dest="on_op", default=None, help="operator expression")
-    _add_common(sub, degree=True, grading=True, action=True)
+    _add_common(sub, degree=True, action=True)
 
     pdg = subs.add_parser("pdg", help="p-nilpotent derivation tools")
     pdg_subs = pdg.add_subparsers(dest="pdg_command", required=True)
     sub = pdg_subs.add_parser("verify", help="check the derivation axioms")
     sub.set_defaults(handler=_cmd_pdg_verify)
-    sub.add_argument("--twist", type=int, default=None, help="twisting parameter a")
+    sub.add_argument(
+        "--twist", type=int, default=0, help="twisting parameter a (default 0, Khovanov-Qi)"
+    )
     sub.add_argument("--seed", type=int, default=0)
     _add_common(sub, degree=True)
     sub = pdg_subs.add_parser("homology", help="slash homology of a truncation")
@@ -188,7 +187,7 @@ def _cmd_act(args):
     p = _prime(args)
     e = _evaluate(args.expr, TARGET_STEENROD, p, args.num_vars)
     f = _evaluate(args.poly, TARGET_POLYNOMIAL, p, args.num_vars)
-    return _answer(act(e, f, args.action), prime=p, action=args.action, grading=args.grading)
+    return _answer(act(e, f, args.action), prime=p, action=args.action)
 
 
 def _cmd_nh_apply(args):
@@ -235,10 +234,7 @@ def _cmd_margolis(args):
 
 def _cmd_pdg_verify(args):
     p = _prime(args)
-    if args.twist is None:
-        derivation = pdg_mod.khovanov_qi_derivation(p, args.num_vars)
-    else:
-        derivation = pdg_mod.twisted_derivation(p, args.num_vars, args.twist)
+    derivation = pdg_mod.twisted_derivation(p, args.num_vars, args.twist)
     report = pdg_mod.verify_pdg(derivation, args.degree_bound, seed=args.seed)
     keys = ("leibniz_ok", "relations_ok", "p_nilpotent_ok", "all_ok")
     payload = {"prime": p, "num_vars": args.num_vars, **{key: report[key] for key in keys}}

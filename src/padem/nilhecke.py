@@ -31,7 +31,7 @@ import functools
 import itertools
 from operator import add
 
-from .arith import LinearCombination, capped_binomial, reduce_terms, require_ring
+from .arith import LinearCombination, capped_binomial, capped_factorial, reduce_terms, require_ring
 from .errors import DomainError, MismatchError, ReconstructionError
 from .poly import (
     Monomial,
@@ -539,7 +539,8 @@ def all_permutations(n: int) -> list[Permutation]:
     return [Permutation(images) for images in itertools.permutations(range(1, n + 1))]
 
 
-# Most monomials the sweep of reconstruct_operator may check.
+# Most monomials the sweep of reconstruct_operator may check, and most
+# pairs of permutations its peeling may take.
 RECONSTRUCT_BUDGET = 100_000
 
 
@@ -559,7 +560,9 @@ def reconstruct_operator(
     nilHecke elements fail the check and raise ReconstructionError.  A
     negative bound, whose sweep would check nothing, raises DomainError,
     and so does a sweep of more than RECONSTRUCT_BUDGET monomials, counted
-    as C(degree_bound // 2 + n, n) before any Schubert value is built.
+    as C(degree_bound // 2 + n, n), or more than RECONSTRUCT_BUDGET pairs
+    of a permutation with an earlier one, counted as n!(n! - 1)/2 with n!
+    capped: both before any Schubert value is built.
     """
     if degree_bound < 0:
         raise DomainError(f"degree bound {degree_bound} must be nonnegative")
@@ -567,6 +570,12 @@ def reconstruct_operator(
         raise DomainError(
             f"the reconstruction sweep up to degree {degree_bound} with n={n} is over "
             f"the work budget: it checks more than {RECONSTRUCT_BUDGET} monomials"
+        )
+    perms = capped_factorial(n, RECONSTRUCT_BUDGET)
+    if perms * (perms - 1) // 2 > RECONSTRUCT_BUDGET:
+        raise DomainError(
+            f"the reconstruction with n={n} is over the work budget: its n! "
+            f"permutations form more than {RECONSTRUCT_BUDGET} pairs"
         )
     perms = sorted(all_permutations(n), key=lambda w: (w.length(), w.images))
     parts: dict[Permutation, Polynomial] = {}

@@ -14,7 +14,7 @@ import random
 from bisect import bisect_right
 from operator import add, itemgetter
 
-from .arith import _echelon, capped_binomial, reduce_terms, require_ring
+from .arith import _echelon, capped_binomial, capped_factorial, reduce_terms, require_ring
 from .errors import DomainError, MismatchError, StructureError
 from .nilhecke import (
     NilHeckeElement,
@@ -83,21 +83,20 @@ class Derivation:
         f._check_compatible(self)
         return Polynomial._raw(self.p, self.n, self._poly_terms(f.terms))
 
-    def _letter_image(self, letter) -> NilHeckeElement:
-        kind, i = letter
-        if kind == "x":
-            return NilHeckeElement.from_polynomial(self.x_images[i - 1])
-        return self.d_images[i - 1]
-
     def apply_words(self, words) -> NilHeckeElement:
         """d of a sum ((coeff, letters), ...) of generator words, by the
         Leibniz rule letter by letter."""
-        out = NilHeckeElement.zero(self.p, self.n)
+        p, n = self.p, self.n
+        out = NilHeckeElement.zero(p, n)
         for c, word in words:
-            for j in range(len(word)):
-                head = NilHeckeElement.from_word(self.p, self.n, word[:j], c)
-                tail = NilHeckeElement.from_word(self.p, self.n, word[j + 1 :])
-                out = out + head * self._letter_image(word[j]) * tail
+            for j, (kind, i) in enumerate(word):
+                if kind == "x":
+                    image = NilHeckeElement.from_polynomial(self.x_images[i - 1])
+                else:
+                    image = self.d_images[i - 1]
+                head = NilHeckeElement.from_word(p, n, word[:j], c)
+                tail = NilHeckeElement.from_word(p, n, word[j + 1 :])
+                out = out + head * image * tail
         return out
 
     def _permutation_terms(self, images: tuple[int, ...]) -> dict:
@@ -109,15 +108,16 @@ class Derivation:
             self._d_permutation[images] = terms
         return terms
 
-    def apply_nh(self, e: NilHeckeElement) -> NilHeckeElement:
-        """Leibniz on the basis: d(x^a D_w) = d(x^a) D_w + x^a d(D_w).
-        d(x^a) D_w is written from the exponent shifts as in _poly_terms,
-        and x^a d(D_w) shifts the exponents of the cached d(D_w)."""
-        e._check_compatible(self)
+    def _nh_terms(self, terms: dict) -> dict:
+        """Terms of d applied to the nilHecke element with these basis
+        terms, by Leibniz on the basis: d(x^a D_w) = d(x^a) D_w + x^a
+        d(D_w).  d(x^a) D_w is written from the exponent shifts as in
+        _poly_terms, and x^a d(D_w) shifts the exponents of the cached
+        d(D_w)."""
         out: dict = {}
         get = out.get
         shifts = self._x_shifts
-        for (exps, images), c in e.terms.items():
+        for (exps, images), c in terms.items():
             for i, a in enumerate(exps):
                 if a:
                     ca = c * a
@@ -127,63 +127,46 @@ class Derivation:
             for (b, w), v in self._permutation_terms(images).items():
                 key = (tuple(map(add, exps, b)), w)
                 out[key] = get(key, 0) + c * v
-        return NilHeckeElement._raw(self.p, self.n, reduce_terms(out, self.p))
+        return reduce_terms(out, self.p)
 
-    def _nh_basis_terms(self, label) -> dict:
-        """Terms of d(x^a D_w) for the basis label (a, images of w)."""
-        return self.apply_nh(NilHeckeElement._raw(self.p, self.n, {label: 1})).terms
+    def apply_nh(self, e: NilHeckeElement) -> NilHeckeElement:
+        e._check_compatible(self)
+        return NilHeckeElement._raw(self.p, self.n, self._nh_terms(e.terms))
 
 
 def khovanov_qi_derivation(p: int, n: int) -> Derivation:
-    """The differential with x_i -> x_i^2 and D_i -> -(x_i + x_{i+1}) D_i.
+    """The differential with x_i -> x_i^2 and D_i -> -(x_i + x_{i+1}) D_i:
+    twisted_derivation(p, n, 0).
 
     At p = 2 the sign is invisible.  At odd primes this sign on the D_i
     image is the one compatible with the Leibniz extension across the
     relation D_i x_i - x_{i+1} D_i = 1; it is the commutator with the
-    polynomial differential and coincides with twisted_derivation(p, n, 0).
+    polynomial differential.
     """
-    _require_derivation_budget(p, n)
-    x_images = [
-        Polynomial.variable(p, n, i) * Polynomial.variable(p, n, i)
-        for i in range(1, n + 1)
-    ]
-    d_images = []
-    for i in range(1, n):
-        coeff = Polynomial.variable(p, n, i) + Polynomial.variable(p, n, i + 1)
-        d_images.append(
-            NilHeckeElement.from_polynomial(coeff)
-            * NilHeckeElement.d_gen(p, n, i)
-            * (p - 1)
-        )
-    return Derivation(p, n, x_images, d_images)
+    return twisted_derivation(p, n, 0)
 
 
 def twisted_derivation(p: int, n: int, a: int) -> Derivation:
     """The twisted differential: x_i -> x_i^2 and
     D_i -> a - (a+1) x_i D_i + (a-1) x_{i+1} D_i.
 
-    Setting a = 0 recovers khovanov_qi_derivation.  The family arises by
+    Setting a = 0 gives khovanov_qi_derivation.  The family arises by
     conjugating the polynomial differential with multiplication by
     x_2^a x_3^{2a} ... x_n^{(n-1)a}; the tests check the images against
-    that conjugation (conjugated_twist_image in tests/oracles.py).
+    that conjugation (conjugated_twist_image in tests/oracles.py).  The
+    images are written on their normal-form labels: x_i D_i is x^(e_i)
+    D_(s_i).
     """
     _require_derivation_budget(p, n)
-    x_images = [
-        Polynomial.variable(p, n, i) * Polynomial.variable(p, n, i)
-        for i in range(1, n + 1)
-    ]
+    zero = (0,) * n
+    identity = tuple(range(1, n + 1))
+    unit = [zero[:i] + (1,) + zero[i + 1 :] for i in range(n)]  # unit[i] = e_(i+1)
+    x_images = [Polynomial._raw(p, n, {tuple(2 * e for e in m): 1}) for m in unit]
     d_images = []
     for i in range(1, n):
-        img = (
-            NilHeckeElement.one(p, n) * a
-            + NilHeckeElement.from_polynomial(Polynomial.variable(p, n, i))
-            * NilHeckeElement.d_gen(p, n, i)
-            * (-(a + 1))
-            + NilHeckeElement.from_polynomial(Polynomial.variable(p, n, i + 1))
-            * NilHeckeElement.d_gen(p, n, i)
-            * (a - 1)
-        )
-        d_images.append(img)
+        s_i = identity[: i - 1] + (i + 1, i) + identity[i + 1 :]
+        terms = {(zero, identity): a, (unit[i - 1], s_i): -(a + 1), (unit[i], s_i): a - 1}
+        d_images.append(NilHeckeElement._raw(p, n, reduce_terms(terms, p)))
     return Derivation(p, n, x_images, d_images)
 
 
@@ -403,11 +386,9 @@ def _nh_label_count(n: int, half: int, cap: int) -> int:
     over lengths l of C(half + l + n, n) times the number of permutations
     with l inversions.  Every permutation has a label (a = 0), so n! above
     the cap decides before those numbers are made."""
-    size = 1
-    for i in range(2, n + 1):
-        size *= i
-        if size > cap:
-            return size
+    size = capped_factorial(n, cap)
+    if size > cap:
+        return size
     inversions = [1]  # inversions[l]: permutations of 1..i with l inversions
     for i in range(2, n + 1):
         inversions = [
@@ -479,24 +460,6 @@ def polynomial_space(
     return space
 
 
-def _ideal_projector(space: GradedSpace):
-    """Quotient projection for monomial-power quotients.
-
-    Striking out monomials in the ideal is the induced map on the
-    quotient; the ideal is stable under every operator used here because
-    their images only raise exponents."""
-    powers = space.monomial_powers
-
-    def project(terms: dict[Monomial, int]) -> dict[Monomial, int]:
-        if powers is None:
-            return terms
-        return {
-            m: c for m, c in terms.items() if all(e < k for e, k in zip(m, powers))
-        }
-
-    return project
-
-
 def _require_shift(d: Derivation) -> int:
     if d.shift is None:
         raise StructureError("the derivation has no uniform degree shift")
@@ -511,10 +474,16 @@ def derivation_operator(
     if n != d.n:
         raise MismatchError(f"a derivation in {d.n} variables on monomials in {n}")
     shift = _require_shift(d)
-    project = _ideal_projector(space)
+    powers = space.monomial_powers
 
     def fn(exps: Monomial) -> dict[Monomial, int]:
-        return project(d._poly_terms({exps: 1}))
+        # on a monomial-power quotient, striking out the monomials in the
+        # ideal is the induced map: d only raises exponents, so the ideal
+        # is stable under it
+        terms = d._poly_terms({exps: 1})
+        if powers is None:
+            return terms
+        return {m: c for m, c in terms.items() if all(e < k for e, k in zip(m, powers))}
 
     return GradedOperator.from_callable(space, fn, shift)
 
@@ -551,7 +520,7 @@ def nilhecke_space(p: int, n: int, top_degree: int) -> GradedSpace:
 
 def nh_derivation_operator(space: GradedSpace, d: Derivation) -> GradedOperator:
     shift = _require_shift(d)
-    return GradedOperator.from_callable(space, d._nh_basis_terms, shift)
+    return GradedOperator.from_callable(space, lambda label: d._nh_terms({label: 1}), shift)
 
 
 # -- verification --------------------------------------------------------
@@ -579,25 +548,22 @@ def verify_pdg(d: Derivation, degree_bound: int = 20, seed: int = 0) -> dict:
     mono_pool = [m for m in monomials_up_to_degree(n, degree_bound // 2) if sum(m)]
     if not mono_pool:  # degree_bound < 4: the pairs are drawn from the variables
         mono_pool = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    sides = (
+        ("polynomial", d.apply_poly, lambda: _random_poly(rng, p, n, mono_pool)),
+        (
+            "operator",
+            d.apply_nh,
+            lambda: NilHeckeElement.from_word(p, n, *random_nh_word(rng, p, n)),
+        ),
+    )
     leibniz_ok = True
-    for _ in range(LEIBNIZ_SAMPLES):
-        f = _random_poly(rng, p, n, mono_pool)
-        g = _random_poly(rng, p, n, mono_pool)
-        lhs = d.apply_poly(f * g)
-        rhs = d.apply_poly(f) * g + f * d.apply_poly(g)
-        if lhs != rhs:
-            leibniz_ok = False
-            failures.append(f"polynomial Leibniz fails on {f} | {g}")
-            break
-    for _ in range(LEIBNIZ_SAMPLES):
-        u = _random_nh(rng, p, n)
-        v = _random_nh(rng, p, n)
-        lhs = d.apply_nh(u * v)
-        rhs = d.apply_nh(u) * v + u * d.apply_nh(v)
-        if lhs != rhs:
-            leibniz_ok = False
-            failures.append("operator Leibniz fails on a random word pair")
-            break
+    for side, apply, draw in sides:
+        for _ in range(LEIBNIZ_SAMPLES):
+            u, v = draw(), draw()
+            if apply(u * v) != apply(u) * v + u * apply(v):
+                leibniz_ok = False
+                failures.append(f"{side} Leibniz fails on {u} | {v}")
+                break
 
     relations_ok = True
     for name, lhs, rhs in nilhecke_relations(p, n):
@@ -613,7 +579,7 @@ def verify_pdg(d: Derivation, degree_bound: int = 20, seed: int = 0) -> dict:
         failures.append(f"d^{p} != 0 on the monomial with exponents {m}")
     if relations_ok:
         labels = [label for _, label in _nh_labels(n, degree_bound)]
-        label = _first_non_nilpotent(p, labels, d._nh_basis_terms)
+        label = _first_non_nilpotent(p, labels, lambda label: d._nh_terms({label: 1}))
         if label is not None:
             p_nilpotent_ok = False
             failures.append(f"d^{p} != 0 on x^{label[0]} D_{label[1]}")
@@ -681,7 +647,3 @@ def random_nh_word(rng, p: int, n: int) -> tuple[tuple, int]:
         else:
             letters.append(("d", rng.randint(1, n - 1)))
     return tuple(letters), rng.randrange(1, p)
-
-
-def _random_nh(rng, p, n) -> NilHeckeElement:
-    return NilHeckeElement.from_word(p, n, *random_nh_word(rng, p, n))

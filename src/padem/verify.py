@@ -18,7 +18,7 @@ import math
 import random
 
 from . import groth, pdg
-from .arith import binomial_mod_p, require_ring
+from .arith import Record, binomial_mod_p, require_ring
 from .errors import DomainError, PademError
 from .nilhecke import (
     NilHeckeElement,
@@ -41,24 +41,14 @@ from .steenrod import (
 )
 
 
-class Check:
+class Check(Record):
     """One check's outcome: its name, whether it passed, and a detail
     that says what failed."""
 
     __slots__ = ("name", "ok", "detail")
 
     def __init__(self, name: str, ok: bool, detail: str = ""):
-        self.name = name
-        self.ok = ok
-        self.detail = detail
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Check:
-            return NotImplemented
-        return (self.name, self.ok, self.detail) == (other.name, other.ok, other.detail)
-
-    def __repr__(self) -> str:
-        return f"Check(name={self.name!r}, ok={self.ok!r}, detail={self.detail!r})"
+        self._set(name, ok, detail)
 
 
 def _random_monomial(rng, n, max_exp_sum):
@@ -245,14 +235,12 @@ def check_margolis_generators(p, n, max_t) -> Check:
 
 
 def check_pdg(p, n, degree_bound, seed) -> Check:
-    for a in (None, 0, 1, 2):
-        if a is None:
-            d = pdg.khovanov_qi_derivation(p, n)
-        else:
-            d = pdg.twisted_derivation(p, n, a)
+    # the Khovanov-Qi derivation is the twist a = 0
+    derivations = [("khovanov-qi", pdg.khovanov_qi_derivation(p, n))]
+    derivations += [(f"twist a={a}", pdg.twisted_derivation(p, n, a)) for a in (1, 2)]
+    for label, d in derivations:
         report = pdg.verify_pdg(d, degree_bound=degree_bound, seed=seed)
         if not report["all_ok"]:
-            label = "khovanov-qi" if a is None else f"twist a={a}"
             return Check("pdg-verify", False, f"{label}: {report['failures'][:1]}")
     return Check("pdg-verify", True)
 

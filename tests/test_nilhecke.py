@@ -535,6 +535,21 @@ def test_reconstruction_budget_refuses_only_above_the_budget(monkeypatch):
         reconstruct_operator(p, n, d1.apply, 10)
 
 
+def test_reconstruction_pairs_refuse_only_above_the_budget(monkeypatch):
+    # the count is n!(n! - 1)/2, each permutation paired with every
+    # earlier one: 15 at n = 3, where the sweep at degree 2 is 4 monomials
+    p, n = 3, 3
+    d1 = NilHeckeElement.d_gen(p, n, 1)
+    # n! is capped, so a huge n is refused at once
+    with pytest.raises(DomainError, match="n=100000 is over the work budget"):
+        reconstruct_operator(p, 100_000, d1.apply, 0)
+    monkeypatch.setattr(nilhecke, "RECONSTRUCT_BUDGET", 15)
+    assert reconstruct_operator(p, n, d1.apply, 2) == d1
+    monkeypatch.setattr(nilhecke, "RECONSTRUCT_BUDGET", 14)
+    with pytest.raises(DomainError, match="permutations form more than 14 pairs"):
+        reconstruct_operator(p, n, d1.apply, 2)
+
+
 def test_reconstruction_bounds_in_use_stay_inside_the_budget():
     # n = 4 at degree 24 is the largest reconstruction the tests,
     # verify-all, the README and the benchmark ask for; margolis --op at

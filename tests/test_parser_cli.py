@@ -290,18 +290,15 @@ GRADED_QUERIES = {
 @pytest.mark.parametrize("fmt", ("text", "json"))
 @pytest.mark.parametrize("name", GRADED_QUERIES)
 def test_cli_grading_changes_no_result(capsys, name, fmt):
-    # a grading is a degree convention: the results do not depend on it
+    # a grading is a degree convention and changes no result, so act and
+    # margolis take no --grading: the query answers without it, and
+    # passing one is a usage error
     argv = (*GRADED_QUERIES[name], "--format", fmt)
-    default = run_cli(capsys, *argv)
-    compressed = run_cli(capsys, *argv, "--grading", "compressed")
-    assert default[0] == 0 and default[1] and not default[2]
-    if name == "act" and fmt == "json":
-        # act echoes the flag, and nothing else changes
-        want, got = json.loads(default[1]), json.loads(compressed[1])
-        assert (want.pop("grading"), got.pop("grading")) == ("topological", "compressed")
-        assert got == want
-    else:
-        assert compressed == default
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and out and not err
+    code, out, err = run_cli(capsys, *argv, "--grading", "compressed")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
 def test_cli_groth_compressed_changes_the_degrees(capsys):
@@ -427,6 +424,12 @@ NINES = "9" * 4000
             "the derivation with n=900 is over the work budget: "
             "its images hold n*n = 810000 exponents, more than 300000",
         ),
+        # 6! = 720 permutations, each paired with every earlier one
+        (
+            ("margolis", "--t", "1", "--op", "D1", "-p", "3", "-n", "6", "-D", "0"),
+            "the reconstruction with n=6 is over the work budget: its n! "
+            "permutations form more than 100000 pairs",
+        ),
     ],
 )
 def test_cli_over_work_budget_exits_3_fast(capsys, argv, message):
@@ -527,15 +530,15 @@ def test_cli_pdg_verify_failure_exit_code(capsys, monkeypatch):
     # force a failing verification by breaking a derivation image
     import padem.pdg as pdg_mod
 
-    real = pdg_mod.khovanov_qi_derivation
+    real = pdg_mod.twisted_derivation
 
-    def broken(p, n):
-        d = real(p, n)
+    def broken(p, n, a):
+        d = real(p, n, a)
         return pdg_mod.Derivation(
             p, n, [Polynomial.variable(p, n, 1)] + list(d.x_images[1:]), d.d_images
         )
 
-    monkeypatch.setattr("padem.cli.pdg_mod.khovanov_qi_derivation", broken)
+    monkeypatch.setattr("padem.cli.pdg_mod.twisted_derivation", broken)
     code, out, _ = run_cli(capsys, "pdg", "verify", "-p", "3", "-n", "2", "-D", "6")
     assert code == 4
     assert "all_ok false" in out

@@ -60,6 +60,19 @@ def test_khovanov_qi_polynomial_images():
 
 
 @pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_khovanov_qi_images_in_closed_form(p, n):
+    # x_i -> x_i^2 and D_i -> -(x_i + x_{i+1}) D_i, written with the
+    # generators; the builder is the twist a = 0
+    d = khovanov_qi_derivation(p, n)
+    assert d.x_images == tuple(xvar(p, n, i) ** 2 for i in range(1, n + 1))
+    x = [NilHeckeElement.x_gen(p, n, i) for i in range(1, n + 1)]
+    d_images = [(x[i - 1] + x[i]) * NilHeckeElement.d_gen(p, n, i) * -1 for i in range(1, n)]
+    assert d.d_images == tuple(d_images)
+    assert d.shift == 2
+
+
+@pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_symmetric_function_rule_two_ways(p, n):
     # d(e_i) = e_1 e_i - (i+1) e_{i+1} for i < n, and d(e_n) = e_1 e_n,
@@ -332,14 +345,14 @@ def test_planted_operator_fault_above_degree_six(p, monkeypatch):
     n, planted = 2, ((7, 0), (2, 1))
     d = Derivation(p, n, [Polynomial.one(p, n)] * n, [NilHeckeElement.zero(p, n)])
     assert d.shift == -2
-    original = Derivation.apply_nh
+    original = Derivation._nh_terms
 
-    def planted_apply_nh(self, e):
-        out = original(self, e)
-        c = e.terms.get(planted)
-        return out + NilHeckeElement(self.p, self.n, {planted: c}) if c else out
+    def planted_nh_terms(self, terms):
+        out = original(self, terms)
+        c = terms.get(planted)
+        return {**out, planted: (out.get(planted, 0) + c) % self.p} if c else out
 
-    monkeypatch.setattr(Derivation, "apply_nh", planted_apply_nh)
+    monkeypatch.setattr(Derivation, "_nh_terms", planted_nh_terms)
     report = verify_pdg(d, degree_bound=14)
     assert report["relations_ok"]
     assert nilpotency_failures(report) == [f"d^{p} != 0 on x^(7, 0) D_(2, 1)"]
@@ -376,7 +389,7 @@ def test_direct_sweep_matches_rank_chains(p, n):
         want = _first_rank_failure(space, derivation_operator(space, d, n), bound)
         assert (None if m is None else 2 * sum(m)) == want, (name, m)
         labels = [label for _, label in pdg_mod._nh_labels(n, bound)]
-        label = pdg_mod._first_non_nilpotent(p, labels, d._nh_basis_terms)
+        label = pdg_mod._first_non_nilpotent(p, labels, lambda label: d._nh_terms({label: 1}))
         space = nilhecke_space(p, n, top)
         want = _first_rank_failure(space, nh_derivation_operator(space, d), bound)
         got = None if label is None else space.index[label][0]
