@@ -98,13 +98,17 @@ def _echelon(vectors, p: int) -> list:
 class Record:
     """Immutable value with the fields named in a subclass's __slots__:
     equal to a record of the same class with equal fields, hashable, and
-    shown as Class(field=value, ...).  The subclass's __init__ sets the
-    fields once, in slot order, with _set; assigning one later raises
+    shown as Class(field=value, ...).  The constructor takes one value
+    per field, in slot order; assigning a field later raises
     AttributeError."""
 
     __slots__ = ()
 
-    def _set(self, *values) -> None:
+    def __init__(self, *values) -> None:
+        if len(values) != len(self.__slots__):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(self.__slots__)} fields, got {len(values)}"
+            )
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 

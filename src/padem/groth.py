@@ -58,7 +58,7 @@ class SubHopfProfile(Record):
         if grading not in GRADINGS:
             raise DomainError(f"unknown grading {grading!r}")
         _check_profile_condition(exponents)
-        self._set(p, exponents, grading)
+        super().__init__(p, exponents, grading)
 
     @classmethod
     def filtration(cls, n: int, p: int, grading: str = GRADING_TOPOLOGICAL) -> "SubHopfProfile":

@@ -19,10 +19,11 @@ Words over the letters ('x', i) for multiplication by x_i and ('d', j)
 for the divided difference at j are an input format: from_word
 multiplies them into the basis, and apply_word composes the generator
 actions one letter at a time on the terms of a polynomial as the
-word-level reference.  first_word_sum_mismatch compares two sums of
-words on a whole monomial sweep, one chunk of monomials per word, each
-monomial packed into one int with its chunk-local index on top.
-Elements are immutable after construction.
+word-level reference.  The letters of each D_w are kept in one cached
+table, _reduced_word, read by every kernel.  first_word_sum_mismatch
+compares two sums of words on a whole monomial sweep, one chunk of
+monomials per word, each monomial packed into one int with its
+chunk-local index on top.  Elements are immutable after construction.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class Permutation:
 
     def reduced_word(self) -> tuple[int, ...]:
         """Lexicographically least reduced word, multiplying left to right."""
-        return _reduced_word(self.images)
+        return tuple(j for _, j in _reduced_word(self.images))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -110,16 +111,18 @@ class Permutation:
 
 
 @functools.cache
-def _reduced_word(images: tuple[int, ...]) -> tuple[int, ...]:
-    """Peel off the least left descent j of w (j + 1 stands before j in
-    one-line notation) and continue with s_j w."""
+def _reduced_word(images: tuple[int, ...]) -> Word:
+    """The letters ('d', j) of D_w for the permutation w with these
+    images, along its lexicographically least reduced word: peel off the
+    least left descent j of w (j + 1 stands before j in one-line
+    notation) and continue with s_j w."""
     w = list(images)
     word = []
     while True:
         j = next((j for j in range(1, len(w)) if w.index(j) > w.index(j + 1)), None)
         if j is None:
             return tuple(word)
-        word.append(j)
+        word.append(("d", j))
         a, b = w.index(j), w.index(j + 1)
         w[a], w[b] = j + 1, j
 
@@ -174,16 +177,18 @@ def _left_multiply(p: int, word: Word, terms: dict[BasisKey, int]) -> dict[Basis
     return terms
 
 
-def _check_letter(n: int, letter: Letter) -> None:
-    kind, i = letter
-    if kind == "x":
-        if not 1 <= i <= n:
-            raise DomainError(f"X index {i} out of range 1..{n}")
-    elif kind == "d":
-        if not 1 <= i < n:
-            raise DomainError(f"D index {i} out of range 1..{n - 1}")
-    else:
-        raise DomainError(f"unknown letter kind {kind!r}")
+def _check_word(n: int, word: Word) -> None:
+    """Raise DomainError at the first letter of word, in order, that is
+    not a generator of NH_n."""
+    for kind, i in word:
+        if kind == "x":
+            if not 1 <= i <= n:
+                raise DomainError(f"X index {i} out of range 1..{n}")
+        elif kind == "d":
+            if not 1 <= i < n:
+                raise DomainError(f"D index {i} out of range 1..{n - 1}")
+        else:
+            raise DomainError(f"unknown letter kind {kind!r}")
 
 
 def _divided_difference_terms(
@@ -210,12 +215,6 @@ def divided_difference(f: Polynomial, j: int) -> Polynomial:
     if not 1 <= j < f.n:
         raise DomainError(f"divided difference index {j} out of range 1..{f.n - 1}")
     return Polynomial._raw(f.p, f.n, _divided_difference_terms(f.terms, j, f.p))
-
-
-@functools.cache
-def _d_word(images: tuple[int, ...]) -> Word:
-    """The letters of D_w for the permutation with these images."""
-    return tuple(("d", j) for j in _reduced_word(images))
 
 
 class NilHeckeElement(LinearCombination):
@@ -245,7 +244,7 @@ class NilHeckeElement(LinearCombination):
             heads.setdefault(images, []).append((exps, c))
         new: dict[BasisKey, int] = {}
         for images, monomials in heads.items():
-            tail = _left_multiply(p, _d_word(images), other.terms)
+            tail = _left_multiply(p, _reduced_word(images), other.terms)
             for a, c1 in monomials:
                 for (b, w), c2 in tail.items():
                     _add_term(new, (tuple(map(add, a, b)), w), c1 * c2, p)
@@ -258,7 +257,7 @@ class NilHeckeElement(LinearCombination):
     @staticmethod
     def _key_factors(key: BasisKey) -> list[str]:
         exps, images = key
-        return _monomial_factors(exps) + [f"D{j}" for j in _reduced_word(images)]
+        return _monomial_factors(exps) + [f"D{j}" for _, j in _reduced_word(images)]
 
     # -- constructors ------------------------------------------------
 
@@ -282,8 +281,7 @@ class NilHeckeElement(LinearCombination):
     def from_word(cls, p: int, n: int, word: Word, coeff: int = 1) -> "NilHeckeElement":
         """coeff times the product of the letters of word."""
         require_ring(p, n)
-        for letter in word:
-            _check_letter(n, letter)
+        _check_word(n, word)
         c = coeff % p
         unit = {((0,) * n, tuple(range(1, n + 1))): c} if c else {}
         return cls._raw(p, n, _left_multiply(p, tuple(word), unit))
@@ -329,7 +327,7 @@ def _apply_terms(
     for (exps, images), c in terms.items():
         g = d_images.get(images)
         if g is None:
-            g = d_images[images] = _word_terms(_d_word(images), f_terms, p)
+            g = d_images[images] = _word_terms(_reduced_word(images), f_terms, p)
         if any(exps):
             for m, v in g.items():
                 key = tuple(map(add, m, exps))
@@ -404,20 +402,8 @@ def _word_terms(word: Word, terms: dict[Monomial, int], p: int) -> dict[Monomial
 def apply_word(word: Word, f: Polynomial) -> Polynomial:
     """Apply the letters of word to f one generator at a time, rightmost
     first.  The word-level reference for the basis arithmetic."""
-    for letter in reversed(word):
-        _check_letter(f.n, letter)
+    _check_word(f.n, word[::-1])
     return Polynomial._raw(f.p, f.n, _word_terms(word, f.terms, f.p))
-
-
-def apply_d_word(f: Polynomial, word: tuple[int, ...]) -> Polynomial:
-    """Apply D_{word[0]} ... D_{word[-1]}, rightmost first."""
-    return apply_word(tuple(("d", j) for j in word), f)
-
-
-def _check_words(n: int, words) -> None:
-    for _, word in words:
-        for letter in word:
-            _check_letter(n, letter)
 
 
 # Monomials per batch in first_word_sum_mismatch: enough to spread the
@@ -496,7 +482,8 @@ def first_word_sum_mismatch(lhs, rhs, monomials, p: int, n: int) -> int | None:
     that and no field overflows into the next.  lhs minus rhs is summed
     into one dict of unreduced coefficients, and the chunk fails where
     one of them is nonzero mod p."""
-    _check_words(n, (*lhs, *rhs))
+    for _, word in (*lhs, *rhs):
+        _check_word(n, word)
     if not monomials:
         return None
     words = [(c, word) for c, word in lhs] + [(-c, word) for c, word in rhs]
@@ -519,20 +506,28 @@ def first_word_sum_mismatch(lhs, rhs, monomials, p: int, n: int) -> int | None:
     return None
 
 
-@functools.cache
-def staircase_monomial(p: int, n: int) -> Polynomial:
-    """x_1^{n-1} x_2^{n-2} ... x_{n-1}."""
-    exps = tuple(n - 1 - i for i in range(n))
-    return Polynomial.monomial(p, n, exps)
+# Most terms schubert may hold after any letter of D_{w^{-1} w_0}.
+SCHUBERT_TERM_BUDGET = 100_000
 
 
 @functools.cache
 def schubert(w: Permutation, n: int, p: int) -> Polynomial:
-    """Schubert polynomial of w: apply D_{w^{-1} w_0} to the staircase."""
+    """Schubert polynomial of w: apply D_{w^{-1} w_0} to the staircase
+    x_1^{n-1} x_2^{n-2} ... x_{n-1}, one letter at a time, rightmost
+    first.  Raise DomainError once the terms after a letter number more
+    than SCHUBERT_TERM_BUDGET."""
     if w.n != n:
         raise MismatchError("permutation size does not match variable count")
+    terms = Polynomial.monomial(p, n, tuple(range(n - 1, -1, -1))).terms
     u = w.inverse() * Permutation.longest(n)
-    return apply_d_word(staircase_monomial(p, n), u.reduced_word())
+    for letter in reversed(_reduced_word(u.images)):
+        terms = _word_terms((letter,), terms, p)
+        if len(terms) > SCHUBERT_TERM_BUDGET:
+            raise DomainError(
+                f"the Schubert polynomial with n={n} is over the work budget: "
+                f"it holds more than {SCHUBERT_TERM_BUDGET} terms"
+            )
+    return Polynomial._raw(p, n, terms)
 
 
 def all_permutations(n: int) -> list[Permutation]:
@@ -582,7 +577,7 @@ def reconstruct_operator(
     for w in perms:
         val = fn(schubert(w, n, p))
         for u, coeff_poly in parts.items():
-            du = apply_d_word(schubert(w, n, p), u.reduced_word())
+            du = apply_word(_reduced_word(u.images), schubert(w, n, p))
             if not du.is_zero():
                 val = val - coeff_poly * du
         parts[w] = val

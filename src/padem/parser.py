@@ -35,36 +35,21 @@ _ALLOWED = {
 class Num(Record):
     __slots__ = ("value",)
 
-    def __init__(self, value: int):
-        self._set(value)
-
 
 class Gen(Record):
     __slots__ = ("kind", "index")
-
-    def __init__(self, kind: str, index: int):
-        self._set(kind, index)
 
 
 class Power(Record):
     __slots__ = ("base", "exponent")
 
-    def __init__(self, base, exponent: int):
-        self._set(base, exponent)
-
 
 class Product(Record):
     __slots__ = ("factors",)
 
-    def __init__(self, factors: tuple):
-        self._set(factors)
-
 
 class Sum(Record):
     __slots__ = ("terms",)  # of (sign, Product) with sign +1 / -1
-
-    def __init__(self, terms: tuple):
-        self._set(terms)
 
 
 # -- tokenizer ----------------------------------------------------------
@@ -82,9 +67,6 @@ def _number(digits: str, pos: int) -> int:
 
 class _Token(Record):
     __slots__ = ("kind", "value", "pos")
-
-    def __init__(self, kind: str, value, pos: int):
-        self._set(kind, value, pos)
 
 
 def _tokenize(source: str) -> list[_Token]:

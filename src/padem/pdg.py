@@ -18,7 +18,7 @@ from .arith import _echelon, capped_binomial, capped_factorial, reduce_terms, re
 from .errors import DomainError, MismatchError, StructureError
 from .nilhecke import (
     NilHeckeElement,
-    _d_word,
+    _reduced_word,
     all_permutations,
     divided_difference,  # noqa: F401 (perfbench/check_bench.py traces it here)
 )
@@ -104,7 +104,7 @@ class Derivation:
         word of w on the first call for w."""
         terms = self._d_permutation.get(images)
         if terms is None:
-            terms = self.apply_words(((1, _d_word(images)),)).terms
+            terms = self.apply_words(((1, _reduced_word(images)),)).terms
             self._d_permutation[images] = terms
         return terms
 

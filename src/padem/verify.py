@@ -48,7 +48,7 @@ class Check(Record):
     __slots__ = ("name", "ok", "detail")
 
     def __init__(self, name: str, ok: bool, detail: str = ""):
-        self._set(name, ok, detail)
+        super().__init__(name, ok, detail)
 
 
 def _random_monomial(rng, n, max_exp_sum):

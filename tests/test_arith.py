@@ -6,6 +6,7 @@ import pytest
 
 from padem.arith import (
     IntPolynomial,
+    Record,
     binomial_mod_p,
     capped_binomial,
     cyclotomic,
@@ -173,3 +174,19 @@ def test_factor_quotient_products_are_exact():
                 IntPolynomial.q_power_minus_one(den)
             )
             assert product == quotient
+
+
+class _Pair(Record):
+    __slots__ = ("left", "right")
+
+
+def test_record_takes_one_value_per_field():
+    pair = _Pair(1, (2, 3))
+    assert (pair.left, pair.right) == (1, (2, 3))
+    assert pair == _Pair(1, (2, 3)) and hash(pair) == hash(_Pair(1, (2, 3)))
+    assert repr(pair) == "_Pair(left=1, right=(2, 3))"
+    for values in ((), (1,), (1, 2, 3)):
+        with pytest.raises(TypeError, match=f"_Pair takes 2 fields, got {len(values)}"):
+            _Pair(*values)
+    with pytest.raises(AttributeError):
+        pair.left = 4

@@ -15,7 +15,6 @@ from padem.nilhecke import (
     NilHeckeElement,
     Permutation,
     all_permutations,
-    apply_d_word,
     apply_word,
     divided_difference,
     first_word_sum_mismatch,
@@ -115,7 +114,7 @@ def test_apply_term_count_bounds_the_terms_made():
             for images in set(heads):
                 for m in f.terms:
                     terms = {m: 1}
-                    for _, j in reversed(nilhecke._d_word(images)):
+                    for _, j in reversed(nilhecke._reduced_word(images)):
                         terms = nilhecke._divided_difference_terms(terms, j, p)
                         made += len(terms)
                     made += heads.count(images) * len(terms)
@@ -258,7 +257,7 @@ def _normal_form_words(lhs, p, n):
     words = []
     for (exps, images), c in e.terms.items():
         xs = tuple(("x", i + 1) for i, a in enumerate(exps) for _ in range(a))
-        words.append((c, xs + nilhecke._d_word(images)))
+        words.append((c, xs + nilhecke._reduced_word(images)))
     return tuple(words)
 
 
@@ -446,8 +445,8 @@ def test_schubert_well_defined_across_reduced_words():
     p, n = 3, 3
     w0 = Permutation.longest(n)
     f = Polynomial(p, n, {(3, 2, 1): 1, (2, 2, 0): 2})
-    a = apply_d_word(f, (1, 2, 1))
-    b = apply_d_word(f, (2, 1, 2))
+    a = apply_word((("d", 1), ("d", 2), ("d", 1)), f)
+    b = apply_word((("d", 2), ("d", 1), ("d", 2)), f)
     assert a == b
     assert schubert(w0, n, p) == Polynomial.monomial(p, n, (2, 1, 0))
 
@@ -533,6 +532,19 @@ def test_reconstruction_budget_refuses_only_above_the_budget(monkeypatch):
     assert reconstruct_operator(p, n, d1.apply, 9) == d1
     with pytest.raises(DomainError, match="checks more than 15 monomials"):
         reconstruct_operator(p, n, d1.apply, 10)
+
+
+def test_schubert_budget_refuses_only_above_the_budget(monkeypatch):
+    # the terms are counted after each letter of D_{w^-1 w_0}: for
+    # w = 1432 the staircase x1^3 x2^2 x3 goes through 1, 2 and 5 terms
+    p, n = 5, 4
+    w = Permutation((1, 4, 3, 2))
+    schubert.cache_clear()
+    monkeypatch.setattr(nilhecke, "SCHUBERT_TERM_BUDGET", 4)
+    with pytest.raises(DomainError, match="over the work budget: it holds more than 4 terms"):
+        schubert(w, n, p)
+    monkeypatch.setattr(nilhecke, "SCHUBERT_TERM_BUDGET", 5)
+    assert len(schubert(w, n, p).terms) == 5
 
 
 def test_reconstruction_pairs_refuse_only_above_the_budget(monkeypatch):

@@ -111,7 +111,7 @@ def test_leibniz_extension_on_operators():
 
 def shipped_derivations(p, n):
     yield "khovanov-qi", khovanov_qi_derivation(p, n)
-    for a in (0, 1, 2):
+    for a in (1, 2):
         yield f"twist a={a}", twisted_derivation(p, n, a)
     yield "power one", power_one_derivation(p, n)
 
@@ -232,7 +232,7 @@ def test_term_kernels_match_polynomial_leibniz(case):
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("n", (2, 3))
 def test_verify_pdg_passes_for_shipped_derivations(p, n):
-    for a in (None, 0, 1, 2):
+    for a in (None, 1, 2):
         d = khovanov_qi_derivation(p, n) if a is None else twisted_derivation(p, n, a)
         report = verify_pdg(d, degree_bound=12)
         assert report["all_ok"], (p, n, a, report["failures"])
