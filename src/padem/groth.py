@@ -119,9 +119,7 @@ def k0_presentation(profile: SubHopfProfile) -> dict:
     }
 
 
-def enumerate_an_basis(
-    n: int, p: int, degree_cap: int = 64, grading: str = GRADING_TOPOLOGICAL
-) -> tuple[dict[int, int], bool]:
+def enumerate_an_basis(n: int, p: int, degree_cap: int = 64) -> tuple[dict[int, int], bool]:
     """Graded dimensions of the subalgebra generated by P^(p^j), j < n,
     found by closing the generators under product + admissible rewriting.
 
@@ -136,7 +134,7 @@ def enumerate_an_basis(
     require_prime(p)
     if n < 0:
         raise DomainError("level must be nonnegative")
-    scale = grading_scale(p, grading)
+    scale = grading_scale(p, GRADING_TOPOLOGICAL)
     generators = [SteenrodElement.p_power(p, p**j) for j in range(n)]
     gen_degrees = [scale * p**j for j in range(n)]
 

@@ -115,16 +115,20 @@ def _reduced_word(images: tuple[int, ...]) -> Word:
     """The letters ('d', j) of D_w for the permutation w with these
     images, along its lexicographically least reduced word: peel off the
     least left descent j of w (j + 1 stands before j in one-line
-    notation) and continue with s_j w."""
-    w = list(images)
+    notation) and continue with s_j w.  pos[v] is the position of v in
+    s_j ... w; swapping j and j + 1 moves only the descents at j - 1, j
+    and j + 1, so the next least descent is at j - 1 or later."""
+    pos = [0] * (len(images) + 1)
+    for i, v in enumerate(images):
+        pos[v] = i
     word = []
+    j = 1
     while True:
-        j = next((j for j in range(1, len(w)) if w.index(j) > w.index(j + 1)), None)
+        j = next((k for k in range(max(j - 1, 1), len(images)) if pos[k] > pos[k + 1]), None)
         if j is None:
             return tuple(word)
         word.append(("d", j))
-        a, b = w.index(j), w.index(j + 1)
-        w[a], w[b] = j + 1, j
+        pos[j], pos[j + 1] = pos[j + 1], pos[j]
 
 
 def _raise_length(images: tuple[int, ...], i: int) -> tuple[int, ...] | None:
@@ -575,9 +579,10 @@ def reconstruct_operator(
     perms = sorted(all_permutations(n), key=lambda w: (w.length(), w.images))
     parts: dict[Permutation, Polynomial] = {}
     for w in perms:
-        val = fn(schubert(w, n, p))
+        s_w = schubert(w, n, p)
+        val = fn(s_w)
         for u, coeff_poly in parts.items():
-            du = apply_word(_reduced_word(u.images), schubert(w, n, p))
+            du = apply_word(_reduced_word(u.images), s_w)
             if not du.is_zero():
                 val = val - coeff_poly * du
         parts[w] = val

@@ -11,7 +11,7 @@ import random
 from padem import groth, pdg, verify
 from padem.arith import IntPolynomial, binomial_mod_p, cyclotomic, generalized_binomial
 from padem.cli import main
-from padem.nilhecke import NilHeckeElement, apply_word, divided_difference
+from padem.nilhecke import NilHeckeElement, divided_difference
 from padem.poly import (
     Polynomial,
     elementary_symmetric,
@@ -22,7 +22,6 @@ from padem.steenrod import (
     ACTION_STANDARD,
     SteenrodElement,
     act,
-    adem_normalize,
     bar_act,
     bar_act_element,
     margolis_d,
@@ -32,7 +31,6 @@ from oracles import (
     conjugated_twist_image,
     dense_homology,
     random_poly,
-    random_word,
     regular_nilpotent_module,
 )
 
@@ -70,15 +68,9 @@ def test_criterion_1_nilhecke_relations():
     words_per_cell = -(-500 // (len(PRIMES) * len(VARS)))  # ceil
     for p in PRIMES:
         for n in VARS:
-            run_check(failures, f"p={p} n={n}", verify.check_nilhecke_relations(p, n, DEGREE_BOUND))
-            for _ in range(words_per_cell):
-                letters, c = random_word(rng, p, n)
-                nf = NilHeckeElement.from_word(p, n, letters, c)
-                for _ in range(2):
-                    f = random_poly(rng, p, n, max_exp=4, terms=3)
-                    if apply_word(letters, f) * c != nf.apply(f):
-                        failures.append(f"p={p} n={n}: normal form changes action of {letters}")
-                        break
+            label = f"p={p} n={n}"
+            run_check(failures, label, verify.check_nilhecke_relations(p, n, DEGREE_BOUND))
+            run_check(failures, label, verify.check_normalize_action(p, n, rng, words_per_cell))
     report(1, "nilHecke relations and normal form", failures)
 
 
@@ -134,23 +126,7 @@ def test_criterion_3_adem_rewriting():
     failures = []
     rng = random.Random(SEED + 2)
     for p in PRIMES:
-        for _ in range(500):
-            word = tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 3)))
-            e = SteenrodElement(p, {word: rng.randrange(1, p)})
-            left = adem_normalize(e, "leftmost")
-            right = adem_normalize(e, "rightmost")
-            if left != right:
-                failures.append(f"p={p}: strategies differ on {word}")
-                continue
-            if not left.is_admissible():
-                failures.append(f"p={p}: output not admissible on {word}")
-                continue
-            for _ in range(2):
-                f = random_poly(rng, p, 2, max_exp=3, terms=2)
-                for action in (ACTION_STANDARD, ACTION_NONSTANDARD):
-                    if act(e, f, action) != act(left, f, action):
-                        failures.append(f"p={p}: action changes on {word} ({action})")
-                        break
+        run_check(failures, f"p={p}", verify.check_adem(p, 2, rng, 500))
     report(3, "Adem action compatibility and strategy independence", failures)
 
 

@@ -25,6 +25,10 @@ from padem.parser import (
     render,
 )
 from padem.poly import Polynomial
+from padem.steenrod import adem_normalize
+from padem.verify import _random_steenrod_word
+
+from oracles import random_poly, random_word
 
 SCHEMA = json.loads(
     (Path(__file__).parent / "schemas" / "cli_output.json").read_text()
@@ -174,25 +178,13 @@ def test_rendered_values_reparse_to_equal_values(p):
     rng = random.Random(p)
     n = 3
     for _ in range(30):
-        terms = {
-            tuple(rng.randint(0, 3) for _ in range(n)): rng.randrange(1, p)
-            for _ in range(rng.randint(1, 4))
-        }
-        f = Polynomial(p, n, terms)
+        f = random_poly(rng, p, n, max_exp=3, terms=4)
         assert parse_and_evaluate(str(f), "polynomial", p, n) == f
     for _ in range(30):
-        letters = tuple(
-            ("x", rng.randint(1, n)) if rng.random() < 0.5 else ("d", rng.randint(1, n - 1))
-            for _ in range(rng.randint(1, 4))
-        )
-        e = NilHeckeElement.from_word(p, n, letters, rng.randrange(1, p)).normalize()
-        rendered = str(e)
-        assert parse_and_evaluate(rendered, "nilhecke", p, n) == e
-    from padem.steenrod import SteenrodElement, adem_normalize
-
+        e = NilHeckeElement.from_word(p, n, *random_word(rng, p, n, max_len=4))
+        assert parse_and_evaluate(str(e), "nilhecke", p, n) == e
     for _ in range(30):
-        word = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 3)))
-        e = adem_normalize(SteenrodElement(p, {word: rng.randrange(1, p)}))
+        e = adem_normalize(_random_steenrod_word(rng, p, max_exp=6))
         assert parse_and_evaluate(str(e), "steenrod", p, 1) == e
 
 

@@ -25,7 +25,7 @@ from padem.pdg import (
     twisted_derivation,
     verify_pdg,
 )
-from padem.poly import Polynomial, elementary_symmetric, monomials_up_to_degree
+from padem.poly import Polynomial, monomials_up_to_degree
 
 from oracles import (
     conjugated_twist_image,
@@ -75,16 +75,7 @@ def test_khovanov_qi_images_in_closed_form(p, n):
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_symmetric_function_rule_two_ways(p, n):
-    # d(e_i) = e_1 e_i - (i+1) e_{i+1} for i < n, and d(e_n) = e_1 e_n,
-    # computed from the generator rule and compared with the formula.
-    d = khovanov_qi_derivation(p, n)
-    e = [elementary_symmetric(i, n, p) for i in range(n + 1)]
-    for i in range(1, n + 1):
-        got = d.apply_poly(e[i])
-        want = e[1] * e[i]
-        if i < n:
-            want = want - e[i + 1] * (i + 1)
-        assert got == want
+    assert verify.check_symmetric_derivative_rule(p, n).ok
 
 
 def test_twisted_images_and_specialization():
@@ -184,16 +175,6 @@ def test_apply_nh_repeats_with_a_warm_cache():
         assert len(d._d_permutation) == 6
 
 
-def _leibniz_monomial(d, m):
-    """d(x^m) = sum_i m_i x^(m - e_i) d(x_i), in Polynomial arithmetic."""
-    out = Polynomial.zero(d.p, d.n)
-    for i, e in enumerate(m):
-        if e:
-            lowered = m[:i] + (e - 1,) + m[i + 1 :]
-            out = out + Polynomial.monomial(d.p, d.n, lowered) * d.x_images[i] * e
-    return out
-
-
 @st.composite
 def _derivation_and_label(draw):
     """A derivation with random x images (several terms, constants, or
@@ -216,7 +197,7 @@ def _derivation_and_label(draw):
 def test_term_kernels_match_polynomial_leibniz(case):
     d, (a, images) = case
     p, n = d.p, d.n
-    want = _leibniz_monomial(d, a)
+    want = leibniz_poly(d, Polynomial.monomial(p, n, a))
     assert d._poly_terms({a: 1}) == want.terms
     assert d._poly_terms({a: 2}) == (want * 2).terms
     # d(x^a D_w) = d(x^a) D_w + x^a d(D_w)
@@ -232,10 +213,8 @@ def test_term_kernels_match_polynomial_leibniz(case):
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("n", (2, 3))
 def test_verify_pdg_passes_for_shipped_derivations(p, n):
-    for a in (None, 1, 2):
-        d = khovanov_qi_derivation(p, n) if a is None else twisted_derivation(p, n, a)
-        report = verify_pdg(d, degree_bound=12)
-        assert report["all_ok"], (p, n, a, report["failures"])
+    # the Khovanov-Qi derivation and the twists a = 1, 2
+    assert verify.check_pdg(p, n, 12, 0).ok
 
 
 @pytest.mark.parametrize("p", (2, 3))
@@ -594,12 +573,9 @@ def test_homology_on_operator_algebra_truncation():
     for s in range(1, p):
         dims, excluded = margolis_homology(space, op, s)
         oracle = dense_homology(space, op, s)
-        for deg in excluded:
-            oracle.pop(deg, None)
-        for deg in list(dims):
-            if deg in excluded:
-                dims.pop(deg)
-        assert dims == {k: v for k, v in oracle.items() if k not in excluded}
+        assert {k: v for k, v in dims.items() if k not in excluded} == {
+            k: v for k, v in oracle.items() if k not in excluded
+        }
 
 
 def test_nh_operator_nilpotence_matrices():

@@ -1,14 +1,24 @@
 """Reduced-power algebra tests: Adem rewriting, actions, antipode,
 bar action, Margolis differentials, and the one-variable coaction."""
 
+import itertools
+import math
 import random
 import time
 
 import pytest
 
+from padem import verify
+from padem.arith import binomial_mod_p
 from padem.errors import DomainError
 from padem.nilhecke import NilHeckeElement, divided_difference
-from padem.poly import Polynomial, elementary_symmetric, monomials_up_to_degree, power_sum
+from padem.poly import (
+    Polynomial,
+    elementary_symmetric,
+    is_symmetric,
+    monomials_up_to_degree,
+    power_sum,
+)
 from padem.steenrod import (
     ACTION_NONSTANDARD,
     ACTION_STANDARD,
@@ -26,20 +36,17 @@ from padem.steenrod import (
     margolis_d,
     margolis_pst,
     milnor_coaction,
+    xi_monomial_degree,
 )
+from padem.verify import _random_steenrod_word
 
-from oracles import random_poly
+from oracles import random_poly, random_word
 
 PRIMES = (2, 3, 5)
 
 
 def P(p, *word):
     return SteenrodElement(p, {tuple(word): 1})
-
-
-def random_word(rng, p, max_len=3, max_exp=9):
-    word = tuple(rng.randint(1, max_exp) for _ in range(rng.randint(1, max_len)))
-    return SteenrodElement(p, {word: rng.randrange(1, p)})
 
 
 def s_polynomial(p, n, i):
@@ -92,7 +99,7 @@ def test_adem_known_composites_at_two():
 def test_adem_output_admissible_and_action_compatible(p):
     rng = random.Random(17)
     for _ in range(60):
-        e = random_word(rng, p)
+        e = _random_steenrod_word(rng, p)
         nf = adem_normalize(e)
         assert nf.is_admissible()
         assert nf.is_homogeneous()
@@ -123,8 +130,6 @@ def test_action_examples():
 @pytest.mark.parametrize("p", PRIMES)
 def test_power_of_generator_rule(p):
     x = Polynomial.variable(p, 1, 1)
-    import math
-
     for n in range(1, 8):
         for k in range(0, n + 2):
             got = act(P(p, k), x**n)
@@ -158,34 +163,17 @@ def test_top_power_and_instability(p):
         assert act(P(p, half + 3), f).is_zero()
 
 
-def test_nonstandard_violates_instability_at_odd_primes():
-    for p in (3, 5):
-        x = Polynomial.variable(p, 1, 1)
-        witness = act(P(p, 2), x, ACTION_NONSTANDARD)
-        assert not witness.is_zero()  # 2*2 > |x| = 2 yet nonzero
-    # at p = 2 the nonstandard action coincides with the standard one
-    rng = random.Random(31)
-    for _ in range(20):
-        f = random_poly(rng, 2, 2, max_exp=3, terms=2)
-        k = rng.randint(0, 6)
-        assert act(P(2, k), f) == act(P(2, k), f, ACTION_NONSTANDARD)
-
-
 def test_nonstandard_preserves_symmetry():
     for p in PRIMES:
         for n in (2, 3):
             for i in range(1, n + 1):
                 e = elementary_symmetric(i, n, p)
                 for d in range(5):
-                    from padem.poly import is_symmetric
-
                     assert is_symmetric(act(P(p, d), e, ACTION_NONSTANDARD))
 
 
 def test_nonstandard_power_sum_rule():
     # P^d p_k = C(k(p-1), d) p_{d+k} under the nonstandard action
-    from padem.arith import binomial_mod_p
-
     for p in PRIMES:
         for n in (2, 3):
             for k in range(1, 4):
@@ -201,8 +189,6 @@ def test_nonstandard_action_on_a_power_is_the_cartan_expansion():
     # P^* x = sum_m C(p-1, m) x^(m+1) on one variable, so P^j x^a is the
     # coefficient of t^j in (sum_m C(p-1, m) t^m)^a, expanded here by
     # integer convolution and reduced mod p at the end
-    import math
-
     for p in (2, 3, 5, 7, 11):
         row = [1]  # (sum_m C(p-1, m) t^m)^a over Z
         for a in range(13):
@@ -253,17 +239,8 @@ def test_antipode_is_antimultiplicative():
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_bar_action_closed_forms(p):
-    n = 2
-    s1 = s_polynomial(p, n, 1)
-    d1 = NilHeckeElement.d_gen(p, n, 1)
-    for k in range(0, 4):
-        got = bar_act(k, d1, ACTION_STANDARD, 12)
-        want = NilHeckeElement.from_polynomial(s1**k) * d1 * ((-1) ** k)
-        assert got == want, (p, k)
-    for k in range(0, 4):
-        got = bar_act(k, NilHeckeElement.x_gen(p, n, 1), ACTION_STANDARD, 12)
-        image = act(P(p, k), Polynomial.variable(p, n, 1))
-        assert got == NilHeckeElement.from_polynomial(image)
+    # powers 1..3 on D1 and x1; power 0 is test_bar_act_zero_power_is_identity
+    assert verify.check_bar_closed_form(p, 2, 12, 3).ok
 
 
 def bar_act_oracle(k, e, y, action):
@@ -282,11 +259,8 @@ def test_bar_act_matches_polynomial_level_definition(p, n):
     rng = random.Random(61 + 10 * p + n)
     monomials = monomials_up_to_degree(n, 8)
     for _ in range(3):
-        letters = tuple(
-            ("x", rng.randint(1, n)) if rng.random() < 0.5 else ("d", rng.randint(1, n - 1))
-            for _ in range(rng.randint(1, 3))
-        )
-        e = NilHeckeElement.from_word(p, n, letters, rng.randrange(1, p))
+        letters, c = random_word(rng, p, n, max_len=3)
+        e = NilHeckeElement.from_word(p, n, letters, c)
         for action in (ACTION_STANDARD, ACTION_NONSTANDARD):
             for k in range(4):
                 got = bar_act(k, e, action, 8)
@@ -335,10 +309,7 @@ def test_margolis_d_examples():
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_margolis_generator_values_with_recursion_sign(p):
-    x = Polynomial.variable(p, 2, 1)
-    for t in (1, 2):
-        dt = margolis_d(t, p)
-        assert act(dt, x) == x ** (p**t) * ((-1) ** (t - 1))
+    assert verify.check_margolis_generators(p, 2, 2).ok
 
 
 @pytest.mark.parametrize("p", (2, 3))
@@ -446,15 +417,7 @@ def test_coaction_is_multiplicative(p):
     product = {}
     for xi1, f1 in b.items():
         for xi2, f2 in b.items():
-            xi = tuple(
-                u + v
-                for u, v in zip(
-                    xi1 + (0,) * (len(xi2) - len(xi1)),
-                    xi2 + (0,) * (len(xi1) - len(xi2)),
-                )
-            )
-            from padem.steenrod import xi_monomial_degree
-
+            xi = tuple(u + v for u, v in itertools.zip_longest(xi1, xi2, fillvalue=0))
             if xi_monomial_degree(p, xi) > cap:
                 continue
             product[xi] = product.get(xi, Polynomial.zero(p, 1)) + f1 * f2
@@ -505,68 +468,9 @@ def test_margolis_pst_nilpotence():
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_commutator_identity_small(p):
-    n = 2
-    s1 = s_polynomial(p, n, 1)
-    for d in range(1, 4):
-        for exps in monomials_up_to_degree(n, 8):
-            f = Polynomial.monomial(p, n, exps)
-            lhs = act(P(p, d), divided_difference(f, 1)) - divided_difference(
-                act(P(p, d), f), 1
-            )
-            rhs = Polynomial.zero(p, n)
-            for j in range(1, d + 1):
-                rhs = rhs + s1**j * divided_difference(
-                    act(P(p, d - j), f), 1
-                ) * ((-1) ** j)
-            assert lhs == rhs
+    assert verify.check_commutator(p, 2, 8, 3).ok
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_power_on_s_identity(p):
-    n = 2
-    s1 = s_polynomial(p, n, 1)
-    for d in range(0, 2 * p + 1):
-        got = act(P(p, d), s1)
-        if d < p:
-            assert got == s1 ** (d + 1) * ((-1) ** d)
-        else:
-            assert got.is_zero()
-
-
-@pytest.mark.parametrize("p", PRIMES)
-def test_generalized_binomial_power_rule(p):
-    from padem.arith import generalized_binomial
-
-    n_vars = 2
-    s1 = s_polynomial(p, n_vars, 1)
-    for n in range(1, 5):
-        sn = s1**n
-        for k in range(0, 2 * p + 1):
-            got = act(P(p, k), sn)
-            if k > n * p:
-                assert got.is_zero()
-            else:
-                c = generalized_binomial(n, k, p)
-                assert got == s1 ** (k + n) * (c * (-1) ** k)
-
-
-def test_wu_formula_mod_two():
-    from padem.arith import binomial_mod_p
-
-    p = 2
-
-    def e(j, nv):
-        if j < 0 or j > nv:
-            return Polynomial.zero(p, nv)
-        return elementary_symmetric(j, nv, p)
-
-    for nv in (2, 3, 4):
-        for i in range(1, nv + 1):
-            ei = elementary_symmetric(i, nv, p)
-            for n in range(1, 4):
-                got = act(P(p, n), ei)
-                want = Polynomial.zero(p, nv)
-                for k in range(0, n + 1):
-                    c = binomial_mod_p(i - n + k - 1, k, p)
-                    want = want + e(n - k, nv) * e(i + k, nv) * c
-                assert got == want, (nv, i, n)
+    assert verify.check_s_powers(p, 2, 2 * p).ok

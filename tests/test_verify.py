@@ -1,9 +1,11 @@
 """The verify-all check table: each distinct check runs once across the
 matrix, and the checks the acceptance suite shares catch planted faults."""
 
+import random
+
 import pytest
 
-from padem import pdg, verify
+from padem import nilhecke, pdg, steenrod, verify
 from padem.steenrod import act
 
 
@@ -89,5 +91,35 @@ def test_shared_check_catches_a_wrong_derivation(monkeypatch, name):
         return pdg.Derivation(p, n, [-f for f in d.x_images], list(d.d_images))
 
     monkeypatch.setattr(pdg, "khovanov_qi_derivation", wrong)
+    got = run()
+    assert got.name == name and not got.ok
+
+
+_ADEM_PAIR = steenrod._adem_pair
+
+
+def _flipped_adem_coefficient(p, a, b):
+    return tuple((w, -c % p if k == 0 else c) for k, (w, c) in enumerate(_ADEM_PAIR(p, a, b)))
+
+
+# (module, kernel, planted fault, run): at p = 3 the first coefficient of
+# each Adem relation changes sign, and D_i never raises the length of w
+WRONG_KERNEL = {
+    "adem": (
+        steenrod, "_adem_pair", _flipped_adem_coefficient,
+        lambda: verify.check_adem(3, 2, random.Random(0), 100),
+    ),
+    "normalize-preserves-action": (
+        nilhecke, "_raise_length", lambda images, i: None,
+        lambda: verify.check_normalize_action(3, 3, random.Random(0), 20),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_KERNEL)
+def test_shared_check_catches_a_wrong_kernel(monkeypatch, name):
+    module, kernel, fault, run = WRONG_KERNEL[name]
+    assert run().ok
+    monkeypatch.setattr(module, kernel, fault)
     got = run()
     assert got.name == name and not got.ok
