@@ -59,7 +59,7 @@ def require_ring(p: int, n: int) -> None:
 
 def reduce_terms(terms: dict, p: int) -> dict:
     """The terms with coefficients reduced mod p, zeros dropped."""
-    return {key: c % p for key, c in terms.items() if c % p}
+    return {key: r for key, c in terms.items() if (r := c % p)}
 
 
 def _echelon(vectors, p: int) -> list:

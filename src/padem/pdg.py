@@ -637,11 +637,11 @@ def _random_poly(rng, p, n, pool) -> Polynomial:
     return Polynomial(p, n, terms)
 
 
-def random_nh_word(rng, p: int, n: int) -> tuple[tuple, int]:
-    """A random generator word of one to four letters and a nonzero
-    coefficient; only x letters when n = 1."""
+def random_nh_word(rng, p: int, n: int, max_len: int = 4) -> tuple[tuple, int]:
+    """A random generator word of one to max_len letters, each x or D with
+    probability 1/2, and a nonzero coefficient; only x letters when n = 1."""
     letters = []
-    for _ in range(rng.randint(1, 4)):
+    for _ in range(rng.randint(1, max_len)):
         if n == 1 or rng.random() < 0.5:
             letters.append(("x", rng.randint(1, n)))
         else:

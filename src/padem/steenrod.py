@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 
-from .arith import LinearCombination, _euler_row, binomial_mod_p, reduce_terms, require_prime
+from .arith import LinearCombination, binomial_mod_p, reduce_terms, require_prime
 from .errors import DomainError
 from .nilhecke import NilHeckeElement, _apply_terms, reconstruct_operator
 from .poly import Monomial, Polynomial
@@ -178,73 +178,88 @@ def adem_normalize(e: SteenrodElement, strategy: str = "leftmost") -> SteenrodEl
 # -- actions on polynomial rings --------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _single_var_action(p: int, action: str, j: int, a: int) -> tuple[int, int]:
-    """(coefficient, new exponent) of P^j applied to x^a in one variable.
+@functools.cache
+def _single_var_row(p: int, action: str, a: int, top: int) -> tuple[tuple[int, int, int], ...]:
+    """(j, coefficient, new exponent) of P^j x^a in one variable, for every
+    j <= top whose coefficient is nonzero mod p, in increasing j.
 
-    The nonstandard P^j x^a is the coefficient of t^j in the a-th power of
-    sum_m C(p-1, m) t^m, by the Cartan rule from its values on x.  As
-    C(p-1, m) = (-1)^m mod p, that is (-1)^j times the coefficient of t^j
-    in (1 + t + ... + t^(p-1))^a."""
+    The total power P_t = sum_j t^j P^j is a ring map, fixed by
+    P_t(x) = x + t x^p (standard) or x (1 + t x)^(p-1) (nonstandard), so
+    P^j x^a is C(a, j) x^(a + j(p-1)) or C((p-1)a, j) x^(a + j), and zero
+    past j = a or (p-1)a.  The caller caps top there and at the power being
+    split, so a huge exponent under a small power builds a short row."""
     if action == ACTION_STANDARD:
-        return binomial_mod_p(a, j, p), a + j * (p - 1)
-    c = _euler_row(a, p)[j]
-    return (-c if j % 2 else c) % p, a + j
+        upper, step = a, p - 1
+    else:
+        upper, step = (p - 1) * a, 1
+    return tuple(
+        (j, c, a + j * step) for j in range(top + 1) if (c := binomial_mod_p(upper, j, p))
+    )
 
 
 @functools.cache
 def _act_power_monomial(
     p: int, action: str, k: int, exps: Monomial
 ) -> tuple[tuple[Monomial, int], ...]:
-    """P^k on a monomial, distributing k over the variables (Cartan)."""
-    frontier: dict[tuple[Monomial, int], int] = {((), k): 1}
-    for a in exps:
-        nxt: dict[tuple[Monomial, int], int] = {}
-        jcap = a if action == ACTION_STANDARD else a * (p - 1)
-        for (prefix, k_rem), c in frontier.items():
-            for j in range(min(k_rem, jcap) + 1):
-                cj, e2 = _single_var_action(p, action, j, a)
-                if not cj:
-                    continue
-                key = (prefix + (e2,), k_rem - j)
-                val = (nxt.get(key, 0) + c * cj) % p
-                if val:
-                    nxt[key] = val
-                else:
-                    nxt.pop(key, None)
+    """P^k on a monomial, distributing k over the variables (Cartan).
+
+    A partial split is dropped as soon as the rows of the variables still
+    to come cannot take what is left of k, so every split that survives
+    the last variable uses all of k.  Splits never meet: the exponents of
+    a prefix fix its j's.  So no coefficient is summed, and a product of
+    nonzero row entries is nonzero mod p."""
+    scale = 1 if action == ACTION_STANDARD else p - 1
+    rows = [_single_var_row(p, action, a, min(k, scale * a)) for a in exps]
+    room = [0] * (len(rows) + 1)  # room[i]: the most that variables i.. can take
+    for i in range(len(rows) - 1, -1, -1):
+        room[i] = room[i + 1] + rows[i][-1][0]
+    if k > room[0]:
+        return ()
+    frontier: list[tuple[Monomial, int, int]] = [((), k, 1)]
+    for row, rest in zip(rows, room[1:]):
+        nxt = []
+        for prefix, k_rem, c in frontier:
+            least = k_rem - rest
+            for j, cj, e in row:
+                if j > k_rem:
+                    break
+                if j >= least:
+                    nxt.append((prefix + (e,), k_rem - j, c * cj % p))
         frontier = nxt
-    return tuple((m, c) for (m, k_rem), c in frontier.items() if k_rem == 0 and c)
+    return tuple((m, c) for m, _, c in frontier)
 
 
-def _act_power_terms(
-    p: int, action: str, k: int, terms: dict[Monomial, int]
-) -> dict[Monomial, int]:
-    """Terms of P^k applied to the polynomial with these terms, reduced
-    mod p."""
+def _add_power_terms(
+    p: int, action: str, k: int, terms: dict[Monomial, int], scale: int, out: dict
+) -> None:
+    """Add scale times P^k of the polynomial with these terms into out,
+    unreduced."""
+    get = out.get
     if k == 0:
-        return terms
-    acc: dict[Monomial, int] = {}
-    get = acc.get
+        for m, c in terms.items():
+            out[m] = get(m, 0) + scale * c
+        return
     for m, c in terms.items():
+        c *= scale
         for m2, c2 in _act_power_monomial(p, action, k, m):
-            acc[m2] = get(m2, 0) + c * c2
-    return reduce_terms(acc, p)
+            out[m2] = get(m2, 0) + c * c2
 
 
 def _act_terms(p: int, action: str, words, terms: dict[Monomial, int]) -> dict[Monomial, int]:
     """Terms of the sum of power words ((word, coefficient), ...) applied
     to the polynomial with these terms, rightmost letter first, reduced
-    mod p."""
+    mod p: each inner letter's value once, and the output once, as the
+    leftmost letter of each word adds into it."""
     out: dict[Monomial, int] = {}
-    get = out.get
     for word, c in words:
         g = terms
-        for k in reversed(word):
+        for k in reversed(word[1:]):
             if not g:
                 break
-            g = _act_power_terms(p, action, k, g)
-        for m, v in g.items():
-            out[m] = get(m, 0) + c * v
+            acc: dict[Monomial, int] = {}
+            _add_power_terms(p, action, k, g, 1, acc)
+            g = reduce_terms(acc, p)
+        _add_power_terms(p, action, word[0] if word else 0, g, c, out)
     return reduce_terms(out, p)
 
 
@@ -321,14 +336,10 @@ def bar_act(
 
     def transformed(y: Polynomial) -> Polynomial:
         out: dict[Monomial, int] = {}
-        get = out.get
         for i, words in enumerate(antipodes):
             g = _act_terms(p, action, words, y.terms)
-            if not g:
-                continue
-            g = _apply_terms(e.terms, g, p)
-            for m, v in _act_power_terms(p, action, k - i, g).items():
-                out[m] = get(m, 0) + v
+            if g:
+                _add_power_terms(p, action, k - i, _apply_terms(e.terms, g, p), 1, out)
         return Polynomial._raw(p, nv, reduce_terms(out, p))
 
     return reconstruct_operator(

@@ -88,7 +88,8 @@ def check_normalize_action(p, n, rng, words) -> Check:
         for _ in range(3):
             f = _random_poly(rng, p, n)
             if e.apply(f) != apply_word(letters, f) * c:
-                return Check("normalize-preserves-action", False, f"on {e}")
+                word = "*".join(f"{kind.upper()}{i}" for kind, i in letters)
+                return Check("normalize-preserves-action", False, f"{c}*{word} on {f}")
     return Check("normalize-preserves-action", True)
 
 

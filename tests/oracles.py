@@ -4,8 +4,10 @@ row-reduction loop and by sympy), dense powers of graded operators and
 their ranks, slash homology from whole-space dense matrices, the regular
 module over F_p[u]/(u^p), the first reduced power as a derivation, the
 twisted differential as a conjugation, the word-by-word value of a sum of
-generator words, and seeded random polynomials and nilHecke generator
-words."""
+generator words, the total power on a monomial, and seeded random
+polynomials."""
+
+import math
 
 import numpy as np
 from sympy import GF, ZZ
@@ -199,13 +201,23 @@ def random_poly(rng, p: int, n: int, max_exp: int, terms: int) -> Polynomial:
     return Polynomial(p, n, t)
 
 
-def random_word(rng, p: int, n: int, max_len: int = 5) -> tuple[tuple, int]:
-    """A generator word of one to max_len letters, each x or D with
-    probability 1/2, and a nonzero coefficient."""
-    letters = []
-    for _ in range(rng.randint(1, max_len)):
-        if rng.random() < 0.5:
-            letters.append(("x", rng.randint(1, n)))
+def total_power_monomial(p: int, action: str, k: int, exps: tuple) -> dict:
+    """P^k x^exps as {exponents: coefficient mod p}, nonzero ones only: the
+    t^k coefficient of the total power, the product over the variables of
+    (x_i + t x_i^p)^(a_i) (standard) or x_i^(a_i) (1 + t x_i)^((p-1) a_i)
+    (nonstandard), expanded over Z by the binomial theorem."""
+    series = {(0, ()): 1}  # (power of t, exponents so far) -> integer coefficient
+    for a in exps:
+        if action == "standard":
+            factor = [(j, math.comb(a, j), a + j * (p - 1)) for j in range(a + 1)]
         else:
-            letters.append(("d", rng.randint(1, n - 1)))
-    return tuple(letters), rng.randrange(1, p)
+            factor = [(j, math.comb((p - 1) * a, j), a + j) for j in range((p - 1) * a + 1)]
+        nxt = {}
+        for (t, m), c in series.items():
+            for j, cj, e in factor:
+                if t + j > k:
+                    break
+                key = (t + j, m + (e,))
+                nxt[key] = nxt.get(key, 0) + c * cj
+        series = nxt
+    return {m: c % p for (t, m), c in series.items() if t == k and c % p}

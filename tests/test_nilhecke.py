@@ -23,6 +23,7 @@ from padem.nilhecke import (
     schubert,
     sym_linearity_check,
 )
+from padem.pdg import random_nh_word
 from padem.poly import (
     Polynomial,
     elementary_symmetric,
@@ -35,7 +36,6 @@ from oracles import (
     conjugated_twist_image,
     power_one_derivation,
     random_poly,
-    random_word,
     row_reduction_rank,
 )
 
@@ -43,7 +43,7 @@ PRIMES = (2, 3, 5)
 
 
 def random_word_element(rng, p, n, max_len=5):
-    letters, c = random_word(rng, p, n, max_len)
+    letters, c = random_nh_word(rng, p, n, max_len)
     return NilHeckeElement.from_word(p, n, letters, c)
 
 
@@ -359,7 +359,7 @@ def test_normalize_preserves_action(p):
     rng = random.Random(13)
     for n in (2, 3, 4):
         for _ in range(25):
-            letters, c = random_word(rng, p, n)
+            letters, c = random_nh_word(rng, p, n, max_len=5)
             nf = NilHeckeElement.from_word(p, n, letters, c)
             for exps, images in nf.terms:
                 assert len(exps) == n and all(e >= 0 for e in exps)
@@ -385,7 +385,7 @@ def test_divided_difference_matches_exact_division(p, n):
 def test_basis_products_match_word_actions(p, n):
     rng = random.Random(19)
     for _ in range(20):
-        letters, c = random_word(rng, p, n)
+        letters, c = random_nh_word(rng, p, n, max_len=5)
         u = NilHeckeElement.from_word(p, n, letters, c)
         v = random_word_element(rng, p, n) + random_word_element(rng, p, n)
         w = random_word_element(rng, p, n)
@@ -413,8 +413,8 @@ def slow_apply_word(letters, f):
 def test_apply_word_matches_slow_reference(p, n):
     rng = random.Random(23)
     for _ in range(40):
-        letters, c = random_word(rng, p, n, max_len=6)
-        other, c2 = random_word(rng, p, n, max_len=6)
+        letters, c = random_nh_word(rng, p, n, max_len=6)
+        other, c2 = random_nh_word(rng, p, n, max_len=6)
         f = random_poly(rng, p, n, max_exp=5, terms=4)
         assert apply_word(letters, f) == slow_apply_word(letters, f)
         want = slow_apply_word(letters, f) * c + slow_apply_word(other, f) * c2

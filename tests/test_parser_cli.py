@@ -24,11 +24,12 @@ from padem.parser import (
     parse_and_evaluate,
     render,
 )
+from padem.pdg import random_nh_word
 from padem.poly import Polynomial
 from padem.steenrod import adem_normalize
 from padem.verify import _random_steenrod_word
 
-from oracles import random_poly, random_word
+from oracles import random_poly
 
 SCHEMA = json.loads(
     (Path(__file__).parent / "schemas" / "cli_output.json").read_text()
@@ -181,7 +182,7 @@ def test_rendered_values_reparse_to_equal_values(p):
         f = random_poly(rng, p, n, max_exp=3, terms=4)
         assert parse_and_evaluate(str(f), "polynomial", p, n) == f
     for _ in range(30):
-        e = NilHeckeElement.from_word(p, n, *random_word(rng, p, n, max_len=4))
+        e = NilHeckeElement.from_word(p, n, *random_nh_word(rng, p, n, max_len=4))
         assert parse_and_evaluate(str(e), "nilhecke", p, n) == e
     for _ in range(30):
         e = adem_normalize(_random_steenrod_word(rng, p, max_exp=6))

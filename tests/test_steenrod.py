@@ -12,6 +12,7 @@ from padem import verify
 from padem.arith import binomial_mod_p
 from padem.errors import DomainError
 from padem.nilhecke import NilHeckeElement, divided_difference
+from padem.pdg import random_nh_word
 from padem.poly import (
     Polynomial,
     elementary_symmetric,
@@ -22,6 +23,7 @@ from padem.poly import (
 from padem.steenrod import (
     ACTION_NONSTANDARD,
     ACTION_STANDARD,
+    ACTIONS,
     GRADING_COMPRESSED,
     MARGOLIS_TERM_BUDGET,
     SteenrodElement,
@@ -40,7 +42,7 @@ from padem.steenrod import (
 )
 from padem.verify import _random_steenrod_word
 
-from oracles import random_poly, random_word
+from oracles import random_poly, total_power_monomial
 
 PRIMES = (2, 3, 5)
 
@@ -203,6 +205,36 @@ def test_nonstandard_action_on_a_power_is_the_cartan_expansion():
             ]
 
 
+def _near_powers(p, top):
+    """The exponents on and next to p^0, ..., p^top."""
+    return sorted({e for q in (p**i for i in range(top + 1)) for e in (q - 1, q, q + 1)})
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_action_on_monomials_matches_the_total_power(p):
+    # every k from 0 to one past the top power, which instability makes 0
+    grids = ((1, _near_powers(p, 2)), (2, _near_powers(p, 1)), (3, sorted({0, 1, p - 1, p})))
+    for n, exponents in grids:
+        for exps in itertools.product(exponents, repeat=n):
+            f = Polynomial.monomial(p, n, exps)
+            for action, scale in ((ACTION_STANDARD, 1), (ACTION_NONSTANDARD, p - 1)):
+                for k in range(scale * sum(exps) + 2):
+                    got = act(P(p, k), f, action).terms
+                    assert got == total_power_monomial(p, action, k, exps), (action, k, exps)
+
+
+@pytest.mark.parametrize("action", ACTIONS)
+def test_small_power_of_a_huge_exponent_is_fast(action):
+    # a row stops at the power being split: three entries here, not one
+    # per j up to the exponent
+    p, a = 5, 10**8 + 3
+    upper, step = (a, p - 1) if action == ACTION_STANDARD else ((p - 1) * a, 1)
+    start = time.perf_counter()
+    got = act(P(p, 2), Polynomial.monomial(p, 1, (a,)), action)
+    assert time.perf_counter() - start < 0.5
+    assert got.terms == {(a + 2 * step,): math.comb(upper, 2) % p}
+
+
 # -- antipode -------------------------------------------------------------
 
 
@@ -259,7 +291,7 @@ def test_bar_act_matches_polynomial_level_definition(p, n):
     rng = random.Random(61 + 10 * p + n)
     monomials = monomials_up_to_degree(n, 8)
     for _ in range(3):
-        letters, c = random_word(rng, p, n, max_len=3)
+        letters, c = random_nh_word(rng, p, n, max_len=3)
         e = NilHeckeElement.from_word(p, n, letters, c)
         for action in (ACTION_STANDARD, ACTION_NONSTANDARD):
             for k in range(4):

@@ -123,3 +123,6 @@ def test_shared_check_catches_a_wrong_kernel(monkeypatch, name):
     monkeypatch.setattr(module, kernel, fault)
     got = run()
     assert got.name == name and not got.ok
+    if name == "normalize-preserves-action":
+        # the detail names the drawn word, its coefficient and the polynomial
+        assert got.detail == "1*X2*X2*X3*D1 on x1^2*x3^3 + 2*x1^2"
