@@ -347,31 +347,18 @@ def capped_factorial(n: int, cap: int) -> int:
     return out
 
 
-@functools.cache
-def _euler_row(n: int, p: int) -> tuple[int, ...]:
-    # Coefficients of (1 + x + ... + x^(p-1))^n mod p, by repeated
-    # convolution with the length-p row of ones.
-    row = [1]
-    for _ in range(n):
-        new = [0] * (len(row) + p - 1)
-        for i, c in enumerate(row):
-            if c:
-                for j in range(p):
-                    new[i + j] = (new[i + j] + c) % p
-        row = new
-    return tuple(row)
-
-
 def generalized_binomial(n: int, k: int, p: int) -> int:
     """Coefficient of x^k in (1 + x + ... + x^(p-1))^n, reduced mod p.
 
-    Agrees with binomial_mod_p(n, k, 2) when p = 2.
+    Mod p, 1 + x + ... + x^(p-1) = (1 - x^p)/(1 - x) = (1 - x)^(p-1), so
+    the coefficient is (-1)^k C((p-1)n, k).  Agrees with
+    binomial_mod_p(n, k, 2) when p = 2.
     """
     require_prime(p)
     if n < 0 or k < 0:
         raise DomainError("generalized binomial needs nonnegative arguments")
-    row = _euler_row(n, p)
-    return row[k] if k < len(row) else 0
+    c = binomial_mod_p((p - 1) * n, k, p)
+    return -c % p if k % 2 else c
 
 
 class IntPolynomial:
@@ -464,23 +451,23 @@ class IntPolynomial:
         rem = dict(self.coeffs)
         lead_deg = divisor.degree()
         lead_coeff = divisor.coeffs[lead_deg]
+        lower = [(dd, cc) for dd, cc in divisor.coeffs.items() if dd != lead_deg]
         quo: dict[int, int] = {}
-        while rem:
-            d = max(rem)
-            if d < lead_deg:
-                raise DivisibilityError("polynomial division is not exact")
-            c, r = divmod(rem[d], lead_coeff)
+        # one pass from the top degree down: each quotient term clears its
+        # degree, and the divisor's lower terms only reach degrees below it
+        for d in range(self.degree(), lead_deg - 1, -1):
+            c = rem.pop(d, 0)
+            if not c:
+                continue
+            c, r = divmod(c, lead_coeff)
             if r:
                 raise DivisibilityError("polynomial division is not exact")
             shift = d - lead_deg
             quo[shift] = c
-            for dd, cc in divisor.coeffs.items():
-                key = dd + shift
-                val = rem.get(key, 0) - c * cc
-                if val:
-                    rem[key] = val
-                else:
-                    rem.pop(key, None)
+            for dd, cc in lower:
+                rem[dd + shift] = rem.get(dd + shift, 0) - c * cc
+        if any(rem.values()):
+            raise DivisibilityError("polynomial division is not exact")
         return IntPolynomial(quo)
 
     def evaluate(self, x: int) -> int:

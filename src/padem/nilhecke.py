@@ -538,9 +538,35 @@ def all_permutations(n: int) -> list[Permutation]:
     return [Permutation(images) for images in itertools.permutations(range(1, n + 1))]
 
 
-# Most monomials the sweep of reconstruct_operator may check, and most
-# pairs of permutations its peeling may take.
+# Most monomials the sweep of reconstruct_operator, or of the nilHecke
+# relations in verify-all, may check, and most pairs of permutations the
+# peeling of reconstruct_operator may take.
 RECONSTRUCT_BUDGET = 100_000
+
+
+def require_sweep_budget(sweep: str, n: int, degree_bound: int) -> None:
+    """Raise DomainError when a sweep of monomials_up_to_degree(n,
+    degree_bound), C(degree_bound // 2 + n, n) monomials, checks more than
+    RECONSTRUCT_BUDGET of them."""
+    if capped_binomial(degree_bound // 2 + n, n, RECONSTRUCT_BUDGET) > RECONSTRUCT_BUDGET:
+        raise DomainError(
+            f"{sweep} up to degree {degree_bound} with n={n} is over "
+            f"the work budget: it checks more than {RECONSTRUCT_BUDGET} monomials"
+        )
+
+
+def require_reconstruction_budget(n: int, degree_bound: int) -> None:
+    """Raise DomainError when reconstruct_operator at (n, degree_bound)
+    would sweep more than RECONSTRUCT_BUDGET monomials, or pair more than
+    RECONSTRUCT_BUDGET permutations with earlier ones, counted as
+    n!(n! - 1)/2 with n! capped."""
+    require_sweep_budget("the reconstruction sweep", n, degree_bound)
+    perms = capped_factorial(n, RECONSTRUCT_BUDGET)
+    if perms * (perms - 1) // 2 > RECONSTRUCT_BUDGET:
+        raise DomainError(
+            f"the reconstruction with n={n} is over the work budget: its n! "
+            f"permutations form more than {RECONSTRUCT_BUDGET} pairs"
+        )
 
 
 def reconstruct_operator(
@@ -558,24 +584,12 @@ def reconstruct_operator(
     monomial within the degree bound.  Operators that are not actually
     nilHecke elements fail the check and raise ReconstructionError.  A
     negative bound, whose sweep would check nothing, raises DomainError,
-    and so does a sweep of more than RECONSTRUCT_BUDGET monomials, counted
-    as C(degree_bound // 2 + n, n), or more than RECONSTRUCT_BUDGET pairs
-    of a permutation with an earlier one, counted as n!(n! - 1)/2 with n!
-    capped: both before any Schubert value is built.
+    and so does work over require_reconstruction_budget, before any
+    Schubert value is built.
     """
     if degree_bound < 0:
         raise DomainError(f"degree bound {degree_bound} must be nonnegative")
-    if capped_binomial(degree_bound // 2 + n, n, RECONSTRUCT_BUDGET) > RECONSTRUCT_BUDGET:
-        raise DomainError(
-            f"the reconstruction sweep up to degree {degree_bound} with n={n} is over "
-            f"the work budget: it checks more than {RECONSTRUCT_BUDGET} monomials"
-        )
-    perms = capped_factorial(n, RECONSTRUCT_BUDGET)
-    if perms * (perms - 1) // 2 > RECONSTRUCT_BUDGET:
-        raise DomainError(
-            f"the reconstruction with n={n} is over the work budget: its n! "
-            f"permutations form more than {RECONSTRUCT_BUDGET} pairs"
-        )
+    require_reconstruction_budget(n, degree_bound)
     perms = sorted(all_permutations(n), key=lambda w: (w.length(), w.images))
     parts: dict[Permutation, Polynomial] = {}
     for w in perms:

@@ -450,42 +450,31 @@ def xi_monomial_degree(p: int, xi: XiMonomial) -> int:
     return sum(e * 2 * (p**k - 1) for k, e in enumerate(xi, start=1))
 
 
-def _strip(xi: tuple[int, ...]) -> XiMonomial:
-    while xi and xi[-1] == 0:
-        xi = xi[:-1]
-    return xi
+def _coaction_of_power(p: int, m: int, cap: int):
+    """Terms (x-exponent, xi-monomial, coefficient) of the coaction on x^m
+    whose xi-monomial has degree at most cap, coefficients nonzero mod p.
 
-
-@functools.cache
-def _coaction_of_power(p: int, m: int, cap: int) -> tuple[tuple[int, XiMonomial, int], ...]:
-    """Terms (x-exponent, xi-monomial, coefficient) of the coaction on x^m,
-    keeping only xi-monomials of degree at most cap."""
-    kmax = 0
-    while 2 * (p ** (kmax + 1) - 1) <= cap:
-        kmax += 1
-    base: list[tuple[int, XiMonomial]] = [(1, ())]
-    for k in range(1, kmax + 1):
-        xi = (0,) * (k - 1) + (1,)
-        base.append((p**k, xi))
-    acc: dict[tuple[int, XiMonomial], int] = {(0, ()): 1}
-    for _ in range(m):
-        nxt: dict[tuple[int, XiMonomial], int] = {}
-        for (xe, xi), c in acc.items():
-            for bxe, bxi in base:
-                xi2 = list(xi) + [0] * (len(bxi) - len(xi))
-                for idx, e in enumerate(bxi):
-                    xi2[idx] += e
-                xi2t = _strip(tuple(xi2))
-                if xi_monomial_degree(p, xi2t) > cap:
-                    continue
-                key = (xe + bxe, xi2t)
-                val = (nxt.get(key, 0) + c) % p
-                if val:
-                    nxt[key] = val
-                else:
-                    nxt.pop(key, None)
-        acc = nxt
-    return tuple((xe, xi, c) for (xe, xi), c in acc.items())
+    By the multinomial theorem, psi(x)^m = (x + x^p xi_1 + x^(p^2) xi_2
+    + ...)^m has one term for each m = c_0 + c_1 + ... + c_K: the monomial
+    x^(sum c_k p^k) xi_1^(c_1) ... xi_K^(c_K), with coefficient the product
+    over k >= 1 of C(m - c_1 - ... - c_(k-1), c_k).  The walk fixes c_1,
+    c_2, ... in turn, within the degree left under cap, and drops a prefix
+    whose coefficient is zero mod p."""
+    frontier = [(m, 0, (), 1, cap)]  # (m left, x-exponent, xi, coefficient, degree left)
+    k = 1
+    while 2 * (p**k - 1) <= cap:
+        step, power = 2 * (p**k - 1), p**k
+        nxt = []
+        for rest, xe, xi, c, room in frontier:
+            for ck in range(min(rest, room // step) + 1):
+                if b := binomial_mod_p(rest, ck, p):
+                    nxt.append((rest - ck, xe + ck * power, xi + (ck,), c * b % p, room - ck * step))
+        frontier = nxt
+        k += 1
+    for rest, xe, xi, c, _ in frontier:
+        while xi and not xi[-1]:
+            xi = xi[:-1]
+        yield xe + rest, xi, c
 
 
 def milnor_coaction(f: Polynomial, degree_cap: int) -> dict[XiMonomial, Polynomial]:
@@ -493,23 +482,21 @@ def milnor_coaction(f: Polynomial, degree_cap: int) -> dict[XiMonomial, Polynomi
     x^(p^(k+s)) tensor xi_k^(p^s), extended multiplicatively.
 
     Returns a map from xi-monomials (exponent tuples, xi_1 first) to their
-    one-variable polynomial coefficients, truncated to xi-degree <= cap.
+    one-variable polynomial coefficients, truncated to xi-degree <= cap; a
+    negative cap raises DomainError.  The xi-monomial of a term fixes
+    c_1, c_2, ..., and then its x-exponent fixes m, so no two terms of any
+    x^m in f meet and each is written once.
     """
     if f.n != 1:
         raise DomainError("the coaction is implemented on one variable only")
+    if degree_cap < 0:
+        raise DomainError(f"degree cap {degree_cap} must be nonnegative")
+    p = f.p
     out: dict[XiMonomial, dict[Monomial, int]] = {}
     for (m,), c in f.terms.items():
-        for xe, xi, c2 in _coaction_of_power(f.p, m, degree_cap):
-            bucket = out.setdefault(xi, {})
-            key = (xe,)
-            val = (bucket.get(key, 0) + c * c2) % f.p
-            if val:
-                bucket[key] = val
-            else:
-                bucket.pop(key, None)
-    return {
-        xi: Polynomial(f.p, 1, terms) for xi, terms in out.items() if terms
-    }
+        for xe, xi, c2 in _coaction_of_power(p, m, degree_cap):
+            out.setdefault(xi, {})[(xe,)] = c * c2 % p
+    return {xi: Polynomial._raw(p, 1, terms) for xi, terms in out.items()}
 
 
 def margolis_pst(s: int, t: int, f: Polynomial) -> Polynomial:

@@ -1,6 +1,7 @@
 """Scalar arithmetic and Z[q] polynomial tests."""
 
 import math
+import time
 
 import pytest
 
@@ -124,6 +125,16 @@ def test_generalized_binomial_row_sums_vanish(p):
         assert total % p == 0
 
 
+def test_generalized_binomial_at_a_large_row():
+    # (1 + x + ... + x^4)^n = (1 - x)^(4n) mod 5: no row is expanded;
+    # 4n = 2 5^9 + 5^7 + 5^6, so k = 5^6, odd, is the first nonzero past 0
+    n, p = 10**6, 5
+    start = time.perf_counter()
+    got = [generalized_binomial(n, k, p) for k in (12345, 5**6)]
+    assert time.perf_counter() - start < 1
+    assert got == [(-1) ** k * math.comb(4 * n, k) % p for k in (12345, 5**6)] == [0, 4]
+
+
 def test_int_polynomial_arithmetic():
     q = IntPolynomial.monomial(1, 1)
     f = q * q - IntPolynomial.one()
@@ -135,6 +146,29 @@ def test_int_polynomial_arithmetic():
     assert str(IntPolynomial.zero()) == "0"
     with pytest.raises(DivisibilityError):
         (q * q).exact_div(q + IntPolynomial.one())
+
+
+def test_exact_div_of_q_power_minus_one_at_large_degree():
+    # one pass over the degrees: 1 + q + ... + q^(N-1), the dense quotient
+    # of q^N - 1 by q - 1, is divisible by q + 1 exactly when N is even,
+    # and q^N - 1 by q^M - 1 exactly when M divides N
+    q, one = IntPolynomial.monomial(1, 1), IntPolynomial.one()
+    start = time.perf_counter()
+    for big in (20_000, 20_001):
+        dense = IntPolynomial.q_power_minus_one(big).exact_div(q - one)
+        assert dense == IntPolynomial({d: 1 for d in range(big)})
+        if big % 2:
+            with pytest.raises(DivisibilityError, match="not exact"):
+                dense.exact_div(q + one)
+        else:
+            assert dense.exact_div(q + one) == IntPolynomial({d: 1 for d in range(0, big, 2)})
+    top = IntPolynomial.q_power_minus_one(20_000)
+    assert top.exact_div(IntPolynomial.q_power_minus_one(400)) == IntPolynomial(
+        {d: 1 for d in range(0, 20_000, 400)}
+    )
+    with pytest.raises(DivisibilityError, match="not exact"):
+        top.exact_div(IntPolynomial.q_power_minus_one(401))
+    assert time.perf_counter() - start < 1
 
 
 def test_cyclotomic_small_values():

@@ -418,6 +418,24 @@ NINES = "9" * 4000
             "the Schubert polynomial with n=13 is over the work budget: "
             "it holds more than 100000 terms",
         ),
+        # verify-all refuses up front what its rows would refuse: the
+        # relation sweep's C(D // 2 + n, n) monomials, then the
+        # bar-closed-form reconstruction at (n, min(D, 12))
+        (
+            ("verify-all", "-p", "3", "-n", "6"),
+            "the reconstruction with n=6 is over the work budget: its n! "
+            "permutations form more than 100000 pairs",
+        ),
+        (
+            ("verify-all", "-n", "50"),
+            "the relation sweep up to degree 24 with n=50 is over "
+            "the work budget: it checks more than 100000 monomials",
+        ),
+        (
+            ("verify-all", "-p", "3", "-n", "3", "-D", "100000"),
+            "the relation sweep up to degree 100000 with n=3 is over "
+            "the work budget: it checks more than 100000 monomials",
+        ),
     ],
 )
 def test_cli_over_work_budget_exits_3_fast(capsys, argv, message):

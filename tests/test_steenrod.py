@@ -440,21 +440,45 @@ def test_coaction_on_pth_powers(p):
     assert out[(0, p)] == x ** (p**3)
 
 
-@pytest.mark.parametrize("p", (2, 3))
+def _flat_coaction(f, cap):
+    """The coaction of f as {(xi, x-exponent): coefficient}."""
+    return {(xi, m): c for xi, g in milnor_coaction(f, cap).items() for (m,), c in g.terms.items()}
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
 def test_coaction_is_multiplicative(p):
-    x = Polynomial.variable(p, 1, 1)
-    cap = 2 * (p**2 - 1)
-    a = milnor_coaction(x**2, cap)
-    b = milnor_coaction(x, cap)
-    product = {}
-    for xi1, f1 in b.items():
-        for xi2, f2 in b.items():
-            xi = tuple(u + v for u, v in itertools.zip_longest(xi1, xi2, fillvalue=0))
-            if xi_monomial_degree(p, xi) > cap:
-                continue
-            product[xi] = product.get(xi, Polynomial.zero(p, 1)) + f1 * f2
-    product = {xi: f for xi, f in product.items() if not f.is_zero()}
-    assert product == a
+    # psi(x^(a+b)) = psi(x^a) psi(x^b), truncated: the product is taken
+    # here term by term, with no expansion from padem
+    for cap in (2 * (p**2 - 1), 2 * (p**3 - 1)):
+        flat = [_flat_coaction(Polynomial.monomial(p, 1, (a,)), cap) for a in range(25)]
+        for a in range(13):
+            for b in range(a, 13):
+                product = {}
+                for (xi1, m1), c1 in flat[a].items():
+                    for (xi2, m2), c2 in flat[b].items():
+                        xi = tuple(u + v for u, v in itertools.zip_longest(xi1, xi2, fillvalue=0))
+                        if xi_monomial_degree(p, xi) <= cap:
+                            key = (xi, m1 + m2)
+                            product[key] = (product.get(key, 0) + c1 * c2) % p
+                assert {k: c for k, c in product.items() if c} == flat[a + b], (a, b, cap)
+
+
+def test_coaction_rejects_a_negative_cap():
+    x = Polynomial.variable(3, 1, 1)
+    for f in (Polynomial.one(3, 1), x, x**5):
+        with pytest.raises(DomainError, match="degree cap -1 must be nonnegative"):
+            milnor_coaction(f, -1)
+
+
+def test_coaction_of_a_large_power_is_fast():
+    # one term per composition of 3^7 that fits under the cap; C(3^7, c)
+    # vanishes mod 3 unless c is 0 or 3^7, so the walk stops at once
+    p = 3
+    f = Polynomial.monomial(p, 1, (p**7,))
+    start = time.perf_counter()
+    assert margolis_pst(4, 1, f).is_zero()
+    assert margolis_pst(7, 1, f) == Polynomial.monomial(p, 1, (p**8,))
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("p", (2, 3))
