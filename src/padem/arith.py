@@ -115,6 +115,11 @@ class Record:
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, which every
+        # subclass gives its fields in slot order
+        return (type(self), self._fields())
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
 

@@ -1,21 +1,28 @@
 """Invariant suite behind the verify-all subcommand.
 
 Each check returns a Check record and sweeps exactly the bounds it is
-given; the table in _run_table is the one place that states them, as a
+given; the table in _table is the one place that states them, as a
 function of (p, n, degree bound, seed, words).  Randomized checks draw
-from the suite's seeded rng so failures reproduce exactly.  run_matrix
-sweeps the configured primes and variable counts and runs each distinct
-check without the rng once: a row whose name and arguments repeat an
-earlier one reports the kept result, so the n = 4 lines of pdg-verify
-and steenrod-sign report the reused n = 3 result, and binomials,
-hopf-antipode and groth run once per prime.
+from the configuration's seeded rng so failures reproduce exactly.
+
+run_matrix validates every configuration of primes and variable counts,
+then turns the rows into tasks: one for each distinct row without the
+rng, so a row whose name and arguments repeat an earlier one reports
+the kept result (the n = 4 lines of pdg-verify and steenrod-sign report
+the reused n = 3 result, and binomials, hopf-antipode and groth run once
+per prime), and one for each configuration's chain of rows that draw
+from its rng, in table order, so every draw is the same.  The tasks run
+on forked worker processes, one per usable CPU, and the results come
+back in table order: the output is the same as a run in one process.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
+import sys
 
 from . import groth, pdg
 from .arith import Record, binomial_mod_p, require_ring
@@ -200,14 +207,26 @@ def check_commutator(p, n, degree_bound, max_d) -> Check:
 
 
 def check_s_powers(p, n, max_d) -> Check:
-    # P^d s_1 = (-1)^d s_1^(d+1) below p and 0 from p on: each value is
-    # -s_1 times the one before
-    s1 = divided_difference(Polynomial.variable(p, n, 1) ** p, 1)
-    want = s1
+    # P^d s_1 = (-1)^d s_1^(d+1) below p and 0 from p on: each value below
+    # p is -s_1 times the one before.  As s_1 (x_1 - x_2) = x_1^p - x_2^p,
+    # for 0 < d < p that reads (x_1 - x_2) P^d s_1 = -(x_1^p - x_2^p)
+    # P^(d-1) s_1, two-term products in place of products by s_1; the
+    # factor x_1 - x_2 is injective, so the first failing d is the same.
+    x1, x2 = Polynomial.variable(p, n, 1), Polynomial.variable(p, n, 2)
+    s1 = divided_difference(x1**p, 1)
+    step, shifted_step = x1 - x2, x2**p - x1**p
+    prev = None
     for d in range(0, max_d + 1):
-        if act(SteenrodElement.p_power(p, d), s1) != want:
+        got = act(SteenrodElement.p_power(p, d), s1)
+        if d == 0:
+            ok = got == s1
+        elif d < p:
+            ok = step * got == shifted_step * prev
+        else:
+            ok = got.is_zero()
+        if not ok:
             return Check("s-powers", False, f"d={d}")
-        want = want * -s1 if d + 1 < p else Polynomial.zero(p, n)
+        prev = got
     return Check("s-powers", True)
 
 
@@ -328,10 +347,12 @@ def check_binomials(p, limit) -> Check:
     return Check("binomials", True)
 
 
-def _run_table(p, n, degree_bound, seed, words, kept) -> list[Check]:
-    """Run every check of the table in order, with the Check of each row
-    that does not use the rng kept under (name, arguments): a repeated
-    row reports the kept one.  See run_matrix."""
+def _table(p, n, degree_bound, seed, words, rng) -> list:
+    """(name, check function, the exact arguments it runs with) for each
+    row of one configuration, in order, after validating the
+    configuration (see run_matrix).  Every bound verify-all uses is stated
+    here and only here.  The table is built on every call, so a replaced
+    module attribute runs."""
     require_ring(p, n)
     if n < 2:
         raise DomainError(f"the invariant suite needs at least two variables, got n={n}")
@@ -342,11 +363,7 @@ def _run_table(p, n, degree_bound, seed, words, kept) -> list[Check]:
     bar_bound = min(degree_bound, 12)
     require_sweep_budget("the relation sweep", n, degree_bound)
     require_reconstruction_budget(n, bar_bound)
-    rng = random.Random(seed)
-    # (name, check function, the exact arguments it runs with): every
-    # bound verify-all uses is stated here and only here; the table is
-    # built on every call, so a replaced module attribute runs
-    table = [
+    return [
         ("binomials", check_binomials, (p, 25)),
         ("nilhecke-relations", check_nilhecke_relations, (p, n, degree_bound)),
         ("normalize-preserves-action", check_normalize_action, (p, n, rng, words)),
@@ -369,19 +386,165 @@ def _run_table(p, n, degree_bound, seed, words, kept) -> list[Check]:
         ("steenrod-sign", check_steenrod_sign, (p, min(n, 3), min(degree_bound, 12), seed)),
         ("groth", check_groth, (p, 4 * p * (p - 1) + 8)),
     ]
-    results = []
-    for name, fn, args in table:
-        key = None if rng in args else (name, args)
-        check = kept.get(key)
-        if check is None:
-            try:
-                check = fn(*args)
-            except PademError as exc:
-                check = Check(name, False, str(exc))
-            if key is not None:
-                kept[key] = check
-        results.append(check)
-    return results
+
+
+def _run_rows(rows) -> list[Check]:
+    """The Check of each (name, function, arguments) row, in order; a row
+    that raises a PademError fails with the error as its detail."""
+    out = []
+    for name, fn, args in rows:
+        try:
+            out.append(fn(*args))
+        except PademError as exc:
+            out.append(Check(name, False, str(exc)))
+    return out
+
+
+def _run_tasks(tasks) -> list[list[Check]]:
+    """_run_rows of each task: on forked workers, one per usable CPU, or in
+    this process when one worker would do, when there is no fork, or when
+    this process runs other threads (a fork copies only the calling
+    thread, so a lock another thread holds would stay held)."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(tasks))
+    threading = sys.modules.get("threading")
+    if workers < 2 or not hasattr(os, "fork") or (threading and threading.active_count() > 1):
+        return [_run_rows(rows) for rows in tasks]
+    return _run_pool(tasks, workers)
+
+
+def _send(fd, value) -> None:
+    import pickle
+
+    data = pickle.dumps(value)
+    data = len(data).to_bytes(4, "little") + data
+    while data:
+        data = data[os.write(fd, data) :]
+
+
+def _read(fd, size) -> bytes:
+    data = b""
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            raise EOFError
+        data += chunk
+    return data
+
+
+def _receive(fd):
+    """The next value _send wrote to fd; EOFError if the writer closed it
+    first."""
+    import pickle
+
+    return pickle.loads(_read(fd, int.from_bytes(_read(fd, 4), "little")))
+
+
+def _serve(tasks, task_r, result_w) -> None:
+    """A worker's loop: for each task index read from task_r, send
+    (True, its Checks) or (False, the exception it raised) on result_w,
+    until the parent closes task_r."""
+    while True:
+        try:
+            i = _receive(task_r)
+        except EOFError:
+            return
+        try:
+            message = (True, _run_rows(tasks[i]))
+        except Exception as exc:
+            message = (False, exc)
+        _send(result_w, message)
+
+
+def _run_pool(tasks, workers) -> list[list[Check]]:
+    """_run_rows of each task on `workers` forked processes.
+
+    The workers are forked once and inherit the task list, so only task
+    indices and results cross their two pipes, and each keeps its caches
+    from task to task.  Indices go out in task order as workers come
+    free.  A task that raises is re-raised here as the serial order
+    would raise it: the lowest failing index, once every lower task has
+    finished.  A worker that dies raises RuntimeError at once.  Every
+    worker is reaped before this returns or raises.  A worker keeps only
+    its own two pipe ends and leaves only through os._exit, so no exit
+    handler or inherited buffer runs twice."""
+    import select
+    import signal
+
+    fds = []  # every pipe end open in this process
+    pids = []
+    channels = {}  # result read end -> (worker pid, task write end)
+    clean = False
+    try:
+        for _ in range(workers):
+            task_r, task_w = os.pipe()
+            fds += (task_r, task_w)
+            result_r, result_w = os.pipe()
+            fds += (result_r, result_w)
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    for fd in fds:
+                        if fd not in (task_r, result_w):
+                            os.close(fd)
+                    _serve(tasks, task_r, result_w)
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+            for fd in (task_r, result_w):
+                os.close(fd)
+                fds.remove(fd)
+            channels[result_r] = (pid, task_w)
+
+        results: list = [None] * len(tasks)
+        failure = None  # (index, exception) of the lowest failing task
+        running = {}  # result read end -> the index of its worker's task
+        idle = list(channels)
+        next_task = 0
+        while True:
+            while idle and failure is None and next_task < len(tasks):
+                result_r = idle.pop()
+                _send(channels[result_r][1], next_task)
+                running[result_r] = next_task
+                next_task += 1
+            if failure is not None:
+                # the tasks after the failing one are not waited for
+                running = {fd: i for fd, i in running.items() if i < failure[0]}
+            if not running:
+                break
+            for result_r in select.select(list(running), [], [])[0]:
+                i = running.pop(result_r)
+                try:
+                    ok, value = _receive(result_r)
+                except EOFError:
+                    pid = channels[result_r][0]
+                    pids.remove(pid)
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    names = ", ".join(name for name, _fn, _args in tasks[i])
+                    raise RuntimeError(
+                        f"a verify-all worker ended with exit code {code} while running {names}"
+                    ) from None
+                if ok:
+                    results[i] = value
+                elif failure is None or i < failure[0]:
+                    failure = (i, value)
+                idle.append(result_r)
+        if failure is not None:
+            raise failure[1]
+        clean = True
+        return results
+    finally:
+        for fd in fds:
+            os.close(fd)  # an idle worker reads the end of its tasks and leaves
+        for pid in pids:
+            if not clean:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def run_matrix(
@@ -391,19 +554,49 @@ def run_matrix(
     seed: int = 0,
     words: int = 100,
 ) -> list[tuple[str, list[Check]]]:
-    """Run the table of checks for every prime and variable count, each
-    distinct check without the rng run once across the matrix; a check
+    """Run the table of checks for every prime and variable count; a check
     that raises a PademError is reported as failed with the error as its
     detail, and the rest still run.
 
-    The arguments of each configuration are validated before any of its
-    checks runs, and a bad one raises DomainError: the checks use
-    D_1..D_{n-1}, so n >= 2, the degree bound is nonnegative, the
-    random-word checks need at least one word, and the relation sweep and
-    the bar-closed-form reconstruction fit their work budget."""
-    kept: dict = {}
-    out = []
+    Every configuration is validated before any check runs, and a bad one
+    raises DomainError: the checks use D_1..D_{n-1}, so n >= 2, the degree
+    bound is nonnegative, the random-word checks need at least one word,
+    and the relation sweep and the bar-closed-form reconstruction fit
+    their work budget.
+
+    The rows then become tasks, in table order.  Each distinct row
+    without the rng, keyed by its name and arguments, is one task, so a
+    row that repeats an earlier one reports the kept result.  The rows of
+    a configuration that draw from its rng are one task, run in table
+    order on one random.Random(seed), so every draw is the same.  The
+    tasks run on forked workers, one per usable CPU (see _run_tasks and
+    _run_pool), and the results come back in table order, the same as a
+    run in one process.  An exception other than a PademError is raised
+    here as the first failing task in task order raised it."""
+    tables = []
     for p in primes:
         for n in var_counts:
-            out.append((f"p={p}, n={n}", _run_table(p, n, degree_bound, seed, words, kept)))
-    return out
+            rng = random.Random(seed)
+            tables.append((f"p={p}, n={n}", rng, _table(p, n, degree_bound, seed, words, rng)))
+    tasks = []  # lists of rows
+    kept = {}  # (name, arguments) -> index of the task that runs the row
+    layout = []  # (config, [(task index, position in the task) per row])
+    for config, rng, table in tables:
+        chain = None
+        slots = []
+        for row in table:
+            name, _fn, args = row
+            if rng in args:
+                if chain is None:
+                    chain = len(tasks)
+                    tasks.append([])
+                slots.append((chain, len(tasks[chain])))
+                tasks[chain].append(row)
+                continue
+            if (name, args) not in kept:
+                kept[name, args] = len(tasks)
+                tasks.append([row])
+            slots.append((kept[name, args], 0))
+        layout.append((config, slots))
+    results = _run_tasks(tasks)
+    return [(config, [results[t][i] for t, i in slots]) for config, slots in layout]

@@ -1,10 +1,13 @@
 """Scalar arithmetic and Z[q] polynomial tests."""
 
+import copy
 import math
+import pickle
 import time
 
 import pytest
 
+from padem import parser
 from padem.arith import (
     IntPolynomial,
     Record,
@@ -18,6 +21,8 @@ from padem.arith import (
     require_prime,
 )
 from padem.errors import DivisibilityError, DomainError
+from padem.groth import SubHopfProfile
+from padem.verify import Check
 
 PRIMES = (2, 3, 5)
 
@@ -224,3 +229,28 @@ def test_record_takes_one_value_per_field():
             _Pair(*values)
     with pytest.raises(AttributeError):
         pair.left = 4
+
+
+_TREE = parser.parse("2*x1^3 - D1", parser.TARGET_NILHECKE)
+
+# one value of each Record subclass: a parser node of each kind comes
+# from the tree of 2*x1^3 - D1
+RECORDS = {
+    "Check": Check("adem", False, "strategy mismatch"),
+    "SubHopfProfile": SubHopfProfile.filtration(2, 3),
+    "Sum": _TREE,
+    "Product": _TREE.terms[0][1],
+    "Num": _TREE.terms[0][1].factors[0],
+    "Power": _TREE.terms[0][1].factors[1],
+    "Gen": _TREE.terms[1][1].factors[0],
+    "_Token": parser._tokenize("x1")[0],
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_survive_pickle_and_copy(name):
+    # verify-all's workers send their Checks back pickled
+    record = RECORDS[name]
+    assert type(record).__name__ == name
+    for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(clone) is type(record) and clone == record

@@ -1,11 +1,18 @@
 """The verify-all check table: each distinct check runs once across the
-matrix, and the checks the acceptance suite shares catch planted faults."""
+matrix, the worker pool gives the serial results and leaves no process,
+and the checks the acceptance suite shares catch planted faults."""
 
+import collections
+import os
 import random
+import signal
+import threading
+import time
 
 import pytest
 
 from padem import nilhecke, pdg, steenrod, verify
+from padem.cli import main
 from padem.steenrod import act
 
 
@@ -17,29 +24,41 @@ def test_check_records_compare_by_fields():
     assert repr(verify.Check("adem", False, "x")) == "Check(name='adem', ok=False, detail='x')"
 
 
-def test_run_matrix_runs_each_distinct_check_once(monkeypatch):
-    calls = dict.fromkeys(
-        (
-            "check_pdg",
-            "check_steenrod_sign",
-            "check_binomials",
-            "check_hopf_antipode",
-            "check_groth",
-            "check_commutator",
-        ),
-        0,
+def _use_two_workers(monkeypatch):
+    """run_matrix forks two workers, whatever CPUs this machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_matrix_runs_each_distinct_check_once(monkeypatch, tmp_path):
+    # the checks run in worker processes, so each call appends a line to a
+    # file instead of counting in this process
+    log = tmp_path / "calls"
+    names = (
+        "check_pdg",
+        "check_steenrod_sign",
+        "check_binomials",
+        "check_hopf_antipode",
+        "check_groth",
+        "check_commutator",
     )
-    for name in calls:
+    for name in names:
 
         def counted(*args, name=name, real=getattr(verify, name)):
-            calls[name] += 1
+            with open(log, "a") as f:
+                f.write(name + "\n")
             return real(*args)
 
         monkeypatch.setattr(verify, name, counted)
+    _use_two_workers(monkeypatch)
     results = verify.run_matrix((3,), (2, 3, 4), 12, 0, 5)
     # pdg-verify and steenrod-sign at n = 4 reuse the n = 3 result; the
     # checks of p alone run once per prime
-    assert calls == {
+    assert collections.Counter(log.read_text().split()) == {
         "check_pdg": 2,
         "check_steenrod_sign": 2,
         "check_binomials": 1,
@@ -51,6 +70,130 @@ def test_run_matrix_runs_each_distinct_check_once(monkeypatch):
     separate = [row for n in (2, 3, 4) for row in verify.run_matrix((3,), (n,), 12, 0, 5)]
     assert results == separate
     assert all(check.ok for _, checks in results for check in checks)
+    _assert_no_child_left()
+
+
+def test_run_matrix_in_one_process_equals_the_pool(monkeypatch):
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    _use_two_workers(monkeypatch)
+    pooled = verify.run_matrix((2, 3, 5), (2, 3, 4), 12, 0, 5)
+    assert len(forks) == 2
+    _assert_no_child_left()
+
+    def no_fork():
+        raise AssertionError("forked with one usable CPU")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert verify.run_matrix((2, 3, 5), (2, 3, 4), 12, 0, 5) == pooled
+
+
+def test_run_matrix_does_not_fork_beside_another_thread(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked beside another thread")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    _use_two_workers(monkeypatch)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        results = verify.run_matrix((3,), (2,), 8, 0, 5)
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert all(check.ok for _, checks in results for check in checks)
+
+
+def test_a_worker_exception_is_raised_with_its_type_and_message(monkeypatch, capsys):
+    def raising(*args):
+        raise KeyError("x")
+
+    monkeypatch.setattr(verify, "check_groth", raising)
+    _use_two_workers(monkeypatch)
+    with pytest.raises(KeyError) as info:
+        verify.run_matrix((3,), (2, 3), 8, 0, 5)
+    assert info.value.args == ("x",)
+    _assert_no_child_left()
+    code = main(["verify-all", "-p", "3", "-n", "2", "-D", "8", "--words", "5"])
+    assert (code, *capsys.readouterr()) == (5, "", "internal error: KeyError: 'x'\n")
+    _assert_no_child_left()
+
+
+def test_the_first_failing_task_in_table_order_is_raised(monkeypatch):
+    # binomials is the first task; groth, the last, fails while it sleeps
+    def slow_first(*args):
+        time.sleep(0.3)
+        raise KeyError("first")
+
+    def last(*args):
+        raise ValueError("last")
+
+    monkeypatch.setattr(verify, "check_binomials", slow_first)
+    monkeypatch.setattr(verify, "check_groth", last)
+    _use_two_workers(monkeypatch)
+    with pytest.raises(KeyError, match="first"):
+        verify.run_matrix((3,), (2,), 8, 0, 5)
+    _assert_no_child_left()
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("run_matrix did not return")
+
+
+def test_a_worker_that_dies_raises_at_once(monkeypatch):
+    parent = os.getpid()
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        raise AssertionError("ran in the parent")
+
+    monkeypatch.setattr(verify, "check_groth", dying)
+    _use_two_workers(monkeypatch)
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    start = time.monotonic()
+    try:
+        with pytest.raises(RuntimeError, match="exit code 1 while running groth"):
+            verify.run_matrix((3,), (2,), 8, 0, 5)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 5
+    _assert_no_child_left()
+
+
+def test_an_interrupt_reaps_every_worker(monkeypatch):
+    def hanging(*args):
+        time.sleep(60)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(verify, "check_groth", hanging)
+    _use_two_workers(monkeypatch)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 0.5)
+    start = time.monotonic()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            verify.run_matrix((3,), (2,), 8, 0, 5)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 5
+    _assert_no_child_left()
 
 
 # At p = 3 a flipped sign is a real change: -1 != 1.
