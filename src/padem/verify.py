@@ -13,7 +13,8 @@ the reused n = 3 result, and binomials, hopf-antipode and groth run once
 per prime), and one for each configuration's chain of rows that draw
 from its rng, in table order, so every draw is the same.  The tasks run
 on forked worker processes, one per usable CPU, and the results come
-back in table order: the output is the same as a run in one process.
+back in table order: the output is the same as a run in one process,
+which is what a profiled, traced or wrapped run gets (see _run_tasks).
 """
 
 from __future__ import annotations
@@ -402,16 +403,21 @@ def _run_rows(rows) -> list[Check]:
 
 def _run_tasks(tasks) -> list[list[Check]]:
     """_run_rows of each task: on forked workers, one per usable CPU, or in
-    this process when one worker would do, when there is no fork, or when
+    this process when one worker would do, when there is no fork, when
     this process runs other threads (a fork copies only the calling
-    thread, so a lock another thread holds would stay held)."""
+    thread, so a lock another thread holds would stay held), or when the
+    calls are observed here: under a profiler or a tracer, or with a
+    check replaced by a functools.wraps wrapper, as instrumentation does,
+    whose records live in this process and would miss a worker's calls."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
     workers = min(cpus, len(tasks))
     threading = sys.modules.get("threading")
-    if workers < 2 or not hasattr(os, "fork") or (threading and threading.active_count() > 1):
+    observed = sys.getprofile() or sys.gettrace()
+    observed = observed or any(hasattr(fn, "__wrapped__") for rows in tasks for _n, fn, _a in rows)
+    if workers < 2 or not hasattr(os, "fork") or (threading and threading.active_count() > 1) or observed:
         return [_run_rows(rows) for rows in tasks]
     return _run_pool(tasks, workers)
 
@@ -470,7 +476,9 @@ def _run_pool(tasks, workers) -> list[list[Check]]:
     finished.  A worker that dies raises RuntimeError at once.  Every
     worker is reaped before this returns or raises.  A worker keeps only
     its own two pipe ends and leaves only through os._exit, so no exit
-    handler or inherited buffer runs twice."""
+    handler or inherited buffer runs twice.  When a pipe or a fork fails
+    (no process ids or memory left), the workers already forked do the
+    work, or this process does when there are none."""
     import select
     import signal
 
@@ -480,11 +488,13 @@ def _run_pool(tasks, workers) -> list[list[Check]]:
     clean = False
     try:
         for _ in range(workers):
-            task_r, task_w = os.pipe()
-            fds += (task_r, task_w)
-            result_r, result_w = os.pipe()
-            fds += (result_r, result_w)
-            pid = os.fork()
+            try:
+                fds += os.pipe()
+                fds += os.pipe()
+                pid = os.fork()
+            except OSError:
+                break
+            task_r, task_w, result_r, result_w = fds[-4:]
             if pid == 0:
                 code = 1
                 try:
@@ -500,6 +510,8 @@ def _run_pool(tasks, workers) -> list[list[Check]]:
                 os.close(fd)
                 fds.remove(fd)
             channels[result_r] = (pid, task_w)
+        if not channels:
+            return [_run_rows(rows) for rows in tasks]
 
         results: list = [None] * len(tasks)
         failure = None  # (index, exception) of the lowest failing task

@@ -3,9 +3,11 @@ matrix, the worker pool gives the serial results and leaves no process,
 and the checks the acceptance suite shares catch planted faults."""
 
 import collections
+import functools
 import os
 import random
 import signal
+import sys
 import threading
 import time
 
@@ -25,13 +27,23 @@ def test_check_records_compare_by_fields():
 
 
 def _use_two_workers(monkeypatch):
-    """run_matrix forks two workers, whatever CPUs this machine has."""
+    """run_matrix forks two workers, whatever CPUs this machine has and
+    whether or not a coverage tool traces the tests."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(sys, "gettrace", lambda: None)
+    monkeypatch.setattr(sys, "getprofile", lambda: None)
 
 
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _forbid_fork(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
 
 
 def test_run_matrix_runs_each_distinct_check_once(monkeypatch, tmp_path):
@@ -89,20 +101,14 @@ def test_run_matrix_in_one_process_equals_the_pool(monkeypatch):
     assert len(forks) == 2
     _assert_no_child_left()
 
-    def no_fork():
-        raise AssertionError("forked with one usable CPU")
-
-    monkeypatch.setattr(os, "fork", no_fork)
+    _forbid_fork(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert verify.run_matrix((2, 3, 5), (2, 3, 4), 12, 0, 5) == pooled
 
 
 def test_run_matrix_does_not_fork_beside_another_thread(monkeypatch):
-    def no_fork():
-        raise AssertionError("forked beside another thread")
-
-    monkeypatch.setattr(os, "fork", no_fork)
     _use_two_workers(monkeypatch)
+    _forbid_fork(monkeypatch)
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
@@ -113,6 +119,55 @@ def test_run_matrix_does_not_fork_beside_another_thread(monkeypatch):
         thread.join(timeout=10)
     assert not thread.is_alive()
     assert all(check.ok for _, checks in results for check in checks)
+
+
+def test_observed_checks_run_in_this_process(monkeypatch):
+    # a wrapper's records, like the benchmark tracer's, see every call
+    calls = []
+    real = verify.check_groth
+
+    @functools.wraps(real)
+    def wrapped(*args):
+        calls.append(args)
+        return real(*args)
+
+    expected = verify.run_matrix((3,), (2, 3), 8, 0, 5)
+    _use_two_workers(monkeypatch)
+    _forbid_fork(monkeypatch)
+    monkeypatch.setattr(verify, "check_groth", wrapped)
+    assert verify.run_matrix((3,), (2, 3), 8, 0, 5) == expected
+    assert len(calls) == 1
+
+
+def test_a_profiled_run_stays_in_this_process(monkeypatch):
+    expected = verify.run_matrix((3,), (2,), 8, 0, 5)
+    _use_two_workers(monkeypatch)
+    _forbid_fork(monkeypatch)
+    monkeypatch.setattr(sys, "getprofile", lambda: print)
+    assert verify.run_matrix((3,), (2,), 8, 0, 5) == expected
+
+
+@pytest.mark.parametrize("forks_before_failing", [0, 1])
+def test_a_failed_fork_leaves_the_work_to_fewer_processes(monkeypatch, forks_before_failing):
+    real_fork = os.fork
+    forks = []
+
+    def failing_fork():
+        if len(forks) == forks_before_failing:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    _use_two_workers(monkeypatch)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    results = verify.run_matrix((2, 3), (2, 3), 10, 0, 5)
+    assert len(forks) == forks_before_failing
+    _assert_no_child_left()
+    monkeypatch.undo()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert results == verify.run_matrix((2, 3), (2, 3), 10, 0, 5)
 
 
 def test_a_worker_exception_is_raised_with_its_type_and_message(monkeypatch, capsys):
