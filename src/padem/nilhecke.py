@@ -34,6 +34,7 @@ from operator import add
 
 from .arith import LinearCombination, capped_binomial, capped_factorial, reduce_terms, require_ring
 from .errors import DomainError, MismatchError, ReconstructionError
+from .pool import fork_map
 from .poly import (
     Monomial,
     Polynomial,
@@ -412,7 +413,9 @@ def apply_word(word: Word, f: Polynomial) -> Polynomial:
 
 # Monomials per batch in first_word_sum_mismatch: enough to spread the
 # per-word cost of a relation side over many monomials, few enough that a
-# batch's intermediate term dicts, and so peak memory, stay small.
+# batch's intermediate term dicts, and so peak memory, stay small.  Also
+# about the monomials per task of reconstruct_operator's sweep, so a sweep
+# too short to repay a fork runs in one task.
 SWEEP_CHUNK = 64
 
 
@@ -586,6 +589,17 @@ def reconstruct_operator(
     negative bound, whose sweep would check nothing, raises DomainError,
     and so does work over require_reconstruction_budget, before any
     Schubert value is built.
+
+    The sweep is split into T = ceil(monomials / SWEEP_CHUNK) tasks, task
+    t checking the monomials t, t + T, t + 2T, ..., and this process
+    shares them with one forked helper for each further usable CPU (see
+    pool.fork_map): a sweep of at most SWEEP_CHUNK monomials is one task
+    and never forks.  The sweep runs in this process alone on one CPU,
+    without os.fork, beside other threads, inside a task of another such
+    pool (a verify-all row), and when its calls are observed (a profiler,
+    a tracer, or fn or NilHeckeElement.apply replaced by a functools.wraps
+    wrapper).  A mismatch anywhere raises the same ReconstructionError,
+    and an exception fn raises is re-raised with its type and arguments.
     """
     if degree_bound < 0:
         raise DomainError(f"degree bound {degree_bound} must be nonnegative")
@@ -611,12 +625,16 @@ def reconstruct_operator(
         },
     )
 
-    for exps in monomials_up_to_degree(n, degree_bound):
-        y = Polynomial._raw(p, n, {exps: 1})
-        if result.apply(y) != fn(y):
-            raise ReconstructionError(
-                f"{note} is not realized by a nilHecke element"
-            )
+    monos = monomials_up_to_degree(n, degree_bound)
+    tasks = -(-len(monos) // SWEEP_CHUNK)
+
+    def sweep(t: int) -> None:
+        for exps in monos[t::tasks]:
+            y = Polynomial._raw(p, n, {exps: 1})
+            if result.apply(y) != fn(y):
+                raise ReconstructionError(f"{note} is not realized by a nilHecke element")
+
+    fork_map(sweep, tasks, (fn, NilHeckeElement.apply))
     return result
 
 

@@ -229,9 +229,6 @@ class GradedSpace:
     def dim(self, d: int) -> int:
         return len(self.basis.get(d, ()))
 
-    def total_dim(self) -> int:
-        return sum(len(v) for v in self.basis.values())
-
 
 class GradedOperator:
     """Homogeneous operator of fixed degree shift, stored as sparse columns.

@@ -194,10 +194,6 @@ def is_sigma_invariant(f: Polynomial, j: int) -> bool:
     return f.transpose(j) == f
 
 
-def is_symmetric(f: Polynomial) -> bool:
-    return all(is_sigma_invariant(f, j) for j in range(1, f.n))
-
-
 @functools.cache
 def monomials_up_to_degree(n: int, max_degree: int) -> tuple[Monomial, ...]:
     """All exponent tuples with graded degree 2*sum(exps) <= max_degree."""

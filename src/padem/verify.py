@@ -11,19 +11,18 @@ rng, so a row whose name and arguments repeat an earlier one reports
 the kept result (the n = 4 lines of pdg-verify and steenrod-sign report
 the reused n = 3 result, and binomials, hopf-antipode and groth run once
 per prime), and one for each configuration's chain of rows that draw
-from its rng, in table order, so every draw is the same.  The tasks run
-on forked worker processes, one per usable CPU, and the results come
-back in table order: the output is the same as a run in one process,
-which is what a profiled, traced or wrapped run gets (see _run_tasks).
+from its rng, in table order, so every draw is the same.  This process
+and a forked helper for each further usable CPU share the tasks, and
+the results come back in table order: the output is the same as a run
+in one process, which is what a profiled, traced or wrapped run gets
+(see pool.fork_map).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
-import sys
 
 from . import groth, pdg
 from .arith import Record, binomial_mod_p, require_ring
@@ -39,6 +38,7 @@ from .nilhecke import (
     schubert,
 )
 from .poly import Polynomial, elementary_symmetric, monomials_up_to_degree
+from .pool import fork_map
 from .steenrod import (
     ACTION_NONSTANDARD,
     ACTION_STANDARD,
@@ -402,161 +402,10 @@ def _run_rows(rows) -> list[Check]:
 
 
 def _run_tasks(tasks) -> list[list[Check]]:
-    """_run_rows of each task: on forked workers, one per usable CPU, or in
-    this process when one worker would do, when there is no fork, when
-    this process runs other threads (a fork copies only the calling
-    thread, so a lock another thread holds would stay held), or when the
-    calls are observed here: under a profiler or a tracer, or with a
-    check replaced by a functools.wraps wrapper, as instrumentation does,
-    whose records live in this process and would miss a worker's calls."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    workers = min(cpus, len(tasks))
-    threading = sys.modules.get("threading")
-    observed = sys.getprofile() or sys.gettrace()
-    observed = observed or any(hasattr(fn, "__wrapped__") for rows in tasks for _n, fn, _a in rows)
-    if workers < 2 or not hasattr(os, "fork") or (threading and threading.active_count() > 1) or observed:
-        return [_run_rows(rows) for rows in tasks]
-    return _run_pool(tasks, workers)
-
-
-def _send(fd, value) -> None:
-    import pickle
-
-    data = pickle.dumps(value)
-    data = len(data).to_bytes(4, "little") + data
-    while data:
-        data = data[os.write(fd, data) :]
-
-
-def _read(fd, size) -> bytes:
-    data = b""
-    while len(data) < size:
-        chunk = os.read(fd, size - len(data))
-        if not chunk:
-            raise EOFError
-        data += chunk
-    return data
-
-
-def _receive(fd):
-    """The next value _send wrote to fd; EOFError if the writer closed it
-    first."""
-    import pickle
-
-    return pickle.loads(_read(fd, int.from_bytes(_read(fd, 4), "little")))
-
-
-def _serve(tasks, task_r, result_w) -> None:
-    """A worker's loop: for each task index read from task_r, send
-    (True, its Checks) or (False, the exception it raised) on result_w,
-    until the parent closes task_r."""
-    while True:
-        try:
-            i = _receive(task_r)
-        except EOFError:
-            return
-        try:
-            message = (True, _run_rows(tasks[i]))
-        except Exception as exc:
-            message = (False, exc)
-        _send(result_w, message)
-
-
-def _run_pool(tasks, workers) -> list[list[Check]]:
-    """_run_rows of each task on `workers` forked processes.
-
-    The workers are forked once and inherit the task list, so only task
-    indices and results cross their two pipes, and each keeps its caches
-    from task to task.  Indices go out in task order as workers come
-    free.  A task that raises is re-raised here as the serial order
-    would raise it: the lowest failing index, once every lower task has
-    finished.  A worker that dies raises RuntimeError at once.  Every
-    worker is reaped before this returns or raises.  A worker keeps only
-    its own two pipe ends and leaves only through os._exit, so no exit
-    handler or inherited buffer runs twice.  When a pipe or a fork fails
-    (no process ids or memory left), the workers already forked do the
-    work, or this process does when there are none."""
-    import select
-    import signal
-
-    fds = []  # every pipe end open in this process
-    pids = []
-    channels = {}  # result read end -> (worker pid, task write end)
-    clean = False
-    try:
-        for _ in range(workers):
-            try:
-                fds += os.pipe()
-                fds += os.pipe()
-                pid = os.fork()
-            except OSError:
-                break
-            task_r, task_w, result_r, result_w = fds[-4:]
-            if pid == 0:
-                code = 1
-                try:
-                    for fd in fds:
-                        if fd not in (task_r, result_w):
-                            os.close(fd)
-                    _serve(tasks, task_r, result_w)
-                    code = 0
-                finally:
-                    os._exit(code)
-            pids.append(pid)
-            for fd in (task_r, result_w):
-                os.close(fd)
-                fds.remove(fd)
-            channels[result_r] = (pid, task_w)
-        if not channels:
-            return [_run_rows(rows) for rows in tasks]
-
-        results: list = [None] * len(tasks)
-        failure = None  # (index, exception) of the lowest failing task
-        running = {}  # result read end -> the index of its worker's task
-        idle = list(channels)
-        next_task = 0
-        while True:
-            while idle and failure is None and next_task < len(tasks):
-                result_r = idle.pop()
-                _send(channels[result_r][1], next_task)
-                running[result_r] = next_task
-                next_task += 1
-            if failure is not None:
-                # the tasks after the failing one are not waited for
-                running = {fd: i for fd, i in running.items() if i < failure[0]}
-            if not running:
-                break
-            for result_r in select.select(list(running), [], [])[0]:
-                i = running.pop(result_r)
-                try:
-                    ok, value = _receive(result_r)
-                except EOFError:
-                    pid = channels[result_r][0]
-                    pids.remove(pid)
-                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    names = ", ".join(name for name, _fn, _args in tasks[i])
-                    raise RuntimeError(
-                        f"a verify-all worker ended with exit code {code} while running {names}"
-                    ) from None
-                if ok:
-                    results[i] = value
-                elif failure is None or i < failure[0]:
-                    failure = (i, value)
-                idle.append(result_r)
-        if failure is not None:
-            raise failure[1]
-        clean = True
-        return results
-    finally:
-        for fd in fds:
-            os.close(fd)  # an idle worker reads the end of its tasks and leaves
-        for pid in pids:
-            if not clean:
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    """_run_rows of each task, shared by this process and forked helpers
+    (see pool.fork_map); in this process alone when a check is observed."""
+    checks = [fn for rows in tasks for _name, fn, _args in rows]
+    return fork_map(lambda i: _run_rows(tasks[i]), len(tasks), checks)
 
 
 def run_matrix(
@@ -580,11 +429,18 @@ def run_matrix(
     without the rng, keyed by its name and arguments, is one task, so a
     row that repeats an earlier one reports the kept result.  The rows of
     a configuration that draw from its rng are one task, run in table
-    order on one random.Random(seed), so every draw is the same.  The
-    tasks run on forked workers, one per usable CPU (see _run_tasks and
-    _run_pool), and the results come back in table order, the same as a
-    run in one process.  An exception other than a PademError is raised
-    here as the first failing task in task order raised it."""
+    order on one random.Random(seed), so every draw is the same.
+
+    This process works through the tasks, and so does one forked helper
+    for each further usable CPU (see pool.fork_map); the results come
+    back in table order, the same as a run in one process.  Everything
+    runs in this process on one CPU, without os.fork, beside other
+    threads, inside a task of another such pool, and when the calls are
+    observed (a profiler, a tracer, or a check replaced by a
+    functools.wraps wrapper).  The reconstructions of the bar-closed-form
+    and steenrod-sign rows run inside a task, so in one process.  An
+    exception other than a PademError is raised here as the first failing
+    task in task order raised it."""
     tables = []
     for p in primes:
         for n in var_counts:

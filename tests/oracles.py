@@ -4,8 +4,8 @@ row-reduction loop and by sympy), dense powers of graded operators and
 their ranks, slash homology from whole-space dense matrices, the regular
 module over F_p[u]/(u^p), the first reduced power as a derivation, the
 twisted differential as a conjugation, the word-by-word value of a sum of
-generator words, the total power on a monomial, and seeded random
-polynomials."""
+generator words, the total power on a monomial, seeded random
+polynomials, symmetry of a polynomial and the size of a graded basis."""
 
 import math
 
@@ -221,3 +221,13 @@ def total_power_monomial(p: int, action: str, k: int, exps: tuple) -> dict:
                 nxt[key] = nxt.get(key, 0) + c * cj
         series = nxt
     return {m: c % p for (t, m), c in series.items() if t == k and c % p}
+
+
+def is_symmetric(f: Polynomial) -> bool:
+    """Is f fixed by every transposition of adjacent variables?"""
+    return all(f.transpose(j) == f for j in range(1, f.n))
+
+
+def total_dim(space: GradedSpace) -> int:
+    """The number of basis elements of space, over all degrees."""
+    return sum(len(v) for v in space.basis.values())

@@ -32,6 +32,7 @@ from oracles import (
     dense_homology,
     random_poly,
     regular_nilpotent_module,
+    total_dim,
 )
 
 PRIMES = (2, 3, 5)
@@ -269,7 +270,7 @@ def test_criterion_6_margolis_homology_oracle():
             pdg.polynomial_space(p, 3, 12, powers=(3, 3, 3)),
         ]
         for space in configs:
-            if space.total_dim() > 200:
+            if total_dim(space) > 200:
                 failures.append(f"p={p}: test space exceeds dimension 200")
                 continue
             n = len(space.basis[0][0])

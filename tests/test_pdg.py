@@ -37,6 +37,7 @@ from oracles import (
     regular_nilpotent_module,
     row_reduction_rank,
     sympy_rank,
+    total_dim,
 )
 
 PRIMES = (2, 3, 5)
@@ -414,11 +415,11 @@ def test_nh_labels_keep_their_order(n):
 def test_builders_refuse_a_basis_over_the_budget(monkeypatch):
     # C(3 + 3, 3) = 20 monomials of degree <= 6 in 3 variables
     monkeypatch.setattr(pdg_mod, "BASIS_BUDGET", 20)
-    assert polynomial_space(3, 3, 6).total_dim() == 20
+    assert total_dim(polynomial_space(3, 3, 6)) == 20
     with pytest.raises(DomainError, match="over the work budget"):
         polynomial_space(3, 3, 8)
     # at n = 2 and degree <= 2: 3 monomials, and 3 + 6 labels x^a, x^a D_1
-    assert nilhecke_space(3, 2, 2).total_dim() == 9
+    assert total_dim(nilhecke_space(3, 2, 2)) == 9
     monkeypatch.setattr(pdg_mod, "BASIS_BUDGET", 8)
     with pytest.raises(DomainError, match="over the work budget"):
         nilhecke_space(3, 2, 2)
@@ -434,7 +435,7 @@ def test_budget_counts_p_steps_per_element(monkeypatch):
     # 20 monomials of degree <= 6 in 3 variables take 60 steps at p = 3
     # and 100 at p = 5; the element count alone is far inside its budget
     monkeypatch.setattr(pdg_mod, "WORK_BUDGET", 60)
-    assert polynomial_space(3, 3, 6).total_dim() == 20
+    assert total_dim(polynomial_space(3, 3, 6)) == 20
     with pytest.raises(DomainError, match="its 20 elements take up to p=5 steps each"):
         polynomial_space(5, 3, 6)
     # 9 labels at n = 2 and degree <= 2
@@ -555,7 +556,7 @@ def test_homology_matches_dense_oracle(p):
         polynomial_space(p, 2, 4 * p, powers=(p + 1, p + 1)),
     ]
     for space in configs:
-        assert space.total_dim() <= 200
+        assert total_dim(space) <= 200
         op = derivation_operator(space, khovanov_qi_derivation(p, space.basis[0][0].__len__()), len(space.basis[0][0]))
         for s in range(1, p):
             dims, excluded = margolis_homology(space, op, s)

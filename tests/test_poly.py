@@ -11,10 +11,11 @@ from padem.poly import (
     elementary_symmetric,
     exact_divide,
     is_sigma_invariant,
-    is_symmetric,
     monomials_up_to_degree,
     power_sum,
 )
+
+from oracles import is_symmetric
 
 PRIMES = (2, 3, 5)
 

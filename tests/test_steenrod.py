@@ -16,7 +16,6 @@ from padem.pdg import random_nh_word
 from padem.poly import (
     Polynomial,
     elementary_symmetric,
-    is_symmetric,
     monomials_up_to_degree,
     power_sum,
 )
@@ -42,7 +41,7 @@ from padem.steenrod import (
 )
 from padem.verify import _random_steenrod_word
 
-from oracles import random_poly, total_power_monomial
+from oracles import is_symmetric, random_poly, total_power_monomial
 
 PRIMES = (2, 3, 5)
 

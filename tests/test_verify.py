@@ -1,6 +1,8 @@
 """The verify-all check table: each distinct check runs once across the
-matrix, the worker pool gives the serial results and leaves no process,
-and the checks the acceptance suite shares catch planted faults."""
+matrix; the fork pool that run_matrix and the reconstruction sweep share
+gives the serial results, keeps calls made inside a task in-process and
+leaves no process; and the checks the acceptance suite shares catch
+planted faults."""
 
 import collections
 import functools
@@ -15,6 +17,9 @@ import pytest
 
 from padem import nilhecke, pdg, steenrod, verify
 from padem.cli import main
+from padem.errors import ReconstructionError
+from padem.nilhecke import NilHeckeElement, reconstruct_operator
+from padem.poly import monomials_up_to_degree
 from padem.steenrod import act
 
 
@@ -27,8 +32,9 @@ def test_check_records_compare_by_fields():
 
 
 def _use_two_workers(monkeypatch):
-    """run_matrix forks two workers, whatever CPUs this machine has and
-    whether or not a coverage tool traces the tests."""
+    """The pool sees two usable CPUs, so it forks one helper, whatever
+    CPUs this machine has and whether or not a coverage tool traces the
+    tests."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(sys, "gettrace", lambda: None)
     monkeypatch.setattr(sys, "getprofile", lambda: None)
@@ -98,7 +104,7 @@ def test_run_matrix_in_one_process_equals_the_pool(monkeypatch):
     monkeypatch.setattr(os, "fork", counted_fork)
     _use_two_workers(monkeypatch)
     pooled = verify.run_matrix((2, 3, 5), (2, 3, 4), 12, 0, 5)
-    assert len(forks) == 2
+    assert len(forks) == 1  # this process works too, beside one helper
     _assert_no_child_left()
 
     _forbid_fork(monkeypatch)
@@ -137,6 +143,25 @@ def test_observed_checks_run_in_this_process(monkeypatch):
     monkeypatch.setattr(verify, "check_groth", wrapped)
     assert verify.run_matrix((3,), (2, 3), 8, 0, 5) == expected
     assert len(calls) == 1
+
+
+def test_an_observed_sweep_runs_in_this_process(monkeypatch):
+    # the benchmark tracer wraps NilHeckeElement.apply, which the sweep calls
+    calls = []
+    real = NilHeckeElement.apply
+
+    @functools.wraps(real)
+    def wrapped(self, f):
+        calls.append(f)
+        return real(self, f)
+
+    d1 = NilHeckeElement.d_gen(3, 3, 1)
+    expected = steenrod.bar_act(1, d1, steenrod.ACTION_STANDARD, 12)
+    _use_two_workers(monkeypatch)
+    _forbid_fork(monkeypatch)
+    monkeypatch.setattr(NilHeckeElement, "apply", wrapped)
+    assert steenrod.bar_act(1, d1, steenrod.ACTION_STANDARD, 12) == expected
+    assert len(calls) == len(monomials_up_to_degree(3, 12)) == 84
 
 
 def test_a_profiled_run_stays_in_this_process(monkeypatch):
@@ -207,20 +232,31 @@ def _timeout(signum, frame):
 
 
 def test_a_worker_that_dies_raises_at_once(monkeypatch):
+    # this process pauses in its first task, so the helper takes the rest,
+    # groth (task 12) the last of them
     parent = os.getpid()
+    real_run_rows = verify._run_rows
+    paused = []
+
+    def run_rows(rows):
+        if os.getpid() == parent and not paused:
+            paused.append(True)
+            time.sleep(0.5)
+        return real_run_rows(rows)
 
     def dying(*args):
         if os.getpid() != parent:
             os._exit(1)
-        raise AssertionError("ran in the parent")
+        raise AssertionError("ran in the calling process")
 
+    monkeypatch.setattr(verify, "_run_rows", run_rows)
     monkeypatch.setattr(verify, "check_groth", dying)
     _use_two_workers(monkeypatch)
     previous = signal.signal(signal.SIGALRM, _timeout)
     signal.setitimer(signal.ITIMER_REAL, 10)
     start = time.monotonic()
     try:
-        with pytest.raises(RuntimeError, match="exit code 1 while running groth"):
+        with pytest.raises(RuntimeError, match="exit code 1 while running task 12$"):
             verify.run_matrix((3,), (2,), 8, 0, 5)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
@@ -248,6 +284,96 @@ def test_an_interrupt_reaps_every_worker(monkeypatch):
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert time.monotonic() - start < 5
+    _assert_no_child_left()
+
+
+def _log_forks(monkeypatch, log):
+    """Append a line to log for every fork, in any process."""
+    real_fork = os.fork
+
+    def logged_fork():
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", logged_fork)
+
+
+def test_calls_inside_a_task_stay_in_this_process(monkeypatch, tmp_path):
+    # called on their own, the bar-closed-form reconstructions at n = 3
+    # sweep 84 monomials in two tasks and fork a helper each; inside
+    # run_matrix's tasks they fork none, in the caller or in the helper
+    log = tmp_path / "forks"
+    _log_forks(monkeypatch, log)
+    _use_two_workers(monkeypatch)
+    assert verify.check_bar_closed_form(3, 3, 12, 2).ok
+    assert len(log.read_text().split()) == 4
+    _assert_no_child_left()
+    log.unlink()
+    results = verify.run_matrix((3,), (2, 3), 24, 0, 5)
+    assert len(log.read_text().split()) == 1
+    assert all(check.ok for _, checks in results for check in checks)
+    _assert_no_child_left()
+
+
+def _d1_except_on(p, n, bad, effect, parent):
+    """D_1's action, except on the monomial bad, where it calls effect.
+    In the calling process, the first monomial of degree 8 or more in the
+    sweep (no Schubert polynomial at n = 3 has one) pauses 0.3 s, so the
+    helper takes the sweep's other tasks."""
+    d1 = NilHeckeElement.d_gen(p, n, 1)
+    paused = []
+
+    def fn(y):
+        if y.terms.keys() == {bad}:
+            return effect(y)
+        if os.getpid() == parent and not paused and y.degree() >= 8:
+            paused.append(True)
+            time.sleep(0.3)
+        return d1.apply(y)
+
+    return fn
+
+
+@pytest.mark.parametrize("where", [0, -1])
+@pytest.mark.parametrize("cpus", [{0, 1}, {0}])
+def test_the_sweep_finds_a_fault_in_any_share(monkeypatch, tmp_path, where, cpus):
+    # 455 monomials of degree <= 24 at n = 3, in 8 tasks; the last one
+    # falls in task 6, which the helper takes while this process pauses
+    p, n, bound = 3, 3, 24
+    bad = monomials_up_to_degree(n, bound)[where]
+    seen = tmp_path / "seen"
+    d1 = NilHeckeElement.d_gen(p, n, 1)
+
+    def wrong(y):
+        seen.write_text(str(os.getpid()))
+        return d1.apply(y) + y
+
+    _use_two_workers(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    fn = _d1_except_on(p, n, bad, wrong, os.getpid())
+    with pytest.raises(ReconstructionError, match="^test operator is not realized by a nilHecke element$"):
+        reconstruct_operator(p, n, fn, bound, note="test operator")
+    if where == -1 and len(cpus) == 2:
+        assert int(seen.read_text()) != os.getpid()
+    _assert_no_child_left()
+
+
+def test_an_exception_in_a_helpers_share_keeps_its_type_and_args(monkeypatch, tmp_path):
+    p, n, bound = 3, 3, 24
+    bad = monomials_up_to_degree(n, bound)[-1]
+    seen = tmp_path / "seen"
+
+    def raising(y):
+        seen.write_text(str(os.getpid()))
+        raise KeyError(bad, "wrong")
+
+    _use_two_workers(monkeypatch)
+    fn = _d1_except_on(p, n, bad, raising, os.getpid())
+    with pytest.raises(KeyError) as info:
+        reconstruct_operator(p, n, fn, bound)
+    assert info.value.args == (bad, "wrong")
+    assert int(seen.read_text()) != os.getpid()
     _assert_no_child_left()
 
 
