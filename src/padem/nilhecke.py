@@ -414,8 +414,8 @@ def apply_word(word: Word, f: Polynomial) -> Polynomial:
 # Monomials per batch in first_word_sum_mismatch: enough to spread the
 # per-word cost of a relation side over many monomials, few enough that a
 # batch's intermediate term dicts, and so peak memory, stay small.  Also
-# about the monomials per task of reconstruct_operator's sweep, so a sweep
-# too short to repay a fork runs in one task.
+# the monomials per task of reconstruct_operator's sweep, so a sweep too
+# short to repay a fork runs in one task.
 SWEEP_CHUNK = 64
 
 
@@ -590,11 +590,10 @@ def reconstruct_operator(
     and so does work over require_reconstruction_budget, before any
     Schubert value is built.
 
-    The sweep is split into T = ceil(monomials / SWEEP_CHUNK) tasks, task
-    t checking the monomials t, t + T, t + 2T, ..., and this process
-    shares them with one forked helper for each further usable CPU (see
-    pool.fork_map): a sweep of at most SWEEP_CHUNK monomials is one task
-    and never forks.  The sweep runs in this process alone on one CPU,
+    The sweep is split into tasks of SWEEP_CHUNK consecutive monomials,
+    and this process shares them with one forked helper for each further
+    usable CPU (see pool.fork_map): a sweep of at most SWEEP_CHUNK
+    monomials is one task and never forks.  The sweep runs in this process alone on one CPU,
     without os.fork, beside other threads, inside a task of another such
     pool (a verify-all row), and when its calls are observed (a profiler,
     a tracer, or fn or NilHeckeElement.apply replaced by a functools.wraps
@@ -629,7 +628,7 @@ def reconstruct_operator(
     tasks = -(-len(monos) // SWEEP_CHUNK)
 
     def sweep(t: int) -> None:
-        for exps in monos[t::tasks]:
+        for exps in monos[t * SWEEP_CHUNK : (t + 1) * SWEEP_CHUNK]:
             y = Polynomial._raw(p, n, {exps: 1})
             if result.apply(y) != fn(y):
                 raise ReconstructionError(f"{note} is not realized by a nilHecke element")

@@ -325,8 +325,8 @@ def bar_act(
     against the direct action on every monomial within the degree bound.
     A mismatch means the operator left the nilHecke algebra and raises
     ReconstructionError.  This process and one forked helper for each
-    further usable CPU share that sweep, in tasks of about SWEEP_CHUNK
-    monomials; it runs in this process alone on one CPU, without
+    further usable CPU share that sweep, in tasks of SWEEP_CHUNK
+    consecutive monomials; it runs in this process alone on one CPU, without
     os.fork, beside other threads, inside a task of another such pool
     (as in verify-all), and when calls are observed (see
     nilhecke.reconstruct_operator and pool.fork_map).

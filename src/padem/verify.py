@@ -401,13 +401,6 @@ def _run_rows(rows) -> list[Check]:
     return out
 
 
-def _run_tasks(tasks) -> list[list[Check]]:
-    """_run_rows of each task, shared by this process and forked helpers
-    (see pool.fork_map); in this process alone when a check is observed."""
-    checks = [fn for rows in tasks for _name, fn, _args in rows]
-    return fork_map(lambda i: _run_rows(tasks[i]), len(tasks), checks)
-
-
 def run_matrix(
     primes=(2, 3, 5),
     var_counts=(2, 3, 4),
@@ -466,5 +459,6 @@ def run_matrix(
                 tasks.append([row])
             slots.append((kept[name, args], 0))
         layout.append((config, slots))
-    results = _run_tasks(tasks)
+    checks = [fn for rows in tasks for _name, fn, _args in rows]
+    results = fork_map(lambda t: _run_rows(tasks[t]), len(tasks), checks)
     return [(config, [results[t][i] for t, i in slots]) for config, slots in layout]

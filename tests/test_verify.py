@@ -338,8 +338,8 @@ def _d1_except_on(p, n, bad, effect, parent):
 @pytest.mark.parametrize("where", [0, -1])
 @pytest.mark.parametrize("cpus", [{0, 1}, {0}])
 def test_the_sweep_finds_a_fault_in_any_share(monkeypatch, tmp_path, where, cpus):
-    # 455 monomials of degree <= 24 at n = 3, in 8 tasks; the last one
-    # falls in task 6, which the helper takes while this process pauses
+    # 455 monomials of degree <= 24 at n = 3, in 8 tasks of 64; the last
+    # one falls in task 7, which the helper takes while this process pauses
     p, n, bound = 3, 3, 24
     bad = monomials_up_to_degree(n, bound)[where]
     seen = tmp_path / "seen"
