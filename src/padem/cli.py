@@ -13,9 +13,6 @@ import argparse
 import os
 import sys
 
-from . import groth as groth_mod
-from . import pdg as pdg_mod
-from . import verify as verify_mod
 from .errors import DomainError, ParseError, PademError
 from .nilhecke import Permutation, require_apply_budget, schubert
 from .parser import (
@@ -73,15 +70,14 @@ def _add_common(sub, *, num_vars=True, degree=False, action=False):
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
 
-def build_parser() -> _ArgumentParser:
-    parser = _ArgumentParser(prog="padem", description=__doc__)
-    subs = parser.add_subparsers(dest="command", required=True)
-
+def _build_adem(subs):
     sub = subs.add_parser("adem", help="rewrite a power expression to admissible form")
     sub.set_defaults(handler=_cmd_adem)
     sub.add_argument("expr")
     _add_common(sub, num_vars=False)
 
+
+def _build_act(subs):
     sub = subs.add_parser("act", help="apply a power expression to a polynomial")
     sub.set_defaults(handler=_cmd_act)
     sub.add_argument("expr")
@@ -89,6 +85,8 @@ def build_parser() -> _ArgumentParser:
     sub.add_argument("poly")
     _add_common(sub, action=True)
 
+
+def _build_nh(subs):
     nh = subs.add_parser("nh", help="nilHecke operator computations")
     nh_subs = nh.add_subparsers(dest="nh_command", required=True)
     sub = nh_subs.add_parser("apply", help="apply an operator expression to a polynomial")
@@ -102,6 +100,8 @@ def build_parser() -> _ArgumentParser:
     sub.add_argument("expr")
     _add_common(sub)
 
+
+def _build_schubert(subs):
     sub = subs.add_parser("schubert", help="Schubert polynomial of a permutation")
     sub.set_defaults(handler=_cmd_schubert)
     sub.add_argument("--n", type=int, required=True, help="symmetric group size")
@@ -109,6 +109,8 @@ def build_parser() -> _ArgumentParser:
     sub.add_argument("-p", "--prime", type=int, default=None)
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
+
+def _build_margolis(subs):
     sub = subs.add_parser("margolis", help="apply the t-th primitive differential")
     sub.set_defaults(handler=_cmd_margolis)
     sub.add_argument("--t", type=int, required=True)
@@ -116,6 +118,8 @@ def build_parser() -> _ArgumentParser:
     sub.add_argument("--op", dest="on_op", default=None, help="operator expression")
     _add_common(sub, degree=True, action=True)
 
+
+def _build_pdg(subs):
     pdg = subs.add_parser("pdg", help="p-nilpotent derivation tools")
     pdg_subs = pdg.add_subparsers(dest="pdg_command", required=True)
     sub = pdg_subs.add_parser("verify", help="check the derivation axioms")
@@ -131,6 +135,8 @@ def build_parser() -> _ArgumentParser:
     sub.add_argument("--s", type=int, default=None, help="kernel power (default p-1)")
     _add_common(sub)
 
+
+def _build_groth(subs):
     sub = subs.add_parser("groth", help="graded dimension and K_0 presentation")
     sub.set_defaults(handler=_cmd_groth)
     sub.add_argument("--profile", required=True, help="exponents r_1,...,r_N")
@@ -138,6 +144,8 @@ def build_parser() -> _ArgumentParser:
     sub.add_argument("-p", "--prime", type=int, default=None)
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
+
+def _build_verify_all(subs):
     sub = subs.add_parser("verify-all", help="run the invariant suite")
     sub.set_defaults(handler=_cmd_verify_all)
     sub.add_argument("-p", "--prime", type=int, default=None, help="restrict to one prime")
@@ -147,6 +155,30 @@ def build_parser() -> _ArgumentParser:
     sub.add_argument("--words", type=int, default=100, help="random words per check")
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
+
+# Each subcommand's parser, with its leaves, in the order the help lists them.
+_BUILDERS = {
+    "adem": _build_adem,
+    "act": _build_act,
+    "nh": _build_nh,
+    "schubert": _build_schubert,
+    "margolis": _build_margolis,
+    "pdg": _build_pdg,
+    "groth": _build_groth,
+    "verify-all": _build_verify_all,
+}
+
+
+def build_parser(command: str | None = None) -> _ArgumentParser:
+    """The parser with only the subcommand `command` when it names one,
+    else with every subcommand.  A subcommand's help and usage errors
+    come from its own parser, so they are the same either way; the top
+    level's (no command, -h, an unknown command) need every subcommand."""
+    parser = _ArgumentParser(prog="padem", description=__doc__)
+    subs = parser.add_subparsers(dest="command", required=True)
+    builders = (_BUILDERS[command],) if command in _BUILDERS else _BUILDERS.values()
+    for build in builders:
+        build(subs)
     return parser
 
 
@@ -165,7 +197,8 @@ def _parse_ints(raw: str, what: str) -> tuple[int, ...]:
 # -- handlers -----------------------------------------------------------
 #
 # Each handler returns (JSON payload, text, exit code); main prints one
-# of the two.
+# of the two.  The pdg, groth and verify handlers import their module
+# themselves, so that no other query loads it.
 
 
 def _answer(result, **payload):
@@ -233,9 +266,11 @@ def _cmd_margolis(args):
 
 
 def _cmd_pdg_verify(args):
+    from . import pdg
+
     p = _prime(args)
-    derivation = pdg_mod.twisted_derivation(p, args.num_vars, args.twist)
-    report = pdg_mod.verify_pdg(derivation, args.degree_bound, seed=args.seed)
+    derivation = pdg.twisted_derivation(p, args.num_vars, args.twist)
+    report = pdg.verify_pdg(derivation, args.degree_bound, seed=args.seed)
     keys = ("leibniz_ok", "relations_ok", "p_nilpotent_ok", "all_ok")
     payload = {"prime": p, "num_vars": args.num_vars, **{key: report[key] for key in keys}}
     text = "\n".join(f"{key} {str(report[key]).lower()}" for key in keys)
@@ -243,14 +278,16 @@ def _cmd_pdg_verify(args):
 
 
 def _cmd_pdg_homology(args):
+    from . import pdg
+
     p = _prime(args)
     s = args.s if args.s is not None else p - 1
     # the derivation's budget is checked first: each monomial of the space
     # is a tuple of n exponents
-    derivation = pdg_mod.khovanov_qi_derivation(p, args.num_vars)
-    space = pdg_mod.polynomial_space(p, args.num_vars, args.truncate)
-    op = pdg_mod.derivation_operator(space, derivation, args.num_vars)
-    dims, excluded = pdg_mod.margolis_homology(space, op, s)
+    derivation = pdg.khovanov_qi_derivation(p, args.num_vars)
+    space = pdg.polynomial_space(p, args.num_vars, args.truncate)
+    op = pdg.derivation_operator(space, derivation, args.num_vars)
+    dims, excluded = pdg.margolis_homology(space, op, s)
     lines = [f"dim[{d}] = {dims[d]}" for d in sorted(dims)]
     lines.append("excluded: " + (",".join(str(d) for d in excluded) if excluded else "none"))
     payload = {
@@ -265,11 +302,13 @@ def _cmd_pdg_homology(args):
 
 
 def _cmd_groth(args):
+    from . import groth
+
     p = _prime(args)
     exponents = _parse_ints(args.profile, "profile")
     grading = GRADING_COMPRESSED if args.compressed else GRADING_TOPOLOGICAL
-    profile = groth_mod.SubHopfProfile(p, exponents, grading)
-    presentation = groth_mod.k0_presentation(profile)
+    profile = groth.SubHopfProfile(p, exponents, grading)
+    presentation = groth.k0_presentation(profile)
     relation = presentation["relation"]
     factors = presentation["cyclotomic_factors"]
     factor_text = "[" + ", ".join(f"Phi_{d}" for d in factors) + "]"
@@ -285,9 +324,11 @@ def _cmd_groth(args):
 
 
 def _cmd_verify_all(args):
+    from . import verify
+
     primes = (args.prime,) if args.prime is not None else (2, 3, 5)
     sizes = (args.num_vars,) if args.num_vars is not None else (2, 3, 4)
-    results = verify_mod.run_matrix(primes, sizes, args.degree_bound, args.seed, args.words)
+    results = verify.run_matrix(primes, sizes, args.degree_bound, args.seed, args.words)
     lines = []
     payload_checks = []
     for config, checks in results:
@@ -306,7 +347,9 @@ def _cmd_verify_all(args):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         payload, text, code = args.handler(args)

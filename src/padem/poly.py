@@ -9,7 +9,6 @@ construction and safe to share between threads.
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 from operator import add, sub
 
@@ -27,7 +26,7 @@ def _check_exponents(exps, n: int) -> Monomial:
     exps = tuple(exps)
     if len(exps) != n:
         raise MismatchError(f"monomial {exps} has wrong length for {n} variables")
-    if any(e < 0 for e in exps):
+    if min(exps) < 0:  # n >= 1, so exps is not empty
         raise DomainError("negative exponent")
     return exps
 
@@ -131,6 +130,8 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
 
     Raises DivisibilityError when g does not divide f exactly.
     """
+    import heapq  # here, not at the top: no CLI query divides
+
     f._check_compatible(g)
     if g.is_zero():
         raise DomainError("division by zero polynomial")
@@ -188,10 +189,6 @@ def power_sum(k: int, n: int, p: int) -> Polynomial:
         exps[pos] = k
         terms[tuple(exps)] = 1
     return Polynomial(p, n, terms)
-
-
-def is_sigma_invariant(f: Polynomial, j: int) -> bool:
-    return f.transpose(j) == f
 
 
 @functools.cache

@@ -228,6 +228,11 @@ def is_symmetric(f: Polynomial) -> bool:
     return all(f.transpose(j) == f for j in range(1, f.n))
 
 
+def is_sigma_invariant(f: Polynomial, j: int) -> bool:
+    """Is f fixed by the transposition of x_j and x_(j+1)?"""
+    return f.transpose(j) == f
+
+
 def total_dim(space: GradedSpace) -> int:
     """The number of basis elements of space, over all degrees."""
     return sum(len(v) for v in space.basis.values())

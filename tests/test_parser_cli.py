@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from padem.cli import main
+from padem.cli import UsageError, build_parser, main
 from padem.errors import ExprTypeError, ParseError, ReconstructionError
 from padem.nilhecke import NilHeckeElement
 from padem.parser import (
@@ -470,6 +470,77 @@ def test_cli_help_still_exits_through_system_exit(capsys):
     assert "usage: padem" in capsys.readouterr().out
 
 
+COMMANDS = ("adem", "act", "nh", "schubert", "margolis", "pdg", "groth", "verify-all")
+
+# The 10 benchmark queries; the top level's and every subcommand's help;
+# usage errors at each level; small pdg verify, verify-all and groth runs
+PARSER_ARGVS = [
+    ["adem", "P(1)*P(1)", "-p", "3"],
+    ["act", "P(1)", "on", "x1", "-p", "3", "--action", "nonstandard"],
+    ["nh", "normalize", "D1*X1", "-p", "3", "-n", "2"],
+    ["nh", "apply", "D1*D2", "to", "x1^2*x2", "-n", "3"],
+    ["schubert", "--n", "3", "--perm", "1,2,3"],
+    ["margolis", "--t", "2", "--on", "x1", "-p", "2", "-n", "1"],
+    ["pdg", "verify", "--twist", "1", "-p", "3", "-n", "2"],
+    ["pdg", "homology", "--truncate", "6", "-p", "2", "-n", "1", "--s", "1"],
+    ["groth", "--profile", "2,1", "-p", "2", "--format", "json"],
+    ["adem", "P(1)*", "-p", "3"],
+    [],
+    ["--help"],
+    ["-h"],
+    ["bogus"],
+    ["adem", "--help"],
+    ["act", "--help"],
+    ["nh", "--help"],
+    ["nh", "apply", "--help"],
+    ["nh", "normalize", "--help"],
+    ["schubert", "--help"],
+    ["margolis", "--help"],
+    ["pdg", "--help"],
+    ["pdg", "verify", "--help"],
+    ["pdg", "homology", "--help"],
+    ["groth", "--help"],
+    ["verify-all", "--help"],
+    ["nh"],
+    ["pdg"],
+    ["nh", "bogus"],
+    ["-p", "3", "adem", "P(1)"],
+    ["adem", "P(1)", "--bogus"],
+    ["adem"],
+    ["schubert", "--n", "3", "--perm"],
+    ["margolis", "--t", "x", "--on", "x1"],
+    ["act", "P(1)", "on", "x1", "--action", "bogus"],
+    ["adem", "P(1)", "--form", "json"],
+    ["pdg", "verify", "-p", "3", "-n", "2"],
+    ["verify-all", "-p", "3", "--seed", "0"],
+    ["verify-all", "-p", "3", "--seed", "0", "--format", "json"],
+    ["groth", "--profile", "2,1", "-p", "3", "--compressed"],
+]
+
+
+def _parse_outcome(parser, argv, capsys):
+    try:
+        args = parser.parse_args(argv)
+    except UsageError as exc:
+        return "usage error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, capsys.readouterr().out
+    return "parsed", vars(args)
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_cli_parser_for_one_command_matches_the_full_parser(capsys, argv):
+    # a query builds only the parser of the subcommand it names; its
+    # help, usage errors, handler and values are the full parser's
+    command = argv[0] if argv else None
+    parser = build_parser(command)
+    if command in COMMANDS:
+        assert parser.format_usage() == f"usage: padem [-h] {{{command}}} ...\n"
+    else:
+        assert parser.format_usage() == build_parser().format_usage()
+    assert _parse_outcome(parser, argv, capsys) == _parse_outcome(build_parser(), argv, capsys)
+
+
 def test_cli_exit_codes(capsys):
     assert run_cli(capsys, "adem", "P(1")[0] == 2  # syntax
     assert run_cli(capsys, "act", "D1", "on", "x1")[0] == 2  # type error
@@ -544,7 +615,7 @@ def test_cli_pdg_verify_failure_exit_code(capsys, monkeypatch):
             p, n, [Polynomial.variable(p, n, 1)] + list(d.x_images[1:]), d.d_images
         )
 
-    monkeypatch.setattr("padem.cli.pdg_mod.twisted_derivation", broken)
+    monkeypatch.setattr("padem.pdg.twisted_derivation", broken)
     code, out, _ = run_cli(capsys, "pdg", "verify", "-p", "3", "-n", "2", "-D", "6")
     assert code == 4
     assert "all_ok false" in out
@@ -641,13 +712,18 @@ def test_cli_verify_all_output_is_the_recorded_one(capsys):
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_json():
-    # each query is a fresh process: the CLI's import path stays off these
-    # modules (json only loads for --format json); -S keeps site's .pth
-    # files from loading anything first
+    # each query is a fresh process: the CLI's import path, and a query
+    # that needs none of them, stay off these modules (json only loads for
+    # --format json, pdg, groth and verify for their own subcommands);
+    # -S keeps site's .pth files from loading anything first
     code = (
         "import sys\n"
+        "modules = {'dataclasses', 'inspect', 'json', 'heapq',\n"
+        "           'padem.pdg', 'padem.groth', 'padem.verify'}\n"
         "import padem.cli\n"
-        "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))\n"
+        "print(sorted(modules & set(sys.modules)))\n"
+        "assert padem.cli.main(['adem', 'P(1)*P(1)', '-p', '3']) == 0\n"
+        "print(sorted(modules & set(sys.modules)))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -655,7 +731,7 @@ def test_cli_import_loads_no_dataclasses_inspect_or_json():
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\n2*P(2)\n[]\n"
 
 
 def test_cli_runs_without_numpy():

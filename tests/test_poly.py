@@ -10,12 +10,11 @@ from padem.poly import (
     _compositions,
     elementary_symmetric,
     exact_divide,
-    is_sigma_invariant,
     monomials_up_to_degree,
     power_sum,
 )
 
-from oracles import is_symmetric
+from oracles import is_sigma_invariant, is_symmetric
 
 PRIMES = (2, 3, 5)
 
