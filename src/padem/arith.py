@@ -250,6 +250,8 @@ class LinearCombination:
         if isinstance(other, int):
             p = self.p
             c = other % p
+            if c == 1:  # elements are immutable, so self is the product
+                return self
             return self._new({key: v * c % p for key, v in self.terms.items()} if c else {})
         self._check_compatible(other)
         return self._new(self._product(other))

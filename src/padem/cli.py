@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 
+from .arith import require_ring
 from .errors import DomainError, ParseError, PademError
 from .nilhecke import Permutation, require_apply_budget, schubert
 from .parser import (
@@ -242,6 +243,7 @@ def _cmd_nh_normalize(args):
 
 def _cmd_schubert(args):
     p = _prime(args)
+    require_ring(p, args.n)
     images = _parse_ints(args.perm, "permutation")
     if len(images) != args.n:
         raise DomainError(f"permutation {args.perm} does not have length {args.n}")

@@ -12,7 +12,7 @@ import functools
 import itertools
 from operator import add, sub
 
-from .arith import LinearCombination, reduce_terms
+from .arith import LinearCombination, reduce_terms, require_ring
 from .errors import DivisibilityError, DomainError, MismatchError
 
 Monomial = tuple[int, ...]
@@ -47,10 +47,30 @@ class Polynomial(LinearCombination):
         return (0,) * self.n
 
     def _product(self, other: "Polynomial") -> dict[Monomial, int]:
-        new: dict[Monomial, int] = {}
+        """The terms of self * other.  While every exponent is below 128,
+        each monomial is packed into one int, a byte per variable, so two
+        keys add as ints: a byte sum stays below 256 and never carries.
+        Any larger exponent takes the loop over exponent tuples."""
+        small, large = self.terms, other.terms
+        if len(small) > len(large):
+            small, large = large, small
+        if not small:
+            return {}
+        new: dict = {}
         get = new.get
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        flat = itertools.chain.from_iterable
+        if max(flat(small)) < 128 and max(flat(large)) < 128:
+            pack = int.from_bytes
+            packed = [(pack(bytes(m), "little"), c) for m, c in large.items()]
+            for m1, c1 in small.items():
+                k1 = pack(bytes(m1), "little")
+                for k2, c2 in packed:
+                    k = k1 + k2
+                    new[k] = get(k, 0) + c1 * c2
+            n, p = self.n, self.p
+            return {tuple(k.to_bytes(n, "little")): r for k, c in new.items() if (r := c % p)}
+        for m1, c1 in small.items():
+            for m2, c2 in large.items():
                 m = tuple(map(add, m1, m2))
                 new[m] = get(m, 0) + c1 * c2
         return reduce_terms(new, self.p)
@@ -75,6 +95,7 @@ class Polynomial(LinearCombination):
     @classmethod
     def variable(cls, p: int, n: int, i: int) -> "Polynomial":
         """The generator x_i, 1-indexed."""
+        require_ring(p, n)
         if not 1 <= i <= n:
             raise DomainError(f"variable index {i} out of range 1..{n}")
         exps = [0] * n

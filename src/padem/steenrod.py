@@ -207,10 +207,15 @@ def _act_power_monomial(
     to come cannot take what is left of k, so every split that survives
     the last variable uses all of k.  Splits never meet: the exponents of
     a prefix fix its j's.  So no coefficient is summed, and a product of
-    nonzero row entries is nonzero mod p."""
+    nonzero row entries is nonzero mod p.
+
+    A zero exponent's row holds only j = 0, so only the variables with a
+    nonzero exponent are walked, and each surviving split is written into
+    a copy of exps once: the cost is linear in the number of variables."""
     scale = 1 if action == ACTION_STANDARD else p - 1
-    rows = [_single_var_row(p, action, a, min(k, scale * a)) for a in exps]
-    room = [0] * (len(rows) + 1)  # room[i]: the most that variables i.. can take
+    where = [i for i, a in enumerate(exps) if a]
+    rows = [_single_var_row(p, action, exps[i], min(k, scale * exps[i])) for i in where]
+    room = [0] * (len(rows) + 1)  # room[i]: the most that rows i.. can take
     for i in range(len(rows) - 1, -1, -1):
         room[i] = room[i + 1] + rows[i][-1][0]
     if k > room[0]:
@@ -226,7 +231,13 @@ def _act_power_monomial(
                 if j >= least:
                     nxt.append((prefix + (e,), k_rem - j, c * cj % p))
         frontier = nxt
-    return tuple((m, c) for m, _, c in frontier)
+    out = []
+    for split, _, c in frontier:
+        m = list(exps)
+        for i, e in zip(where, split):
+            m[i] = e
+        out.append((tuple(m), c))
+    return tuple(out)
 
 
 def _add_power_terms(

@@ -4,8 +4,9 @@ row-reduction loop and by sympy), dense powers of graded operators and
 their ranks, slash homology from whole-space dense matrices, the regular
 module over F_p[u]/(u^p), the first reduced power as a derivation, the
 twisted differential as a conjugation, the word-by-word value of a sum of
-generator words, the total power on a monomial, seeded random
-polynomials, symmetry of a polynomial and the size of a graded basis."""
+generator words, the total power and the total antipode on a monomial,
+the product of polynomials on exponent tuples, seeded random polynomials,
+symmetry of a polynomial and the size of a graded basis."""
 
 import math
 
@@ -221,6 +222,50 @@ def total_power_monomial(p: int, action: str, k: int, exps: tuple) -> dict:
                 nxt[key] = nxt.get(key, 0) + c * cj
         series = nxt
     return {m: c % p for (t, m), c in series.items() if t == k and c % p}
+
+
+def antipode_total_power(p: int, i: int, exps: tuple) -> dict:
+    """S(P^i) x^exps as {exponents: coefficient mod p}, nonzero ones only,
+    for the standard action: the t^i coefficient of the product over the
+    variables of S_t(x_k)^(a_k), where S_t(x) = sum_j (-1)^j
+    t^((p^j - 1)/(p - 1)) x^(p^j) inverts x + t x^p, expanded over Z one
+    factor at a time."""
+    s_t = []  # (power of t, exponent of x, sign) of S_t(x), up to t^i
+    j = 0
+    while (p**j - 1) // (p - 1) <= i:
+        s_t.append(((p**j - 1) // (p - 1), p**j, (-1) ** j))
+        j += 1
+    series = {(0, ()): 1}  # (power of t, exponents so far) -> integer coefficient
+    for a in exps:
+        power = {(0, 0): 1}  # S_t(x)^a as (power of t, exponent) -> coefficient
+        for _ in range(a):
+            nxt = {}
+            for (t, e), c in power.items():
+                for tj, ej, sign in s_t:
+                    if t + tj <= i:
+                        key = (t + tj, e + ej)
+                        nxt[key] = nxt.get(key, 0) + sign * c
+            power = nxt
+        nxt = {}
+        for (t, m), c in series.items():
+            for (tj, e), cj in power.items():
+                if t + tj <= i:
+                    key = (t + tj, m + (e,))
+                    nxt[key] = nxt.get(key, 0) + c * cj
+        series = nxt
+    return {m: c % p for (t, m), c in series.items() if t == i and c % p}
+
+
+def tuple_product(f: Polynomial, g: Polynomial) -> dict:
+    """The terms of f * g, multiplied out over exponent tuples: each pair
+    of monomials adds entry by entry, coefficients reduced mod p, zeros
+    dropped."""
+    out = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = (out.get(m, 0) + c1 * c2) % f.p
+    return {m: c for m, c in out.items() if c}
 
 
 def is_symmetric(f: Polynomial) -> bool:

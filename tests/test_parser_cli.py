@@ -660,6 +660,22 @@ def test_cli_pdg_verify_names_a_bad_size(capsys, n):
 
 
 @pytest.mark.parametrize(
+    "argv, n",
+    [
+        (("act", "P(1)", "on", "x1", "-p", "3", "-n", "0"), "0"),
+        (("act", "P(1)", "on", "x1", "-p", "3", "-n", "-1"), "-1"),
+        (("margolis", "--t", "1", "--on", "x1", "-n", "0"), "0"),
+        (("schubert", "--n", "0", "--perm", "1"), "0"),
+    ],
+)
+def test_cli_checks_the_size_before_the_input(capsys, argv, n):
+    # the ring comes first: no message about the variable or the permutation
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == f"error: need at least one variable, got n={n}\n"
+
+
+@pytest.mark.parametrize(
     "argv, bad",
     [
         (("-p", "4"), "4"),

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padem.errors import DivisibilityError, DomainError, MismatchError
 from padem.poly import (
@@ -14,7 +16,7 @@ from padem.poly import (
     power_sum,
 )
 
-from oracles import is_sigma_invariant, is_symmetric
+from oracles import is_sigma_invariant, is_symmetric, tuple_product
 
 PRIMES = (2, 3, 5)
 
@@ -63,6 +65,45 @@ def test_ring_axioms_on_random_inputs(p):
             assert f * (g + h) == f * g + f * h
             assert f * Polynomial.one(p, n) == f
             assert (f - f).is_zero()
+
+
+# Exponents on both sides of the packed product's bound of 128 and of a
+# byte's 256.  A shared ceiling puts both operands below 128, or one on
+# each side of it, or both far past it, where the product runs on tuples.
+BOUNDARY = (0, 1, 2, 126, 127, 128, 129, 254, 255, 256, 257)
+
+
+@st.composite
+def polynomial_pairs(draw):
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, 5))
+    top = draw(st.sampled_from((2, 128, 257, 10**6)))
+    exponent = st.one_of(st.sampled_from([e for e in BOUNDARY if e <= top]), st.integers(0, top))
+    monomials = st.tuples(*[exponent] * n)
+    f, g = (
+        Polynomial(p, n, draw(st.dictionaries(monomials, st.integers(1, p - 1), max_size=4)))
+        for _ in range(2)
+    )
+    return f, g
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(polynomial_pairs(), st.integers(0, 8))
+def test_product_matches_the_tuple_product(pair, k):
+    f, g = pair
+    assert (f * g).terms == tuple_product(f, g)
+    assert (g * f).terms == tuple_product(g, f)
+    power = Polynomial.one(f.p, f.n)
+    for _ in range(k):
+        power = Polynomial._raw(f.p, f.n, tuple_product(power, f))
+    assert (f**k).terms == power.terms
+
+
+def test_scalar_one_returns_the_element():
+    f = Polynomial(5, 2, {(1, 0): 2, (0, 3): 4})
+    assert f * 1 is f and f * 6 is f and 11 * f is f
+    assert (f * 2).terms == {(1, 0): 4, (0, 3): 3}
+    assert (f * 5).is_zero()
 
 
 def test_transpose_examples():

@@ -41,7 +41,7 @@ from padem.steenrod import (
 )
 from padem.verify import _random_steenrod_word
 
-from oracles import is_symmetric, random_poly, total_power_monomial
+from oracles import antipode_total_power, is_symmetric, random_poly, total_power_monomial
 
 PRIMES = (2, 3, 5)
 
@@ -234,6 +234,24 @@ def test_small_power_of_a_huge_exponent_is_fast(action):
     assert got.terms == {(a + 2 * step,): math.comb(upper, 2) % p}
 
 
+@pytest.mark.parametrize("action", ACTIONS)
+def test_power_on_a_monomial_is_linear_in_the_variables(action):
+    # only the variables with a nonzero exponent are walked, so a query in
+    # 100,000 variables takes milliseconds
+    p, n = 3, 100_000
+    start = time.perf_counter()
+    for i, a in ((0, 1), (n - 1, 2), (n // 2, 5)):
+        exps = [0] * n
+        exps[i] = a
+        got = act(P(p, 2), Polynomial.monomial(p, n, exps), action).terms
+        want = {}
+        for (e,), c in total_power_monomial(p, action, 2, (a,)).items():
+            exps[i] = e
+            want[tuple(exps)] = c
+        assert got == want
+    assert time.perf_counter() - start < 1
+
+
 # -- antipode -------------------------------------------------------------
 
 
@@ -255,6 +273,17 @@ def test_antipode_hopf_identity(p):
             right = right + P(p, i) * antipode_power(p, d - i)
         assert adem_normalize(left).is_zero()
         assert adem_normalize(right).is_zero()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_antipode_action_matches_the_total_antipode(p):
+    # S_t = sum_i t^i S(P^i) is the ring map inverse to P_t on each variable
+    for n in (1, 2, 3):
+        for exps in monomials_up_to_degree(n, 12):
+            f = Polynomial.monomial(p, n, exps)
+            for i in range(9):
+                got = act(antipode_power(p, i), f).terms
+                assert got == antipode_total_power(p, i, exps), (i, exps)
 
 
 def test_antipode_is_antimultiplicative():
