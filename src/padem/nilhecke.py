@@ -590,15 +590,13 @@ def reconstruct_operator(
     and so does work over require_reconstruction_budget, before any
     Schubert value is built.
 
-    The sweep is split into tasks of SWEEP_CHUNK consecutive monomials,
-    and this process shares them with one forked helper for each further
-    usable CPU (see pool.fork_map): a sweep of at most SWEEP_CHUNK
-    monomials is one task and never forks.  The sweep runs in this process alone on one CPU,
-    without os.fork, beside other threads, inside a task of another such
-    pool (a verify-all row), and when its calls are observed (a profiler,
-    a tracer, or fn or NilHeckeElement.apply replaced by a functools.wraps
-    wrapper).  A mismatch anywhere raises the same ReconstructionError,
-    and an exception fn raises is re-raised with its type and arguments.
+    The sweep is split into tasks of SWEEP_CHUNK consecutive monomials
+    and run by pool.fork_map, with fn and NilHeckeElement.apply as the
+    calls it looks at for a wrapper; fork_map states when the tasks stay
+    in this process.  A sweep of at most SWEEP_CHUNK monomials is one
+    task and never forks.  A mismatch
+    anywhere raises the same ReconstructionError, and an exception fn
+    raises is re-raised with its type and arguments.
     """
     if degree_bound < 0:
         raise DomainError(f"degree bound {degree_bound} must be nonnegative")

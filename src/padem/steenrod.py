@@ -335,12 +335,8 @@ def bar_act(
     x^a * D_w basis from its values on Schubert polynomials, then checked
     against the direct action on every monomial within the degree bound.
     A mismatch means the operator left the nilHecke algebra and raises
-    ReconstructionError.  This process and one forked helper for each
-    further usable CPU share that sweep, in tasks of SWEEP_CHUNK
-    consecutive monomials; it runs in this process alone on one CPU, without
-    os.fork, beside other threads, inside a task of another such pool
-    (as in verify-all), and when calls are observed (see
-    nilhecke.reconstruct_operator and pool.fork_map).
+    ReconstructionError.  The sweep is shared as
+    nilhecke.reconstruct_operator states.
     """
     if k < 0:
         raise DomainError("power index must be nonnegative")

@@ -1,5 +1,5 @@
 """The verify-all check table: each distinct check runs once across the
-matrix; the fork pool that run_matrix and the reconstruction sweep share
+matrix, and each randomized row draws from its own stream; the fork pool that run_matrix and the reconstruction sweep share
 gives the serial results, keeps calls made inside a task in-process and
 leaves no process; and the checks the acceptance suite shares catch
 planted faults."""
@@ -7,7 +7,6 @@ planted faults."""
 import collections
 import functools
 import os
-import random
 import signal
 import sys
 import threading
@@ -15,7 +14,7 @@ import time
 
 import pytest
 
-from padem import nilhecke, pdg, steenrod, verify
+from padem import arith, groth, nilhecke, pdg, steenrod, verify
 from padem.cli import main
 from padem.errors import ReconstructionError
 from padem.nilhecke import NilHeckeElement, reconstruct_operator
@@ -52,6 +51,16 @@ def _forbid_fork(monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
 
 
+# The checks that draw from a random.Random of the seed their row names.
+RANDOMIZED = {
+    "check_normalize_action": "normalize-preserves-action",
+    "check_leibniz": "twisted-leibniz",
+    "check_sym_equivariance": "sym-equivariance",
+    "check_steenrod_axioms": "steenrod-axioms",
+    "check_adem": "adem",
+}
+
+
 def test_run_matrix_runs_each_distinct_check_once(monkeypatch, tmp_path):
     # the checks run in worker processes, so each call appends a line to a
     # file instead of counting in this process
@@ -63,6 +72,7 @@ def test_run_matrix_runs_each_distinct_check_once(monkeypatch, tmp_path):
         "check_hopf_antipode",
         "check_groth",
         "check_commutator",
+        *RANDOMIZED,
     )
     for name in names:
 
@@ -75,7 +85,8 @@ def test_run_matrix_runs_each_distinct_check_once(monkeypatch, tmp_path):
     _use_two_workers(monkeypatch)
     results = verify.run_matrix((3,), (2, 3, 4), 12, 0, 5)
     # pdg-verify and steenrod-sign at n = 4 reuse the n = 3 result; the
-    # checks of p alone run once per prime
+    # checks of p alone run once per prime; every randomized row runs,
+    # adem too, though it runs at min(n, 2) variables
     assert collections.Counter(log.read_text().split()) == {
         "check_pdg": 2,
         "check_steenrod_sign": 2,
@@ -83,12 +94,48 @@ def test_run_matrix_runs_each_distinct_check_once(monkeypatch, tmp_path):
         "check_hopf_antipode": 1,
         "check_groth": 1,
         "check_commutator": 3,
+        **{name: 3 for name in RANDOMIZED},
     }
     monkeypatch.undo()
     separate = [row for n in (2, 3, 4) for row in verify.run_matrix((3,), (n,), 12, 0, 5)]
     assert results == separate
     assert all(check.ok for _, checks in results for check in checks)
     _assert_no_child_left()
+
+
+def _fail_two_randomized_rows(monkeypatch):
+    """Plant faults that fail normalize-preserves-action and adem with a
+    detail naming the drawn sample, so a row's Check shows its draws."""
+    monkeypatch.setattr(nilhecke, "_raise_length", lambda images, i: None)
+    monkeypatch.setattr(steenrod, "_adem_pair", _flipped_adem_coefficient)
+
+
+def test_a_randomized_row_is_its_check_on_the_seed_its_row_names(monkeypatch):
+    _fail_two_randomized_rows(monkeypatch)
+    results = verify.run_matrix((3,), (2, 3), 8, 7, 30)
+    for n, (_config, checks) in zip((2, 3), results):
+        for (name, fn, args), check in zip(verify._table(3, n, 8, 7, 30), checks):
+            if fn.__name__ in RANDOMIZED:
+                assert args[-2] == f"7/3/{n}/{name}"
+                assert check == fn(*args)
+                assert check.ok == (name not in ("normalize-preserves-action", "adem"))
+
+
+@pytest.mark.parametrize("replaced", RANDOMIZED)
+def test_a_changed_randomized_row_moves_no_other_row(monkeypatch, replaced):
+    # the replacement draws more samples than the table asks for
+    _fail_two_randomized_rows(monkeypatch)
+    before = verify.run_matrix((3,), (2, 3), 8, 0, 30)
+    real = getattr(verify, replaced)
+
+    def drawing_more(*args):
+        return real(*args[:-1], args[-1] + 7)
+
+    monkeypatch.setattr(verify, replaced, drawing_more)
+    after = verify.run_matrix((3,), (2, 3), 8, 0, 30)
+    for (config, old), (_config, new) in zip(before, after):
+        for a, b in zip(old, new):
+            assert b == a or b.name == RANDOMIZED[replaced], (config, a, b)
 
 
 def test_run_matrix_in_one_process_equals_the_pool(monkeypatch):
@@ -233,30 +280,30 @@ def _timeout(signum, frame):
 
 def test_a_worker_that_dies_raises_at_once(monkeypatch):
     # this process pauses in its first task, so the helper takes the rest,
-    # groth (task 12) the last of them
+    # groth (task 16) the last of them
     parent = os.getpid()
-    real_run_rows = verify._run_rows
+    real_run_row = verify._run_row
     paused = []
 
-    def run_rows(rows):
+    def run_row(*row):
         if os.getpid() == parent and not paused:
             paused.append(True)
             time.sleep(0.5)
-        return real_run_rows(rows)
+        return real_run_row(*row)
 
     def dying(*args):
         if os.getpid() != parent:
             os._exit(1)
         raise AssertionError("ran in the calling process")
 
-    monkeypatch.setattr(verify, "_run_rows", run_rows)
+    monkeypatch.setattr(verify, "_run_row", run_row)
     monkeypatch.setattr(verify, "check_groth", dying)
     _use_two_workers(monkeypatch)
     previous = signal.signal(signal.SIGALRM, _timeout)
     signal.setitimer(signal.ITIMER_REAL, 10)
     start = time.monotonic()
     try:
-        with pytest.raises(RuntimeError, match="exit code 1 while running task 12$"):
+        with pytest.raises(RuntimeError, match="exit code 1 while running task 16$"):
             verify.run_matrix((3,), (2,), 8, 0, 5)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
@@ -431,11 +478,11 @@ def _flipped_adem_coefficient(p, a, b):
 WRONG_KERNEL = {
     "adem": (
         steenrod, "_adem_pair", _flipped_adem_coefficient,
-        lambda: verify.check_adem(3, 2, random.Random(0), 100),
+        lambda: verify.check_adem(3, 2, 0, 100),
     ),
     "normalize-preserves-action": (
         nilhecke, "_raise_length", lambda images, i: None,
-        lambda: verify.check_normalize_action(3, 3, random.Random(0), 20),
+        lambda: verify.check_normalize_action(3, 3, 0, 20),
     ),
 }
 
@@ -450,3 +497,13 @@ def test_shared_check_catches_a_wrong_kernel(monkeypatch, name):
     if name == "normalize-preserves-action":
         # the detail names the drawn word, its coefficient and the polynomial
         assert got.detail == "1*X2*X2*X3*D1 on x1^2*x3^3 + 2*x1^2"
+
+
+def test_groth_row_catches_a_wrong_cyclotomic_polynomial(monkeypatch):
+    # k0_presentation multiplies the cyclotomic factors back against the
+    # relation and raises, which fails the row
+    assert verify.check_groth(3, 32).ok
+    monkeypatch.setattr(groth, "cyclotomic", lambda d: arith.cyclotomic(d + 1))
+    results = verify.run_matrix((3,), (2,), 8, 0, 5)
+    failed = [check for _, checks in results for check in checks if not check.ok]
+    assert failed == [verify.Check("groth", False, "cyclotomic factorization failed verification")]
