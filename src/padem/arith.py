@@ -254,6 +254,10 @@ class LinearCombination:
                 return self
             return self._new({key: v * c % p for key, v in self.terms.items()} if c else {})
         self._check_compatible(other)
+        if not self.terms:
+            return self
+        if not other.terms:
+            return other
         return self._new(self._product(other))
 
     def __rmul__(self, other: int):

@@ -20,10 +20,17 @@ for the divided difference at j are an input format: from_word
 multiplies them into the basis, and apply_word composes the generator
 actions one letter at a time on the terms of a polynomial as the
 word-level reference.  The letters of each D_w are kept in one cached
-table, _reduced_word, read by every kernel.  first_word_sum_mismatch
-compares two sums of words on a whole monomial sweep, one chunk of
-monomials per word, each monomial packed into one int with its
-chunk-local index on top.  Elements are immutable after construction.
+table, _reduced_word, read by every kernel.
+
+least_packed_failure drives the exhaustive sweeps on packed monomials: it
+packs SWEEP_CHUNK monomials at a time into ints, a field of width bits
+per exponent with the chunk-local index above them, where width holds the
+largest exponent plus the most the sweep's letters can raise one, and
+reports the least failure.  first_word_sum_mismatch (the relation sweep)
+runs on it with the x and D letters of _add_packed_letter, and verify's
+commutator and top-power sweeps add the P^k letter of
+steenrod._add_packed_power.  The sweep of reconstruct_operator stays on
+exponent tuples (see verify).  Elements are immutable after construction.
 """
 
 from __future__ import annotations
@@ -411,11 +418,11 @@ def apply_word(word: Word, f: Polynomial) -> Polynomial:
     return Polynomial._raw(f.p, f.n, _word_terms(word, f.terms, f.p))
 
 
-# Monomials per batch in first_word_sum_mismatch: enough to spread the
-# per-word cost of a relation side over many monomials, few enough that a
-# batch's intermediate term dicts, and so peak memory, stay small.  Also
-# the monomials per task of reconstruct_operator's sweep, so a sweep too
-# short to repay a fork runs in one task.
+# Monomials per batch of least_packed_failure: enough to spread the
+# per-letter cost of a relation side or a power over many monomials, few
+# enough that a batch's intermediate term dicts, and so peak memory, stay
+# small.  Also the monomials per task of reconstruct_operator's sweep, so
+# a sweep too short to repay a fork runs in one task.
 SWEEP_CHUNK = 64
 
 
@@ -476,41 +483,77 @@ def _add_packed_word(
         _add_shifted(terms, 0, scale, out)
 
 
+def _pack(exps, width: int, top: int = 0) -> int:
+    """The exponents packed into one int, the exponent of x_i in the width
+    bits from width * (i - 1) up, with top in the bits above them."""
+    key = top
+    for e in reversed(exps):
+        key = key << width | e
+    return key
+
+
+def least_packed_failure(monomials, p: int, n: int, lift: int, diffs):
+    """The least failure that diffs finds on the monomials, as (rank,
+    index), or None when there is none.
+
+    The monomials are packed one chunk of SWEEP_CHUNK at a time into a
+    dict {key: 1} (see _pack), with the chunk-local index as top, and
+    diffs(batch, width) yields (rank, diff) pairs of increasing rank: diff
+    maps packed keys to unreduced coefficients of a map that vanishes mod
+    p on every monomial where the property ranked there holds, and the
+    index field of each key names the monomial its term came from.  A
+    chunk's failure is its first rank with a coefficient nonzero mod p,
+    at the least index there.  width holds the largest exponent plus
+    lift, the most the caller's letters can raise one, so no field
+    overflows into the next.
+
+    Chunks run in order and the least (rank, index) over all of them is
+    returned; a failure of the empty rank ends the sweep, as no later
+    chunk can hold a lesser one."""
+    if not monomials:
+        return None
+    width = (max(map(max, monomials)) + lift).bit_length() or 1
+    shift = width * n
+    best = None
+    for start in range(0, len(monomials), SWEEP_CHUNK):
+        chunk = monomials[start : start + SWEEP_CHUNK]
+        batch = {_pack(exps, width, index): 1 for index, exps in enumerate(chunk)}
+        for rank, diff in diffs(batch, width):
+            bad = [k for k, v in diff.items() if v % p]
+            if bad:
+                found = (rank, start + (min(bad) >> shift))
+                if best is None or found < best:
+                    best = found
+                break
+        if best is not None and not best[0]:
+            break
+    return best
+
+
 def first_word_sum_mismatch(lhs, rhs, monomials, p: int, n: int) -> int | None:
     """Index of the first of the monomials on which the sums of generator
     words lhs and rhs differ, or None when they agree on all of them.
 
     Agrees with comparing the sums of apply_word values on each monomial
-    one by one, but each word runs once per chunk of SWEEP_CHUNK
-    monomials, on keys that are ints: each exponent gets a field of width
-    bits and the chunk-local index the field above them.  A letter never
-    takes an exponent past the largest one plus the x letters of its word
-    (a divided difference lowers max(a, b)), so width is chosen to hold
-    that and no field overflows into the next.  lhs minus rhs is summed
-    into one dict of unreduced coefficients, and the chunk fails where
-    one of them is nonzero mod p."""
+    one by one, but each word runs once per chunk of packed monomials
+    (least_packed_failure).  A letter never takes an exponent past the
+    largest one plus the x letters of its word (a divided difference
+    lowers max(a, b)), so that is the lift.  lhs minus rhs is summed into
+    one dict of unreduced coefficients."""
     for _, word in (*lhs, *rhs):
         _check_word(n, word)
-    if not monomials:
-        return None
     words = [(c, word) for c, word in lhs] + [(-c, word) for c, word in rhs]
     lifts = max((sum(kind == "x" for kind, _ in word) for _, word in words), default=0)
-    width = (max(map(max, monomials)) + lifts).bit_length() or 1
     tables: dict[int, dict] = {j: {} for j in range(1, n)}
-    for start in range(0, len(monomials), SWEEP_CHUNK):
-        batch = {}
-        for index, exps in enumerate(monomials[start : start + SWEEP_CHUNK]):
-            key = index
-            for e in reversed(exps):
-                key = key << width | e
-            batch[key] = 1
+
+    def diffs(batch, width):
         diff: dict[int, int] = {}
         for c, word in words:
             _add_packed_word(word, batch, c, diff, width, tables)
-        failing = [k for k, v in diff.items() if v % p]
-        if failing:
-            return start + (min(failing) >> (width * n))
-    return None
+        yield (), diff
+
+    found = least_packed_failure(monomials, p, n, lifts, diffs)
+    return None if found is None else found[1]
 
 
 # Most terms schubert may hold after any letter of D_{w^{-1} w_0}.

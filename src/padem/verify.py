@@ -13,6 +13,21 @@ pool.fork_map: a row that repeats an earlier one reports the kept result
 (the n = 4 lines of pdg-verify and steenrod-sign report the n = 3
 result, and binomials, hopf-antipode and groth run once per prime).
 The results come back in table order, the same as a run in one process.
+
+Three exhaustive sweeps run on packed monomials, through
+nilhecke.least_packed_failure: nilhecke-relations, commutator, and the
+top power and instability of steenrod-axioms.  Each chunk of SWEEP_CHUNK
+monomials is packed into ints, a field per exponent with the chunk-local
+index above them, so a letter (x_i, D_i, P^k, the Frobenius) moves the
+whole chunk by int additions.  The field width holds the largest
+exponent plus the most the letters raise one: the x letters of a
+relation word, d(p - 1) for P^d and for s_i P^(d-1), h(p - 1) for the
+top power P^h.  Each reports the first failure, and its detail, that a
+loop over the monomials one at a time reports.  The certifying sweep of
+bar_act stays on exponent tuples: a packed prototype ran the bar rows at
+0.50-0.68 of the time, but its per-call P^k tables added 2.1 MB of peak
+RSS on the benchmark's identities workload, and per-chunk tables gave no
+speed gain and still added 1.1 MB.
 """
 
 from __future__ import annotations
@@ -27,9 +42,13 @@ from .errors import DomainError, PademError
 from .nilhecke import (
     NilHeckeElement,
     Permutation,
+    _add_packed_letter,
+    _add_shifted,
+    _pack,
     apply_word,
     divided_difference,
     first_word_sum_mismatch,
+    least_packed_failure,
     require_reconstruction_budget,
     require_sweep_budget,
     schubert,
@@ -40,6 +59,7 @@ from .steenrod import (
     ACTION_NONSTANDARD,
     ACTION_STANDARD,
     SteenrodElement,
+    _add_packed_power,
     act,
     adem_normalize,
     antipode_power,
@@ -126,6 +146,47 @@ def check_sym_equivariance(p, n, seed, samples) -> Check:
     return Check("sym-equivariance", True)
 
 
+def _top_power_failure(p, n, degree_bound) -> str | None:
+    """What fails on the first monomial f, of degree h, on which the
+    standard P^h f = f^p (for h > 0) or P^(h+1) f = 0 fails, the top power
+    first; None when both hold on every monomial within the bound.
+
+    Each degree's monomials are swept in packed chunks
+    (nilhecke.least_packed_failure): P^h of a chunk against its Frobenius,
+    the exponent fields times p, then P^(h+1) on the monomials before the
+    first top-power failure.  Each monomial's exponents occur once in the
+    sweep, so its offsets of P^k are needed once: each chunk's table goes
+    with the chunk."""
+
+    def power_minus_frobenius(batch, width):
+        mask = (1 << width * n) - 1
+        diff: dict[int, int] = {}
+        _add_packed_power(p, ACTION_STANDARD, h, batch, 1, diff, width, n, {})
+        for k in batch:
+            frobenius = k + (k & mask) * (p - 1)
+            diff[frobenius] = diff.get(frobenius, 0) - 1
+        yield (), diff
+
+    def next_power(batch, width):
+        out: dict[int, int] = {}
+        _add_packed_power(p, ACTION_STANDARD, h + 1, batch, 1, out, width, n, {})
+        yield (), out
+
+    monos = monomials_up_to_degree(n, degree_bound)
+    start = 0
+    for h in range(degree_bound // 2 + 1):
+        block = monos[start : start + math.comb(h + n - 1, n - 1)]
+        start += len(block)
+        top = least_packed_failure(block, p, n, h * (p - 1), power_minus_frobenius) if h else None
+        before = block if top is None else block[: top[1]]
+        unstable = least_packed_failure(before, p, n, (h + 1) * (p - 1), next_power)
+        if unstable is not None:
+            return f"instability fails on {Polynomial.monomial(p, n, block[unstable[1]])}"
+        if top is not None:
+            return f"top power fails on {Polynomial.monomial(p, n, block[top[1]])}"
+    return None
+
+
 def check_steenrod_axioms(p, n, degree_bound, seed, samples) -> Check:
     rng = random.Random(seed)
     # P^0 identity
@@ -148,13 +209,9 @@ def check_steenrod_axioms(p, n, degree_bound, seed, samples) -> Check:
             if lhs != rhs:
                 return Check("steenrod-axioms", False, f"Cartan fails ({action})")
     # top power rule and instability, standard action
-    for exps in monomials_up_to_degree(n, degree_bound):
-        f = Polynomial.monomial(p, n, exps)
-        half = sum(exps)
-        if half and act(SteenrodElement.p_power(p, half), f) != f**p:
-            return Check("steenrod-axioms", False, f"top power fails on {f}")
-        if not act(SteenrodElement.p_power(p, half + 1), f).is_zero():
-            return Check("steenrod-axioms", False, f"instability fails on {f}")
+    detail = _top_power_failure(p, n, degree_bound)
+    if detail is not None:
+        return Check("steenrod-axioms", False, detail)
     # the nonstandard structure is not unstable at odd primes
     if p > 2:
         x = Polynomial.variable(p, 1, 1)
@@ -182,30 +239,54 @@ def check_adem(p, n, seed, words) -> Check:
     return Check("adem", True)
 
 
+def _s(p, n, i) -> Polynomial:
+    """s_i = D_i(x_i^p) = h_(p-1)(x_i, x_(i+1)), the twist in the
+    commutator of the total power with D_i."""
+    return divided_difference(Polynomial.variable(p, n, i) ** p, i)
+
+
 def check_commutator(p, n, degree_bound, max_d) -> Check:
     # [P^d, D_i] = sum_{j>=1} (-1)^j s_i^j D_i P^(d-j) for d <= max_d, with
     # s_i = D_i(x_i^p), is (1 + t s_i) P_t D_i = D_i P_t for the total
     # power P_t; read at t^d it is P^d D_i f + s_i P^(d-1) D_i f = D_i P^d f.
     # Where the identity holds below d the two forms agree at d, so the
-    # first failure in (d, i, f) order is the same.  Each monomial is
-    # checked on its own (P^0 is the identity), keeping the least failure.
-    s = [None] + [divided_difference(Polynomial.variable(p, n, i) ** p, i) for i in range(1, n)]
-    powers = [SteenrodElement.p_power(p, d) for d in range(max_d + 1)]
-    first = None
-    for exps in monomials_up_to_degree(n, degree_bound):
-        f = Polynomial.monomial(p, n, exps)
-        images = [f] + [act(powers[d], f) for d in range(1, max_d + 1)]
+    # first failure in (d, i, f) order is the same.  The monomials are
+    # swept in packed chunks (nilhecke.least_packed_failure), ranked by
+    # (d, i): per chunk P^d is applied once per d and D_i once per i, and
+    # the offsets of each letter are kept for the chunk.  P^d raises an
+    # exponent by at most d(p - 1), and so does s_i P^(d-1).
+    s = [None] + [_s(p, n, i).terms.items() for i in range(1, n)]
+
+    def diffs(batch, width):
+        dd: dict[int, dict] = {j: {} for j in range(1, n)}
+        tables: dict[int, dict] = {d: {} for d in range(1, max_d + 1)}
+
+        def power(d, terms):
+            out: dict[int, int] = {}
+            _add_packed_power(p, ACTION_STANDARD, d, terms, 1, out, width, n, tables[d])
+            return out
+
+        moved = [None] + [{} for _ in range(1, n)]
         for i in range(1, n):
-            moved = prev = divided_difference(f, i)
-            for d in range(1, max_d + 1):
-                got = act(powers[d], moved)
-                if got + s[i] * prev != divided_difference(images[d], i):
-                    if first is None or (d, i) < first[:2]:
-                        first = (d, i, f)
-                    break
-                prev = got
-    if first is not None:
-        return Check("commutator", False, "d={}, i={}, f={}".format(*first))
+            _add_packed_letter(("d", i), batch, 1, moved[i], width, dd)
+        prev = list(moved)
+        for d in range(1, max_d + 1):
+            image = power(d, batch)
+            for i in range(1, n):
+                got = power(d, moved[i])
+                diff = dict(got)
+                for m, c in s[i]:
+                    _add_shifted(prev[i], _pack(m, width), c, diff)
+                _add_packed_letter(("d", i), image, -1, diff, width, dd)
+                yield (d, i), diff
+                prev[i] = got
+
+    monos = monomials_up_to_degree(n, degree_bound)
+    found = least_packed_failure(monos, p, n, max_d * (p - 1), diffs)
+    if found is not None:
+        (d, i), index = found
+        f = Polynomial.monomial(p, n, monos[index])
+        return Check("commutator", False, f"d={d}, i={i}, f={f}")
     return Check("commutator", True)
 
 
@@ -216,7 +297,7 @@ def check_s_powers(p, n, max_d) -> Check:
     # P^(d-1) s_1, two-term products in place of products by s_1; the
     # factor x_1 - x_2 is injective, so the first failing d is the same.
     x1, x2 = Polynomial.variable(p, n, 1), Polynomial.variable(p, n, 2)
-    s1 = divided_difference(x1**p, 1)
+    s1 = _s(p, n, 1)
     step, shifted_step = x1 - x2, x2**p - x1**p
     prev = None
     for d in range(0, max_d + 1):
@@ -234,7 +315,7 @@ def check_s_powers(p, n, max_d) -> Check:
 
 
 def check_bar_closed_form(p, n, degree_bound, max_power) -> Check:
-    s1 = divided_difference(Polynomial.variable(p, n, 1) ** p, 1)
+    s1 = _s(p, n, 1)
     dgen = NilHeckeElement.d_gen(p, n, 1)
     for k in range(1, max_power + 1):
         got = bar_act(k, dgen, ACTION_STANDARD, degree_bound)

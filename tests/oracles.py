@@ -5,8 +5,9 @@ their ranks, slash homology from whole-space dense matrices, the regular
 module over F_p[u]/(u^p), the first reduced power as a derivation, the
 twisted differential as a conjugation, the word-by-word value of a sum of
 generator words, the total power and the total antipode on a monomial,
-the product of polynomials on exponent tuples, seeded random polynomials,
-symmetry of a polynomial and the size of a graded basis."""
+the product of polynomials on exponent tuples, the commutator and
+top-power sweeps of verify-all one monomial at a time, seeded random
+polynomials, symmetry of a polynomial and the size of a graded basis."""
 
 import math
 
@@ -14,11 +15,12 @@ import numpy as np
 from sympy import GF, ZZ
 from sympy.polys.matrices import DomainMatrix
 
+from padem import verify
 from padem.arith import _echelon
 from padem.nilhecke import NilHeckeElement, apply_word, divided_difference, reconstruct_operator
 from padem.pdg import Derivation, GradedOperator, GradedSpace, khovanov_qi_derivation
-from padem.poly import Polynomial
-from padem.steenrod import bar_act
+from padem.poly import Polynomial, monomials_up_to_degree
+from padem.steenrod import SteenrodElement, act, bar_act
 
 
 def rank_mod_p(rows, p: int) -> int:
@@ -266,6 +268,46 @@ def tuple_product(f: Polynomial, g: Polynomial) -> dict:
             m = tuple(a + b for a, b in zip(m1, m2))
             out[m] = (out.get(m, 0) + c1 * c2) % f.p
     return {m: c for m, c in out.items() if c}
+
+
+def commutator_by_monomial(p: int, n: int, degree_bound: int, max_d: int):
+    """verify.check_commutator one monomial at a time on tuple-keyed
+    polynomials: P^d D_i f + s_i P^(d-1) D_i f = D_i P^d f for d <= max_d,
+    each (i, f) up to its first failing d, keeping the least (d, i) and
+    the first f there."""
+    s = [None] + [verify._s(p, n, i) for i in range(1, n)]
+    powers = [SteenrodElement.p_power(p, d) for d in range(max_d + 1)]
+    first = None
+    for exps in monomials_up_to_degree(n, degree_bound):
+        f = Polynomial.monomial(p, n, exps)
+        images = [f] + [act(powers[d], f) for d in range(1, max_d + 1)]
+        for i in range(1, n):
+            moved = prev = divided_difference(f, i)
+            for d in range(1, max_d + 1):
+                got = act(powers[d], moved)
+                if got + s[i] * prev != divided_difference(images[d], i):
+                    if first is None or (d, i) < first[:2]:
+                        first = (d, i, f)
+                    break
+                prev = got
+    if first is not None:
+        return verify.Check("commutator", False, "d={}, i={}, f={}".format(*first))
+    return verify.Check("commutator", True)
+
+
+def top_power_by_monomial(p: int, n: int, degree_bound: int):
+    """The top-power and instability sweep of verify.check_steenrod_axioms
+    one monomial at a time, under the standard action: the detail of the
+    first f of degree h with P^h f != f^p (h > 0), checked first, or
+    P^(h+1) f != 0; None when there is none."""
+    for exps in monomials_up_to_degree(n, degree_bound):
+        f = Polynomial.monomial(p, n, exps)
+        half = sum(exps)
+        if half and act(SteenrodElement.p_power(p, half), f) != f**p:
+            return f"top power fails on {f}"
+        if not act(SteenrodElement.p_power(p, half + 1), f).is_zero():
+            return f"instability fails on {f}"
+    return None
 
 
 def is_symmetric(f: Polynomial) -> bool:

@@ -714,12 +714,13 @@ def test_cli_verify_all_reports_a_raising_check(capsys, monkeypatch):
     assert out.splitlines() == expected + ["passed 16 failed 1"]
 
 
-def test_cli_verify_all_output_is_the_recorded_one(capsys):
-    # the recorded text stdout, then JSON stdout, of verify-all -p 3
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_cli_verify_all_output_is_the_recorded_one(capsys, p):
+    # the recorded text stdout, then JSON stdout, of verify-all -p <p>
     # --seed 0: a change to the sweeps must report the same checks, in the
     # same order, with the same details
-    golden = (Path(__file__).parent / "data" / "verify_all_p3_seed0.txt").read_text()
-    argv = ("verify-all", "-p", "3", "--seed", "0")
+    golden = (Path(__file__).parent / "data" / f"verify_all_p{p}_seed0.txt").read_text()
+    argv = ("verify-all", "-p", str(p), "--seed", "0")
     code, text, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     code, payload, err = run_cli(capsys, *argv, "--format", "json")

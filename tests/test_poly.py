@@ -106,6 +106,17 @@ def test_scalar_one_returns_the_element():
     assert (f * 5).is_zero()
 
 
+def test_a_product_with_zero_returns_the_zero_operand():
+    # elements are immutable, so the empty operand is the product
+    f = Polynomial(5, 2, {(1, 0): 2, (0, 3): 4})
+    zero = Polynomial.zero(5, 2)
+    assert f * zero is zero and zero * f is zero and zero * zero is zero
+    with pytest.raises(MismatchError):
+        zero * Polynomial.zero(5, 3)
+    with pytest.raises(MismatchError):
+        Polynomial.zero(3, 2) * f
+
+
 def test_transpose_examples():
     p, n = 5, 3
     x1, x2, x3 = (Polynomial.variable(p, n, i) for i in (1, 2, 3))

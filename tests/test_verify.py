@@ -18,8 +18,10 @@ from padem import arith, groth, nilhecke, pdg, steenrod, verify
 from padem.cli import main
 from padem.errors import ReconstructionError
 from padem.nilhecke import NilHeckeElement, reconstruct_operator
-from padem.poly import monomials_up_to_degree
+from padem.poly import Polynomial, monomials_up_to_degree
 from padem.steenrod import act
+
+import oracles
 
 
 def test_check_records_compare_by_fields():
@@ -424,21 +426,135 @@ def test_an_exception_in_a_helpers_share_keeps_its_type_and_args(monkeypatch, tm
     _assert_no_child_left()
 
 
-# At p = 3 a flipped sign is a real change: -1 != 1.
+_ACT_POWER_MONOMIAL = steenrod._act_power_monomial
+
+
+def _negated_power(p, action, k, exps):
+    return tuple((m, -c % p) for m, c in _ACT_POWER_MONOMIAL(p, action, k, exps))
+
+
+# (module, name, flipped, run): at p = 3 a flipped sign is a real change,
+# -1 != 1.  The commutator row reads P^k on monomials through the packed
+# letter, not act, so its flip is planted in the kernel both read.
 FLIPPED_ACT = {
-    "commutator": lambda: verify.check_commutator(3, 3, 8, 3),
-    "s-powers": lambda: verify.check_s_powers(3, 2, 6),
-    "margolis-generators": lambda: verify.check_margolis_generators(3, 2, 2),
+    "commutator": (
+        steenrod, "_act_power_monomial", _negated_power,
+        lambda: verify.check_commutator(3, 3, 8, 3),
+    ),
+    "s-powers": (
+        verify, "act", lambda e, f, *rest: -act(e, f, *rest),
+        lambda: verify.check_s_powers(3, 2, 6),
+    ),
+    "margolis-generators": (
+        verify, "act", lambda e, f, *rest: -act(e, f, *rest),
+        lambda: verify.check_margolis_generators(3, 2, 2),
+    ),
 }
 
 
 @pytest.mark.parametrize("name", FLIPPED_ACT)
 def test_shared_check_catches_a_flipped_action(monkeypatch, name):
-    run = FLIPPED_ACT[name]
+    module, kernel, flipped, run = FLIPPED_ACT[name]
     assert run().ok
-    monkeypatch.setattr(verify, "act", lambda e, f, *rest: -act(e, f, *rest))
+    monkeypatch.setattr(module, kernel, flipped)
     got = run()
     assert got.name == name and not got.ok
+
+
+_POWER_OFFSETS = steenrod._power_offsets
+_DD_PAIR = nilhecke._dd_pair
+_S = verify._s
+
+
+def _power_dropping_a_term(p, action, k, exps):
+    # the last term of P^k, k >= 2, on a monomial with x1^3 or more
+    rows = _ACT_POWER_MONOMIAL(p, action, k, exps)
+    return rows[:-1] if k >= 2 and exps[0] >= 3 else rows
+
+
+def _offsets_dropping_a_term(p, action, k, e, width, n):
+    # the same fault, planted in the packed letter's offsets only
+    offsets = _POWER_OFFSETS(p, action, k, e, width, n)
+    return offsets[:-1] if k >= 2 and e & ((1 << width) - 1) >= 3 else offsets
+
+
+def _sign_flipped_from_degree_five(a, b):
+    rows = _DD_PAIR(a, b)
+    return tuple((x, y, -sign) for x, y, sign in rows) if a + b >= 5 else rows
+
+
+def _s_dropping_a_term(p, n, i):
+    # the least term of s_(n-1)
+    s = _S(p, n, i)
+    if i < n - 1:
+        return s
+    least = min(s.terms)
+    return s - Polynomial.monomial(p, n, least, s.terms[least])
+
+
+# fault -> (module, name, replacement) planted for the packed rows, and
+# the same for their oracles
+PLANTED_SWEEP_FAULTS = {
+    "_act_power_monomial": ((steenrod, "_act_power_monomial", _power_dropping_a_term),) * 2,
+    "_dd_pair": ((nilhecke, "_dd_pair", _sign_flipped_from_degree_five),) * 2,
+    "s_i": ((verify, "_s", _s_dropping_a_term),) * 2,
+    "packed P^k offsets": (
+        (steenrod, "_power_offsets", _offsets_dropping_a_term),
+        (steenrod, "_act_power_monomial", _power_dropping_a_term),
+    ),
+}
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (3, 4), (5, 3)])
+@pytest.mark.parametrize("fault", PLANTED_SWEEP_FAULTS)
+def test_packed_sweeps_report_a_planted_fault_like_their_oracles(monkeypatch, fault, p, n):
+    # the commutator row and the top-power sweep of steenrod-axioms at
+    # their verify-all bounds, against the same sweeps one monomial at a
+    # time on tuple-keyed polynomials
+    def rows():
+        return (
+            verify.check_commutator(p, n, 12, 3),
+            verify._top_power_failure(p, n, 16),
+        )
+
+    def reference():
+        return (
+            oracles.commutator_by_monomial(p, n, 12, 3),
+            oracles.top_power_by_monomial(p, n, 16),
+        )
+
+    assert rows() == reference() == (verify.Check("commutator", True), None)
+    in_rows, in_oracles = PLANTED_SWEEP_FAULTS[fault]
+    monkeypatch.setattr(*in_rows)
+    got = rows()
+    monkeypatch.undo()
+    monkeypatch.setattr(*in_oracles)
+    assert got == reference()
+    assert not got[0].ok
+    if in_rows[0] is steenrod:  # a wrong P^k fails the top power too
+        assert got[1].startswith("top power fails on ")
+
+
+def _top_power_and_instability_faults(p, action, k, exps):
+    # P^h x^a loses its one term when a_1 >= 2, and P^(h+1) x^a is x^a
+    # when a_n >= 2, for h = |a|
+    if k == sum(exps) and exps[0] >= 2:
+        return ()
+    if k == sum(exps) + 1 and exps[-1] >= 2:
+        return ((exps, 1),)
+    return _ACT_POWER_MONOMIAL(p, action, k, exps)
+
+
+@pytest.mark.parametrize(
+    "n, detail",
+    [
+        (1, "top power fails on x1^2"),  # both fail on x1^2: the top power first
+        (3, "instability fails on x3^2"),  # before x1^2 in degree 2
+    ],
+)
+def test_top_power_sweep_reports_the_first_failure_like_its_oracle(monkeypatch, n, detail):
+    monkeypatch.setattr(steenrod, "_act_power_monomial", _top_power_and_instability_faults)
+    assert verify._top_power_failure(3, n, 16) == oracles.top_power_by_monomial(3, n, 16) == detail
 
 
 WRONG_DERIVATION = {
