@@ -22,15 +22,15 @@ actions one letter at a time on the terms of a polynomial as the
 word-level reference.  The letters of each D_w are kept in one cached
 table, _reduced_word, read by every kernel.
 
-least_packed_failure drives the exhaustive sweeps on packed monomials: it
-packs SWEEP_CHUNK monomials at a time into ints, a field of width bits
-per exponent with the chunk-local index above them, where width holds the
-largest exponent plus the most the sweep's letters can raise one, and
-reports the least failure.  first_word_sum_mismatch (the relation sweep)
-runs on it with the x and D letters of _add_packed_letter, and verify's
-commutator and top-power sweeps add the P^k letter of
-steenrod._add_packed_power.  The sweep of reconstruct_operator stays on
-exponent tuples (see verify).  Elements are immutable after construction.
+least_failure is the one driver of the exhaustive sweeps: it runs the
+keys in runs of SWEEP_CHUNK, each a task of pool.fork_map, and returns
+the least failure.  first_key_check tries one key at a time (the
+certificate of reconstruct_operator, sym_linearity_check, pdg's
+p-nilpotence sweeps, verify's top power); packed_check packs a run of
+monomials into ints, a field per exponent, for first_word_sum_mismatch
+(the relation sweep) with the x and D letters of _add_packed_letter and
+for verify's commutator with steenrod._add_packed_power.  Elements are
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -418,11 +418,9 @@ def apply_word(word: Word, f: Polynomial) -> Polynomial:
     return Polynomial._raw(f.p, f.n, _word_terms(word, f.terms, f.p))
 
 
-# Monomials per batch of least_packed_failure: enough to spread the
-# per-letter cost of a relation side or a power over many monomials, few
-# enough that a batch's intermediate term dicts, and so peak memory, stay
-# small.  Also the monomials per task of reconstruct_operator's sweep, so
-# a sweep too short to repay a fork runs in one task.
+# Keys per run of least_failure: enough to spread the cost of a packed
+# letter, or of a fork, over many keys, few enough that a run's term
+# dicts, and so peak memory, stay small; a shorter sweep never forks.
 SWEEP_CHUNK = 64
 
 
@@ -492,42 +490,60 @@ def _pack(exps, width: int, top: int = 0) -> int:
     return key
 
 
-def least_packed_failure(monomials, p: int, n: int, lift: int, diffs):
-    """The least failure that diffs finds on the monomials, as (rank,
-    index), or None when there is none.
+class _EmptyRankFailure(Exception):
+    """A failure of the empty rank, raised out of its task with its index."""
 
-    The monomials are packed one chunk of SWEEP_CHUNK at a time into a
-    dict {key: 1} (see _pack), with the chunk-local index as top, and
-    diffs(batch, width) yields (rank, diff) pairs of increasing rank: diff
-    maps packed keys to unreduced coefficients of a map that vanishes mod
-    p on every monomial where the property ranked there holds, and the
-    index field of each key names the monomial its term came from.  A
-    chunk's failure is its first rank with a coefficient nonzero mod p,
-    at the least index there.  width holds the largest exponent plus
-    lift, the most the caller's letters can raise one, so no field
-    overflows into the next.
 
-    Chunks run in order and the least (rank, index) over all of them is
-    returned; a failure of the empty rank ends the sweep, as no later
-    chunk can hold a lesser one."""
-    if not monomials:
-        return None
-    width = (max(map(max, monomials)) + lift).bit_length() or 1
+def least_failure(keys, check, calls=()):
+    """The least (rank, index) of a failure that check finds on the keys,
+    or None: the one driver of the exhaustive sweeps.
+
+    check(run) gives None or (rank, index in the run), the rank a tuple,
+    for each run of SWEEP_CHUNK keys, each a task of pool.fork_map with
+    calls the functions check calls.  A failure of the empty rank, the
+    least there is, is raised out of its task, so the sweep ends there in
+    serial order; an exception of check is re-raised as fork_map states."""
+
+    def task(t: int):
+        start = t * SWEEP_CHUNK
+        found = check(keys[start : start + SWEEP_CHUNK])
+        if found and not found[0]:
+            raise _EmptyRankFailure(start + found[1])
+        return found and (found[0], start + found[1])
+
+    try:
+        found = fork_map(task, -(-len(keys) // SWEEP_CHUNK), calls)
+    except _EmptyRankFailure as stop:
+        return (), stop.args[0]
+    return min(filter(None, found), default=None)
+
+
+def first_key_check(fails):
+    """A check of least_failure: ((), index) of a run's first failing key."""
+    return lambda run: next((((), i) for i, key in enumerate(run) if fails(key)), None)
+
+
+def packed_check(monomials, p: int, n: int, lift: int, diffs):
+    """A check of least_failure on runs of the monomials, each packed into
+    {key: 1} (see _pack) with its index in the run as top.  diffs(batch,
+    width) yields (rank, diff) pairs of increasing rank: diff maps packed
+    keys to unreduced coefficients of a map that vanishes mod p on each
+    monomial, named by the index field, where the property ranked there
+    holds.  A run fails at its first rank with a coefficient nonzero mod p,
+    at the least index there.  width holds the largest exponent plus lift,
+    the most the caller's letters raise one, so no field overflows."""
+    width = (max(map(max, monomials), default=0) + lift).bit_length() or 1
     shift = width * n
-    best = None
-    for start in range(0, len(monomials), SWEEP_CHUNK):
-        chunk = monomials[start : start + SWEEP_CHUNK]
-        batch = {_pack(exps, width, index): 1 for index, exps in enumerate(chunk)}
+
+    def check(run):
+        batch = {_pack(exps, width, index): 1 for index, exps in enumerate(run)}
         for rank, diff in diffs(batch, width):
             bad = [k for k, v in diff.items() if v % p]
             if bad:
-                found = (rank, start + (min(bad) >> shift))
-                if best is None or found < best:
-                    best = found
-                break
-        if best is not None and not best[0]:
-            break
-    return best
+                return rank, min(bad) >> shift
+        return None
+
+    return check
 
 
 def first_word_sum_mismatch(lhs, rhs, monomials, p: int, n: int) -> int | None:
@@ -535,11 +551,11 @@ def first_word_sum_mismatch(lhs, rhs, monomials, p: int, n: int) -> int | None:
     words lhs and rhs differ, or None when they agree on all of them.
 
     Agrees with comparing the sums of apply_word values on each monomial
-    one by one, but each word runs once per chunk of packed monomials
-    (least_packed_failure).  A letter never takes an exponent past the
-    largest one plus the x letters of its word (a divided difference
-    lowers max(a, b)), so that is the lift.  lhs minus rhs is summed into
-    one dict of unreduced coefficients."""
+    one by one, but each word runs once per run of packed monomials
+    (packed_check).  A letter never takes an exponent past the largest
+    one plus the x letters of its word (a divided difference lowers
+    max(a, b)), so that is the lift.  lhs minus rhs is summed into one
+    dict of unreduced coefficients."""
     for _, word in (*lhs, *rhs):
         _check_word(n, word)
     words = [(c, word) for c, word in lhs] + [(-c, word) for c, word in rhs]
@@ -552,7 +568,7 @@ def first_word_sum_mismatch(lhs, rhs, monomials, p: int, n: int) -> int | None:
             _add_packed_word(word, batch, c, diff, width, tables)
         yield (), diff
 
-    found = least_packed_failure(monomials, p, n, lifts, diffs)
+    found = least_failure(monomials, packed_check(monomials, p, n, lifts, diffs))
     return None if found is None else found[1]
 
 
@@ -591,9 +607,12 @@ RECONSTRUCT_BUDGET = 100_000
 
 
 def require_sweep_budget(sweep: str, n: int, degree_bound: int) -> None:
-    """Raise DomainError when a sweep of monomials_up_to_degree(n,
+    """Raise DomainError for a negative degree bound, whose sweep would
+    check nothing, and when a sweep of monomials_up_to_degree(n,
     degree_bound), C(degree_bound // 2 + n, n) monomials, checks more than
     RECONSTRUCT_BUDGET of them."""
+    if degree_bound < 0:
+        raise DomainError(f"degree bound {degree_bound} must be nonnegative")
     if capped_binomial(degree_bound // 2 + n, n, RECONSTRUCT_BUDGET) > RECONSTRUCT_BUDGET:
         raise DomainError(
             f"{sweep} up to degree {degree_bound} with n={n} is over "
@@ -603,9 +622,9 @@ def require_sweep_budget(sweep: str, n: int, degree_bound: int) -> None:
 
 def require_reconstruction_budget(n: int, degree_bound: int) -> None:
     """Raise DomainError when reconstruct_operator at (n, degree_bound)
-    would sweep more than RECONSTRUCT_BUDGET monomials, or pair more than
-    RECONSTRUCT_BUDGET permutations with earlier ones, counted as
-    n!(n! - 1)/2 with n! capped."""
+    fails require_sweep_budget, or would pair more than RECONSTRUCT_BUDGET
+    permutations with earlier ones, counted as n!(n! - 1)/2 with n!
+    capped."""
     require_sweep_budget("the reconstruction sweep", n, degree_bound)
     perms = capped_factorial(n, RECONSTRUCT_BUDGET)
     if perms * (perms - 1) // 2 > RECONSTRUCT_BUDGET:
@@ -633,16 +652,10 @@ def reconstruct_operator(
     and so does work over require_reconstruction_budget, before any
     Schubert value is built.
 
-    The sweep is split into tasks of SWEEP_CHUNK consecutive monomials
-    and run by pool.fork_map, with fn and NilHeckeElement.apply as the
-    calls it looks at for a wrapper; fork_map states when the tasks stay
-    in this process.  A sweep of at most SWEEP_CHUNK monomials is one
-    task and never forks.  A mismatch
-    anywhere raises the same ReconstructionError, and an exception fn
-    raises is re-raised with its type and arguments.
+    The sweep runs on least_failure, with fn and NilHeckeElement.apply
+    as its calls.  A mismatch anywhere raises the same
+    ReconstructionError, and an exception of fn is re-raised.
     """
-    if degree_bound < 0:
-        raise DomainError(f"degree bound {degree_bound} must be nonnegative")
     require_reconstruction_budget(n, degree_bound)
     perms = sorted(all_permutations(n), key=lambda w: (w.length(), w.images))
     parts: dict[Permutation, Polynomial] = {}
@@ -665,27 +678,28 @@ def reconstruct_operator(
         },
     )
 
+    def fails(exps) -> bool:
+        y = Polynomial._raw(p, n, {exps: 1})
+        return result.apply(y) != fn(y)
+
     monos = monomials_up_to_degree(n, degree_bound)
-    tasks = -(-len(monos) // SWEEP_CHUNK)
-
-    def sweep(t: int) -> None:
-        for exps in monos[t * SWEEP_CHUNK : (t + 1) * SWEEP_CHUNK]:
-            y = Polynomial._raw(p, n, {exps: 1})
-            if result.apply(y) != fn(y):
-                raise ReconstructionError(f"{note} is not realized by a nilHecke element")
-
-    fork_map(sweep, tasks, (fn, NilHeckeElement.apply))
+    if least_failure(monos, first_key_check(fails), (fn, NilHeckeElement.apply)) is not None:
+        raise ReconstructionError(f"{note} is not realized by a nilHecke element")
     return result
 
 
 def sym_linearity_check(e: NilHeckeElement, degree_bound: int) -> bool:
     """Does e commute with multiplication by every elementary symmetric
-    polynomial, on all monomials within the degree bound?"""
+    polynomial e_i, on each monomial f with e_i f within the degree bound?
+    A negative bound, or a sweep over require_sweep_budget, raises
+    DomainError."""
     p, n = e.p, e.n
-    for i in range(1, n + 1):
-        g = elementary_symmetric(i, n, p)
-        for exps in monomials_up_to_degree(n, degree_bound - 2 * i):
-            f = Polynomial.monomial(p, n, exps)
-            if e.apply(g * f) != g * e.apply(f):
-                return False
-    return True
+    require_sweep_budget("the Sym-linearity sweep", n, degree_bound)
+    sym = {i: elementary_symmetric(i, n, p) for i in range(1, n + 1)}
+    keys = [(i, exps) for i in sym for exps in monomials_up_to_degree(n, degree_bound - 2 * i)]
+
+    def fails(key) -> bool:
+        g, f = sym[key[0]], Polynomial.monomial(p, n, key[1])
+        return e.apply(g * f) != g * e.apply(f)
+
+    return least_failure(keys, first_key_check(fails), (NilHeckeElement.apply,)) is None

@@ -5,7 +5,9 @@ and extends by the Leibniz rule.  The module provides the degree +2
 differential sending x_i to x_i^2 together with its twisted deformations,
 structural verification (Leibniz, well-definedness on the defining
 relations, p-nilpotence on every basis element up to a degree bound)
-and Margolis homology of graded truncations.
+and Margolis homology of graded truncations.  The p-nilpotence sweeps
+run on nilhecke.least_failure, shared with forked helpers as
+pool.fork_map states.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from .nilhecke import (
     _reduced_word,
     all_permutations,
     divided_difference,  # noqa: F401 (perfbench/check_bench.py traces it here)
+    first_key_check,
+    least_failure,
 )
 from .poly import Monomial, Polynomial, monomials_up_to_degree
 
@@ -592,11 +596,11 @@ def verify_pdg(d: Derivation, degree_bound: int = 20, seed: int = 0) -> dict:
 
 def _first_non_nilpotent(p: int, basis, image):
     """The first basis element, in the order given, on which d^p is
-    nonzero, or None.  image(key) is d of one basis element as {key:
-    coefficient}.  Each key gets a dense index the first time it is seen,
-    and its image is computed once per call and kept as a list of (index,
-    coefficient), so the p-fold iterations from all the basis elements
-    share the images and run on int keys."""
+    nonzero, or None, swept by nilhecke.least_failure.  image(key) is d of
+    one basis element as {key: coefficient}.  Each key gets a dense index
+    the first time a process sees it, and its image is kept as a list of
+    (index, coefficient), so the p-fold iterations in one process share
+    the images and run on int keys."""
     index: dict = {}
     keys: list = []  # keys[i] has index i
     rows: dict[int, list[tuple[int, int]]] = {}
@@ -608,7 +612,7 @@ def _first_non_nilpotent(p: int, basis, image):
             keys.append(key)
         return i
 
-    for key in basis:
+    def fails(key) -> bool:
         terms = {intern(key): 1}
         for _ in range(p):
             out: dict[int, int] = {}
@@ -622,9 +626,10 @@ def _first_non_nilpotent(p: int, basis, image):
                     else:
                         out[j] = c * v
             terms = {j: r for j, c in out.items() if (r := c % p)}
-        if terms:
-            return key
-    return None
+        return bool(terms)
+
+    found = least_failure(basis, first_key_check(fails), (image,))
+    return None if found is None else basis[found[1]]
 
 
 def _random_poly(rng, p, n, pool) -> Polynomial:

@@ -14,20 +14,19 @@ pool.fork_map: a row that repeats an earlier one reports the kept result
 result, and binomials, hopf-antipode and groth run once per prime).
 The results come back in table order, the same as a run in one process.
 
-Three exhaustive sweeps run on packed monomials, through
-nilhecke.least_packed_failure: nilhecke-relations, commutator, and the
-top power and instability of steenrod-axioms.  Each chunk of SWEEP_CHUNK
-monomials is packed into ints, a field per exponent with the chunk-local
-index above them, so a letter (x_i, D_i, P^k, the Frobenius) moves the
-whole chunk by int additions.  The field width holds the largest
-exponent plus the most the letters raise one: the x letters of a
-relation word, d(p - 1) for P^d and for s_i P^(d-1), h(p - 1) for the
-top power P^h.  Each reports the first failure, and its detail, that a
-loop over the monomials one at a time reports.  The certifying sweep of
-bar_act stays on exponent tuples: a packed prototype ran the bar rows at
-0.50-0.68 of the time, but its per-call P^k tables added 2.1 MB of peak
-RSS on the benchmark's identities workload, and per-chunk tables gave no
-speed gain and still added 1.1 MB.
+Every exhaustive sweep runs on nilhecke.least_failure; inside a row,
+itself a pool task, it stays in the row's process.  nilhecke-relations
+and commutator pack each run of monomials into ints, a field per
+exponent that holds the largest exponent plus the most the letters raise
+one (the x letters of a relation word, d(p - 1) for P^d and s_i
+P^(d-1)), so a letter moves the whole run by int additions.  The top
+power and instability of steenrod-axioms are read off the Cartan rows of
+steenrod._act_power_monomial.  Each reports the first failure, and its
+detail, of a loop over the monomials one at a time.  The certifying
+sweep of bar_act stays on exponent tuples: a packed prototype ran the
+bar rows at 0.50-0.68 of the time, but its per-call P^k tables added
+2.1 MB of peak RSS on the benchmark's identities workload, and per-run
+tables gave no speed gain and still added 1.1 MB.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import itertools
 import math
 import random
 
-from . import groth, pdg
+from . import groth, pdg, steenrod
 from .arith import Record, binomial_mod_p, require_ring
 from .errors import DomainError, PademError
 from .nilhecke import (
@@ -47,8 +46,10 @@ from .nilhecke import (
     _pack,
     apply_word,
     divided_difference,
+    first_key_check,
     first_word_sum_mismatch,
-    least_packed_failure,
+    least_failure,
+    packed_check,
     require_reconstruction_budget,
     require_sweep_budget,
     schubert,
@@ -147,44 +148,23 @@ def check_sym_equivariance(p, n, seed, samples) -> Check:
 
 
 def _top_power_failure(p, n, degree_bound) -> str | None:
-    """What fails on the first monomial f, of degree h, on which the
-    standard P^h f = f^p (for h > 0) or P^(h+1) f = 0 fails, the top power
-    first; None when both hold on every monomial within the bound.
+    """What fails on the first monomial x^a, of degree h, on which the
+    standard P^h x^a = x^(pa) (h > 0) or P^(h+1) x^a = 0 fails, the top
+    power first, or None: read off the Cartan rows of
+    steenrod._act_power_monomial, swept by nilhecke.least_failure."""
 
-    Each degree's monomials are swept in packed chunks
-    (nilhecke.least_packed_failure): P^h of a chunk against its Frobenius,
-    the exponent fields times p, then P^(h+1) on the monomials before the
-    first top-power failure.  Each monomial's exponents occur once in the
-    sweep, so its offsets of P^k are needed once: each chunk's table goes
-    with the chunk."""
-
-    def power_minus_frobenius(batch, width):
-        mask = (1 << width * n) - 1
-        diff: dict[int, int] = {}
-        _add_packed_power(p, ACTION_STANDARD, h, batch, 1, diff, width, n, {})
-        for k in batch:
-            frobenius = k + (k & mask) * (p - 1)
-            diff[frobenius] = diff.get(frobenius, 0) - 1
-        yield (), diff
-
-    def next_power(batch, width):
-        out: dict[int, int] = {}
-        _add_packed_power(p, ACTION_STANDARD, h + 1, batch, 1, out, width, n, {})
-        yield (), out
+    def fails(a) -> str | None:
+        h, row = sum(a), steenrod._act_power_monomial
+        if h and row(p, ACTION_STANDARD, h, a) != ((tuple(p * e for e in a), 1),):
+            return "top power"
+        return "instability" if row(p, ACTION_STANDARD, h + 1, a) else None
 
     monos = monomials_up_to_degree(n, degree_bound)
-    start = 0
-    for h in range(degree_bound // 2 + 1):
-        block = monos[start : start + math.comb(h + n - 1, n - 1)]
-        start += len(block)
-        top = least_packed_failure(block, p, n, h * (p - 1), power_minus_frobenius) if h else None
-        before = block if top is None else block[: top[1]]
-        unstable = least_packed_failure(before, p, n, (h + 1) * (p - 1), next_power)
-        if unstable is not None:
-            return f"instability fails on {Polynomial.monomial(p, n, block[unstable[1]])}"
-        if top is not None:
-            return f"top power fails on {Polynomial.monomial(p, n, block[top[1]])}"
-    return None
+    found = least_failure(monos, first_key_check(fails))
+    if found is None:
+        return None
+    a = monos[found[1]]
+    return f"{fails(a)} fails on {Polynomial.monomial(p, n, a)}"
 
 
 def check_steenrod_axioms(p, n, degree_bound, seed, samples) -> Check:
@@ -251,10 +231,10 @@ def check_commutator(p, n, degree_bound, max_d) -> Check:
     # power P_t; read at t^d it is P^d D_i f + s_i P^(d-1) D_i f = D_i P^d f.
     # Where the identity holds below d the two forms agree at d, so the
     # first failure in (d, i, f) order is the same.  The monomials are
-    # swept in packed chunks (nilhecke.least_packed_failure), ranked by
-    # (d, i): per chunk P^d is applied once per d and D_i once per i, and
-    # the offsets of each letter are kept for the chunk.  P^d raises an
-    # exponent by at most d(p - 1), and so does s_i P^(d-1).
+    # swept in packed runs (nilhecke.packed_check), ranked by (d, i): per
+    # run P^d is applied once per d and D_i once per i, and the offsets of
+    # each letter are kept for the run.  P^d raises an exponent by at most
+    # d(p - 1), and so does s_i P^(d-1).
     s = [None] + [_s(p, n, i).terms.items() for i in range(1, n)]
 
     def diffs(batch, width):
@@ -282,7 +262,7 @@ def check_commutator(p, n, degree_bound, max_d) -> Check:
                 prev[i] = got
 
     monos = monomials_up_to_degree(n, degree_bound)
-    found = least_packed_failure(monos, p, n, max_d * (p - 1), diffs)
+    found = least_failure(monos, packed_check(monos, p, n, max_d * (p - 1), diffs))
     if found is not None:
         (d, i), index = found
         f = Polynomial.monomial(p, n, monos[index])

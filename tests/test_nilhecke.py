@@ -504,6 +504,17 @@ def test_sym_linearity_of_generators():
     assert sym_linearity_check(identity, 10)
 
 
+def test_sym_linearity_refuses_a_negative_bound_and_work_over_the_budget():
+    d1 = NilHeckeElement.d_gen(3, 3, 1)
+    with pytest.raises(DomainError, match="^degree bound -5 must be nonnegative$"):
+        sym_linearity_check(d1, -5)
+    # C(10**6 / 2 + 3, 3) monomials, refused before any is built
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="^the Sym-linearity sweep up to degree 1000000 .* budget"):
+        sym_linearity_check(d1, 10**6)
+    assert time.perf_counter() - start < 1
+
+
 def test_reconstruct_operator_roundtrip():
     rng = random.Random(3)
     for p, n in ((3, 2), (2, 3)):
