@@ -25,10 +25,11 @@ table, _reduced_word, read by every kernel.
 least_failure is the one driver of the exhaustive sweeps: it runs the
 keys in runs of SWEEP_CHUNK, each a task of pool.fork_map, and returns
 the least failure.  first_key_check tries one key at a time (the
-certificate of reconstruct_operator, sym_linearity_check, pdg's
-p-nilpotence sweeps, verify's top power); packed_check packs a run of
-monomials into ints, a field per exponent, for first_word_sum_mismatch
-(the relation sweep) with the x and D letters of _add_packed_letter and
+certificate of reconstruct_operator, sym_linearity_check, verify's top
+power, and pdg's p-nilpotence sweeps, whose keys are _pack ints);
+packed_check packs a run of monomials into ints, a field per exponent,
+for first_word_sum_mismatch (the relation sweep: one pass for a whole
+list of relations) with the x and D letters of _add_packed_letter and
 for verify's commutator with steenrod._add_packed_power.  Elements are
 immutable after construction.
 """
@@ -483,10 +484,12 @@ def _add_packed_word(
 
 def _pack(exps, width: int, top: int = 0) -> int:
     """The exponents packed into one int, the exponent of x_i in the width
-    bits from width * (i - 1) up, with top in the bits above them."""
+    bits from width * (i - 1) up, with top in the bits above them.  The
+    fields are added, so negative entries pack an offset: adding it to a
+    key whose fields stay nonnegative moves each field by its entry."""
     key = top
     for e in reversed(exps):
-        key = key << width | e
+        key = (key << width) + e
     return key
 
 
@@ -546,30 +549,40 @@ def packed_check(monomials, p: int, n: int, lift: int, diffs):
     return check
 
 
-def first_word_sum_mismatch(lhs, rhs, monomials, p: int, n: int) -> int | None:
-    """Index of the first of the monomials on which the sums of generator
-    words lhs and rhs differ, or None when they agree on all of them.
+def first_word_sum_mismatch(relations, monomials, p: int, n: int):
+    """(relation index, monomial index) of the first relation, in list
+    order, whose sides differ on one of the monomials, and the first such
+    monomial; None when every relation holds on all of them.  A relation
+    is a pair (lhs, rhs) of sums of generator words.
 
-    Agrees with comparing the sums of apply_word values on each monomial
-    one by one, but each word runs once per run of packed monomials
-    (packed_check).  A letter never takes an exponent past the largest
-    one plus the x letters of its word (a divided difference lowers
-    max(a, b)), so that is the lift.  lhs minus rhs is summed into one
-    dict of unreduced coefficients."""
-    for _, word in (*lhs, *rhs):
-        _check_word(n, word)
-    words = [(c, word) for c, word in lhs] + [(-c, word) for c, word in rhs]
-    lifts = max((sum(kind == "x" for kind, _ in word) for _, word in words), default=0)
+    Agrees with comparing the sums of apply_word values relation by
+    relation, on each monomial one by one, but one sweep serves every
+    relation: each run of monomials is packed once (packed_check), and
+    lhs minus rhs of each relation in turn, ranked (relation index,), is
+    summed into one dict of unreduced coefficients, with one set of D
+    letter tables for all the words.  A letter never takes an exponent
+    past the largest one plus the x letters of its word (a divided
+    difference lowers max(a, b)), so the most x letters of any word is
+    the lift."""
+    sums = []
+    for lhs, rhs in relations:
+        for _, word in (*lhs, *rhs):
+            _check_word(n, word)
+        sums.append([(c, word) for c, word in lhs] + [(-c, word) for c, word in rhs])
+    lift = max(
+        (sum(kind == "x" for kind, _ in word) for terms in sums for _, word in terms), default=0
+    )
     tables: dict[int, dict] = {j: {} for j in range(1, n)}
 
     def diffs(batch, width):
-        diff: dict[int, int] = {}
-        for c, word in words:
-            _add_packed_word(word, batch, c, diff, width, tables)
-        yield (), diff
+        for r, terms in enumerate(sums):
+            diff: dict[int, int] = {}
+            for c, word in terms:
+                _add_packed_word(word, batch, c, diff, width, tables)
+            yield (r,), diff
 
-    found = least_failure(monomials, packed_check(monomials, p, n, lifts, diffs))
-    return None if found is None else found[1]
+    found = least_failure(monomials, packed_check(monomials, p, n, lift, diffs))
+    return None if found is None else (found[0][0], found[1])
 
 
 # Most terms schubert may hold after any letter of D_{w^{-1} w_0}.

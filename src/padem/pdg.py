@@ -7,7 +7,10 @@ structural verification (Leibniz, well-definedness on the defining
 relations, p-nilpotence on every basis element up to a degree bound)
 and Margolis homology of graded truncations.  The p-nilpotence sweeps
 run on nilhecke.least_failure, shared with forked helpers as
-pool.fork_map states.
+pool.fork_map states, and walk packed int keys: each basis element is
+its exponents in fields, with a label's permutation above them, and d of
+a key is written from per-variable and per-permutation offset tables
+(_nilpotence_rows).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .arith import _echelon, capped_binomial, capped_factorial, reduce_terms, re
 from .errors import DomainError, MismatchError, StructureError
 from .nilhecke import (
     NilHeckeElement,
+    _pack,
     _reduced_word,
     all_permutations,
     divided_difference,  # noqa: F401 (perfbench/check_bench.py traces it here)
@@ -573,14 +577,13 @@ def verify_pdg(d: Derivation, degree_bound: int = 20, seed: int = 0) -> dict:
             failures.append(f"not well defined on relation {name}")
 
     p_nilpotent_ok = True
-    monos = monomials_up_to_degree(n, degree_bound)
-    m = _first_non_nilpotent(p, monos, lambda m: d._poly_terms({m: 1}))
+    m = _first_non_nilpotent(d, monomials_up_to_degree(n, degree_bound))
     if m is not None:
         p_nilpotent_ok = False
         failures.append(f"d^{p} != 0 on the monomial with exponents {m}")
     if relations_ok:
-        labels = [label for _, label in _nh_labels(n, degree_bound)]
-        label = _first_non_nilpotent(p, labels, lambda label: d._nh_terms({label: 1}))
+        basis = [label for _, label in _nh_labels(n, degree_bound)]
+        label = _first_non_nilpotent(d, basis, labels=True)
         if label is not None:
             p_nilpotent_ok = False
             failures.append(f"d^{p} != 0 on x^{label[0]} D_{label[1]}")
@@ -594,42 +597,96 @@ def verify_pdg(d: Derivation, degree_bound: int = 20, seed: int = 0) -> dict:
     }
 
 
-def _first_non_nilpotent(p: int, basis, image):
+def _first_non_nilpotent(d: Derivation, basis, labels: bool = False):
     """The first basis element, in the order given, on which d^p is
-    nonzero, or None, swept by nilhecke.least_failure.  image(key) is d of
-    one basis element as {key: coefficient}.  Each key gets a dense index
-    the first time a process sees it, and its image is kept as a list of
-    (index, coefficient), so the p-fold iterations in one process share
-    the images and run on int keys."""
-    index: dict = {}
-    keys: list = []  # keys[i] has index i
-    rows: dict[int, list[tuple[int, int]]] = {}
+    nonzero, or None: the basis holds monomials, or with labels the
+    normal-form labels (exponents, permutation images).  Swept by
+    nilhecke.least_failure one element at a time.
 
-    def intern(key) -> int:
-        i = index.get(key)
-        if i is None:
-            i = index[key] = len(keys)
-            keys.append(key)
-        return i
+    Each element is a packed int (nilhecke._pack): the exponents in fields
+    of width bits, and for a label the index of its permutation among
+    all_permutations(n) above them.  A row, d of one key as (key,
+    coefficient) pairs, is written by _nilpotence_rows and kept per key in
+    the process, so the p-fold iterations share the rows.  width holds the
+    largest exponent plus p times the most one step raises one (none when
+    every step only lowers), so no field overflows in p steps."""
+    p = d.p
+    perms = [w.images for w in all_permutations(d.n)] if labels else []
+    rise = max(
+        [0]
+        + [e for shifts in d._x_shifts for delta, _ in shifts for e in delta]
+        + [e for w in perms for b, _ in d._permutation_terms(w) for e in b]
+    )
+    where = {w: j for j, w in enumerate(perms)}
+    fields = [(exps, where[w]) for exps, w in basis] if labels else [(m, 0) for m in basis]
+    width = (max((max(exps) for exps, _ in fields), default=0) + p * rise).bit_length() or 1
+    keys = [_pack(exps, width, j) for exps, j in fields]
+    row = _nilpotence_rows(d, width, perms)
+    rows: dict[int, tuple] = {}
 
     def fails(key) -> bool:
-        terms = {intern(key): 1}
-        for _ in range(p):
+        terms = {key: 1}
+        for step in range(p):
             out: dict[int, int] = {}
-            for i, c in terms.items():
-                row = rows.get(i)
-                if row is None:
-                    row = rows[i] = [(intern(k), v) for k, v in image(keys[i]).items()]
-                for j, v in row:
+            for k, c in terms.items():
+                r = rows.get(k)
+                if r is None:
+                    r = rows[k] = row(k)
+                for j, v in r:
                     if j in out:
                         out[j] += c * v
                     else:
                         out[j] = c * v
+            if step == p - 1:
+                return any(c % p for c in out.values())
             terms = {j: r for j, c in out.items() if (r := c % p)}
-        return bool(terms)
 
-    found = least_failure(basis, first_key_check(fails), (image,))
+    found = least_failure(keys, first_key_check(fails))
     return None if found is None else basis[found[1]]
+
+
+def _nilpotence_rows(d: Derivation, width: int, perms: list):
+    """row(key): d of the basis element with this packed key (see
+    _first_non_nilpotent) as (key, coefficient mod p) pairs, built from two
+    offset tables.  perms lists the permutations of a label's field, in
+    the order of its values, and is empty for monomials.
+
+    d(x^a) = sum_i a_i x^(a - e_i) d(x_i): the table of x_i packs the
+    shifts (b - e_i, v) of Derivation._x_shifts, each read with
+    coefficient a_i * v for the field a_i of x_i.  A shift lowers only
+    that field, by one at most, and it is read only when the field is at
+    least 1, so no field borrows.  A label x^a D_w adds x^a d(D_w): the
+    table of w packs each term (b, w') of d(D_w) with the permutation
+    field moved from w to w'."""
+    p = d.p
+    mask = (1 << width) - 1
+    by_variable = [
+        (width * i, tuple((_pack(delta, width), v) for delta, v in shifts))
+        for i, shifts in enumerate(d._x_shifts)
+        if shifts
+    ]
+    where = {w: j for j, w in enumerate(perms)}
+    top = width * d.n
+    by_permutation = [
+        tuple((_pack(b, width, where[u] - j), v) for (b, u), v in d._permutation_terms(w).items())
+        for j, w in enumerate(perms)
+    ]
+
+    def row(key) -> tuple:
+        out: dict[int, int] = {}
+        for shift, shifts in by_variable:
+            a = key >> shift & mask
+            if a:
+                for offset, v in shifts:
+                    k = key + offset
+                    out[k] = out.get(k, 0) + a * v
+        if by_permutation:
+            for offset, v in by_permutation[key >> top]:
+                k = key + offset
+                out[k] = out.get(k, 0) + v
+        return tuple((k, r) for k, c in out.items() if (r := c % p))
+
+    return row
 
 
 def _random_poly(rng, p, n, pool) -> Polynomial:

@@ -18,9 +18,12 @@ Every exhaustive sweep runs on nilhecke.least_failure; inside a row,
 itself a pool task, it stays in the row's process.  nilhecke-relations
 and commutator pack each run of monomials into ints, a field per
 exponent that holds the largest exponent plus the most the letters raise
-one (the x letters of a relation word, d(p - 1) for P^d and s_i
-P^(d-1)), so a letter moves the whole run by int additions.  The top
-power and instability of steenrod-axioms are read off the Cartan rows of
+one (the most x letters of a relation word, d(p - 1) for P^d and s_i
+P^(d-1)), so a letter moves the whole run by int additions;
+nilhecke-relations is one sweep for the whole relation list.  The
+p-nilpotence sweeps of pdg-verify walk packed int keys one basis element
+at a time (pdg._first_non_nilpotent).  The top power and instability of
+steenrod-axioms are read off the Cartan rows of
 steenrod._act_power_monomial.  Each reports the first failure, and its
 detail, of a loop over the monomials one at a time.  The certifying
 sweep of bar_act stays on exponent tuples: a packed prototype ran the
@@ -101,12 +104,13 @@ def _random_steenrod_word(rng, p, max_len=3, max_exp=9):
 
 def check_nilhecke_relations(p, n, degree_bound) -> Check:
     monos = monomials_up_to_degree(n, degree_bound)
-    for name, lhs, rhs in pdg.nilhecke_relations(p, n):
-        i = first_word_sum_mismatch(lhs, rhs, monos, p, n)
-        if i is not None:
-            f = Polynomial.monomial(p, n, monos[i])
-            return Check("nilhecke-relations", False, f"{name} fails on {f}")
-    return Check("nilhecke-relations", True)
+    relations = pdg.nilhecke_relations(p, n)
+    found = first_word_sum_mismatch([(lhs, rhs) for _, lhs, rhs in relations], monos, p, n)
+    if found is None:
+        return Check("nilhecke-relations", True)
+    r, i = found
+    f = Polynomial.monomial(p, n, monos[i])
+    return Check("nilhecke-relations", False, f"{relations[r][0]} fails on {f}")
 
 
 def check_normalize_action(p, n, seed, words) -> Check:

@@ -6,8 +6,9 @@ module over F_p[u]/(u^p), the first reduced power as a derivation, the
 twisted differential as a conjugation, the word-by-word value of a sum of
 generator words, the total power and the total antipode on a monomial,
 the product of polynomials on exponent tuples, the commutator and
-top-power sweeps of verify-all one monomial at a time, seeded random
-polynomials, symmetry of a polynomial and the size of a graded basis."""
+top-power sweeps of verify-all one monomial at a time, the p-nilpotence
+sweep of verify_pdg on tuple keys, seeded random polynomials, symmetry
+of a polynomial and the size of a graded basis."""
 
 import math
 
@@ -307,6 +308,31 @@ def top_power_by_monomial(p: int, n: int, degree_bound: int):
             return f"top power fails on {f}"
         if not act(SteenrodElement.p_power(p, half + 1), f).is_zero():
             return f"instability fails on {f}"
+    return None
+
+
+def non_nilpotent_by_tuples(d: Derivation, basis, labels: bool = False):
+    """The p-nilpotence sweep of pdg.verify_pdg one basis element at a
+    time on tuple keys: the first monomial, or with labels the first
+    normal-form label (exponents, permutation images), on which d^p is
+    nonzero, or None.  d of a key comes from the tuple kernels
+    Derivation._poly_terms and _nh_terms, and is kept per key."""
+    p = d.p
+    image = d._nh_terms if labels else d._poly_terms
+    rows: dict = {}
+    for key in basis:
+        terms = {key: 1}
+        for _ in range(p):
+            out: dict = {}
+            for k, c in terms.items():
+                row = rows.get(k)
+                if row is None:
+                    row = rows[k] = image({k: 1})
+                for j, v in row.items():
+                    out[j] = out.get(j, 0) + c * v
+            terms = {j: r for j, c in out.items() if (r := c % p)}
+        if terms:
+            return key
     return None
 
 

@@ -265,46 +265,65 @@ def _normal_form_words(lhs, p, n):
 
 
 @st.composite
-def _word_sums(draw):
-    """(p, n, lhs, rhs, monomials): rhs is the normal form of lhs, and so
-    agrees with it everywhere, plus at times one more word ending in D1,
-    which makes a mismatch on the first monomial with a1 != a2 once its
-    coefficient is nonzero mod p; a prefix of the monomials has a1 = a2,
-    so that one may come late, in any chunk.  Exponents sit at and next
-    to 2^k - 1, and the x letters of the normal form carry them past it."""
+def _relations(draw):
+    """(p, n, relations, monomials): one to three relations (lhs, rhs),
+    each rhs the normal form of its lhs, and so agreeing with it
+    everywhere, plus at times one more word ending in D1, which makes a
+    mismatch on the first monomial with a1 != a2 once its coefficient is
+    nonzero mod p; a prefix of the monomials has a1 = a2, so that one may
+    come late, in any chunk.  Exponents sit at and next to 2^k - 1, and
+    the x letters of the normal forms carry them past it."""
     p = draw(st.sampled_from(PRIMES))
     n = draw(st.sampled_from((2, 3, 4)))
     x_letter = st.tuples(st.just("x"), st.integers(1, n))
     letter = st.one_of(x_letter, st.tuples(st.just("d"), st.integers(1, n - 1)))
     coefficient = st.integers(-p, 2 * p)
     word = st.tuples(coefficient, st.lists(letter, max_size=4).map(tuple))
-    lhs = tuple(draw(st.lists(word, min_size=1, max_size=3)))
-    rhs = _normal_form_words(lhs, p, n)
     killed_on_prefix = st.lists(x_letter, max_size=2).map(lambda xs: (*xs, ("d", 1)))
-    rhs += tuple(draw(st.lists(st.tuples(coefficient, killed_on_prefix), max_size=1)))
+    relations = []
+    for _ in range(draw(st.integers(1, 3))):
+        lhs = tuple(draw(st.lists(word, min_size=1, max_size=3)))
+        rhs = _normal_form_words(lhs, p, n)
+        rhs += tuple(draw(st.lists(st.tuples(coefficient, killed_on_prefix), max_size=1)))
+        relations.append((lhs, rhs))
     exponent = st.sampled_from((0, 1, 2, 3, 4, 7, 8, 15))
     count = draw(st.integers(1, 2 * SWEEP_CHUNK + 10))
     monomials = draw(st.lists(st.tuples(*[exponent] * n), min_size=count, max_size=count))
     prefix = draw(st.integers(0, count))
     monomials = [(m[0], m[0], *m[2:]) for m in monomials[:prefix]] + monomials[prefix:]
-    return p, n, lhs, rhs, monomials
+    return p, n, relations, monomials
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
-@given(_word_sums())
+@given(_relations())
 def test_packed_sweep_matches_the_word_reference(case):
-    p, n, lhs, rhs, monomials = case
+    # the one sweep over all the relations finds the first failing
+    # relation and its first failing monomial, as the word reference does
+    # looped over the relations
+    p, n, relations, monomials = case
+
+    def first_mismatch(lhs, rhs):
+        return next(
+            (
+                i
+                for i, exps in enumerate(monomials)
+                if apply_word_sum(lhs, f := Polynomial.monomial(p, n, exps))
+                != apply_word_sum(rhs, f)
+            ),
+            None,
+        )
+
     want = next(
         (
-            i
-            for i, exps in enumerate(monomials)
-            if apply_word_sum(lhs, f := Polynomial.monomial(p, n, exps))
-            != apply_word_sum(rhs, f)
+            (r, i)
+            for r, (lhs, rhs) in enumerate(relations)
+            if (i := first_mismatch(lhs, rhs)) is not None
         ),
         None,
     )
-    assert first_word_sum_mismatch(lhs, rhs, monomials, p, n) == want
-    assert first_word_sum_mismatch(rhs, lhs, monomials, p, n) == want
+    assert first_word_sum_mismatch(relations, monomials, p, n) == want
+    swapped = [(rhs, lhs) for lhs, rhs in relations]
+    assert first_word_sum_mismatch(swapped, monomials, p, n) == want
 
 
 _DD_PAIR = nilhecke._dd_pair
@@ -335,9 +354,9 @@ def test_relation_sweep_checks_the_shared_closed_form(monkeypatch, fault, n):
 def test_word_sum_mismatch_checks_letters():
     monos = monomials_up_to_degree(3, 4)
     with pytest.raises(DomainError):
-        first_word_sum_mismatch(((1, (("d", 3),)),), (), monos, 3, 3)
+        first_word_sum_mismatch([(((1, (("d", 3),)),), ())], monos, 3, 3)
     with pytest.raises(DomainError):
-        first_word_sum_mismatch((), ((1, (("x", 4),)),), monos, 3, 3)
+        first_word_sum_mismatch([((), ((1, (("x", 4),)),))], monos, 3, 3)
 
 
 def test_normalize_examples():

@@ -11,7 +11,7 @@ from padem import pdg as pdg_mod
 from padem import verify
 from padem.arith import _echelon, capped_binomial
 from padem.errors import DomainError, MismatchError, StructureError
-from padem.nilhecke import NilHeckeElement, Permutation, all_permutations
+from padem.nilhecke import NilHeckeElement, Permutation, _pack, all_permutations
 from padem.pdg import (
     Derivation,
     GradedOperator,
@@ -32,6 +32,7 @@ from oracles import (
     dense_homology,
     dense_power_matrix,
     dense_power_ranks,
+    non_nilpotent_by_tuples,
     power_one_derivation,
     rank_mod_p,
     regular_nilpotent_module,
@@ -293,46 +294,59 @@ def test_mixed_degree_derivation_iterates_directly(p):
 # d^p != 0 already fails on a generator; only a planted fault can sit
 # high up.  Each planted fault adds the identity on one basis element of
 # degree 12, d(b) += b, so d^p(b) keeps b; no element before b in the
-# sweep reaches b.
+# sweep reaches b.  It is planted in the row the packed sweep writes for
+# the key of b: the offset tables are read for every key with a nonzero
+# field (the table of x1 for every x1^a, the table of D1 for every
+# x^a D1), so a fault on one element lives in its row.
+
+
+def _plant_identity(monkeypatch, planted, labels=False):
+    """d(b) += b for the basis element b = planted, a monomial or with
+    labels a label, in the rows of pdg._nilpotence_rows."""
+    real = pdg_mod._nilpotence_rows
+
+    def planted_rows(d, width, perms):
+        row = real(d, width, perms)
+        if labels != bool(perms):
+            return row
+        if labels:
+            exps, images = planted
+            key = _pack(exps, width, perms.index(images))
+        else:
+            key = _pack(planted, width)
+
+        def planted_row(k):
+            if k != key:
+                return row(k)
+            out = dict(row(k))
+            out[k] = (out.get(k, 0) + 1) % d.p
+            return tuple((j, c) for j, c in out.items() if c)
+
+        return planted_row
+
+    monkeypatch.setattr(pdg_mod, "_nilpotence_rows", planted_rows)
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_planted_polynomial_fault_above_degree_ten(p, monkeypatch):
+def test_planted_polynomial_fault_above_degree_ten(p, planted_fault):
     # x2 = 1 is out of reach from below: x2^0 -> 0 * x2^1 under x2^2 d/dx2
     n, planted = 2, (5, 1)
     d = Derivation(p, n, [Polynomial.one(p, n), xvar(p, n, 2) ** 2], [NilHeckeElement.zero(p, n)])
-    original = Derivation._poly_terms
-
-    def planted_poly_terms(self, terms):
-        out = original(self, terms)
-        c = (out.get(planted, 0) + terms.get(planted, 0)) % self.p
-        out.pop(planted, None)
-        if c:
-            out[planted] = c
-        return out
-
-    monkeypatch.setattr(Derivation, "_poly_terms", planted_poly_terms)
+    _plant_identity(planted_fault, planted)
     failure = f"d^{p} != 0 on the monomial with exponents {planted}"
     assert nilpotency_failures(verify_pdg(d, degree_bound=14)) == [failure]
     assert nilpotency_failures(verify_pdg(d, degree_bound=10)) == []
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_planted_operator_fault_above_degree_six(p, monkeypatch):
+def test_planted_operator_fault_above_degree_six(p, planted_fault):
     # x_i -> 1, D_i -> 0 is the sum of the d/dx_i; it is well defined, has
     # degree shift -2, and d^p = 0.  It lowers degree, so nothing before
     # the planted x1^7 D1 (degree 12) reaches it.
     n, planted = 2, ((7, 0), (2, 1))
     d = Derivation(p, n, [Polynomial.one(p, n)] * n, [NilHeckeElement.zero(p, n)])
     assert d.shift == -2
-    original = Derivation._nh_terms
-
-    def planted_nh_terms(self, terms):
-        out = original(self, terms)
-        c = terms.get(planted)
-        return {**out, planted: (out.get(planted, 0) + c) % self.p} if c else out
-
-    monkeypatch.setattr(Derivation, "_nh_terms", planted_nh_terms)
+    _plant_identity(planted_fault, planted, labels=True)
     report = verify_pdg(d, degree_bound=14)
     assert report["relations_ok"]
     assert nilpotency_failures(report) == [f"d^{p} != 0 on x^(7, 0) D_(2, 1)"]
@@ -364,18 +378,70 @@ def test_direct_sweep_matches_rank_chains(p, n):
     for name, d in [*shipped_derivations(p, n), ("broken", broken)]:
         top = bound + d.shift * p
         monos = monomials_up_to_degree(n, bound)
-        m = pdg_mod._first_non_nilpotent(p, monos, lambda m: d._poly_terms({m: 1}))
+        m = pdg_mod._first_non_nilpotent(d, monos)
         space = polynomial_space(p, n, top)
         want = _first_rank_failure(space, derivation_operator(space, d, n), bound)
         assert (None if m is None else 2 * sum(m)) == want, (name, m)
         labels = [label for _, label in pdg_mod._nh_labels(n, bound)]
-        label = pdg_mod._first_non_nilpotent(p, labels, lambda label: d._nh_terms({label: 1}))
+        label = pdg_mod._first_non_nilpotent(d, labels, labels=True)
         space = nilhecke_space(p, n, top)
         want = _first_rank_failure(space, nh_derivation_operator(space, d), bound)
         got = None if label is None else space.index[label][0]
         assert got == want, (name, label)
         if name == "broken":
             assert want is not None
+
+
+@st.composite
+def _homogeneous_derivations(draw, p, n):
+    """(derivation, degree bound): x_i -> a random quadratic
+    polynomial, or x_i -> x_i^2 for every i, and D_i -> its image under
+    one of the twists a = 0, 1, 2 or 0, each i apart, so the relations
+    need not hold; or the shift -2 derivation x_i -> 1, D_i -> 0."""
+    zero = NilHeckeElement.zero(p, n)
+    if draw(st.integers(0, 3)) == 0:  # one case in four lowers degree
+        d = Derivation(p, n, [Polynomial.one(p, n)] * n, [zero] * (n - 1))
+    else:
+        quadratic = [m for m in monomials_up_to_degree(n, 4) if sum(m) == 2]
+        terms = st.dictionaries(st.sampled_from(quadratic), st.integers(1, p - 1), max_size=3)
+        if draw(st.booleans()):
+            x_images = [Polynomial(p, n, draw(terms)) for _ in range(n)]
+        else:
+            x_images = [xvar(p, n, i) ** 2 for i in range(1, n + 1)]
+        d_images = []
+        for i in range(n - 1):
+            a = draw(st.sampled_from((0, 1, 2, None)))
+            d_images.append(zero if a is None else twisted_derivation(p, n, a).d_images[i])
+        d = Derivation(p, n, x_images, d_images)
+    return d, draw(st.sampled_from((8, 10) if n == 3 else (10, 14)))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("n", (2, 3))
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_packed_nilpotence_sweep_matches_the_tuple_walk(p, n, data):
+    # the first element on which d^p is nonzero, or none, as the walk on
+    # tuple keys through Derivation._poly_terms and _nh_terms finds it
+    d, bound = data.draw(_homogeneous_derivations(p, n))
+    monomials = monomials_up_to_degree(d.n, bound)
+    labels = [label for _, label in pdg_mod._nh_labels(d.n, bound)]
+    for basis, on_labels in ((monomials, False), (labels, True)):
+        want = non_nilpotent_by_tuples(d, basis, on_labels)
+        assert pdg_mod._first_non_nilpotent(d, basis, on_labels) == want
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_packed_nilpotence_sweep_on_a_lowering_derivation(p):
+    # d/dx on one variable lowers every exponent, so a field need hold no
+    # more than the largest exponent of the basis; d^p = 0
+    d = Derivation(p, 1, [Polynomial.one(p, 1)], [])
+    for bound in (0, 4, 14, 40):
+        monomials = monomials_up_to_degree(1, bound)
+        labels = [label for _, label in pdg_mod._nh_labels(1, bound)]
+        for basis, on_labels in ((monomials, False), (labels, True)):
+            assert pdg_mod._first_non_nilpotent(d, basis, on_labels) is None
+            assert non_nilpotent_by_tuples(d, basis, on_labels) is None
 
 
 def test_basis_counts_match_the_enumerations():

@@ -112,8 +112,8 @@ def _fail_two_randomized_rows(monkeypatch):
     monkeypatch.setattr(steenrod, "_adem_pair", _flipped_adem_coefficient)
 
 
-def test_a_randomized_row_is_its_check_on_the_seed_its_row_names(monkeypatch):
-    _fail_two_randomized_rows(monkeypatch)
+def test_a_randomized_row_is_its_check_on_the_seed_its_row_names(planted_fault):
+    _fail_two_randomized_rows(planted_fault)
     results = verify.run_matrix((3,), (2, 3), 8, 7, 30)
     for n, (_config, checks) in zip((2, 3), results):
         for (name, fn, args), check in zip(verify._table(3, n, 8, 7, 30), checks):
@@ -124,16 +124,16 @@ def test_a_randomized_row_is_its_check_on_the_seed_its_row_names(monkeypatch):
 
 
 @pytest.mark.parametrize("replaced", RANDOMIZED)
-def test_a_changed_randomized_row_moves_no_other_row(monkeypatch, replaced):
+def test_a_changed_randomized_row_moves_no_other_row(planted_fault, replaced):
     # the replacement draws more samples than the table asks for
-    _fail_two_randomized_rows(monkeypatch)
+    _fail_two_randomized_rows(planted_fault)
     before = verify.run_matrix((3,), (2, 3), 8, 0, 30)
     real = getattr(verify, replaced)
 
     def drawing_more(*args):
         return real(*args[:-1], args[-1] + 7)
 
-    monkeypatch.setattr(verify, replaced, drawing_more)
+    planted_fault.setattr(verify, replaced, drawing_more)
     after = verify.run_matrix((3,), (2, 3), 8, 0, 30)
     for (config, old), (_config, new) in zip(before, after):
         for a, b in zip(old, new):
@@ -667,10 +667,10 @@ WRONG_KERNEL = {
 
 
 @pytest.mark.parametrize("name", WRONG_KERNEL)
-def test_shared_check_catches_a_wrong_kernel(monkeypatch, name):
+def test_shared_check_catches_a_wrong_kernel(planted_fault, name):
     module, kernel, fault, run = WRONG_KERNEL[name]
     assert run().ok
-    monkeypatch.setattr(module, kernel, fault)
+    planted_fault.setattr(module, kernel, fault)
     got = run()
     assert got.name == name and not got.ok
     if name == "normalize-preserves-action":
