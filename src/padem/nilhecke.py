@@ -29,9 +29,12 @@ certificate of reconstruct_operator, sym_linearity_check, verify's top
 power, and pdg's p-nilpotence sweeps, whose keys are _pack ints);
 packed_check packs a run of monomials into ints, a field per exponent,
 for first_word_sum_mismatch (the relation sweep: one pass for a whole
-list of relations) with the x and D letters of _add_packed_letter and
-for verify's commutator with steenrod._add_packed_power.  Elements are
-immutable after construction.
+list of relations) and verify's commutator.  Every letter on packed keys
+is one of two kernels: _add_product multiplies by a packed polynomial,
+the same row for every key (x_i, the empty word, s_i), and
+_add_field_map writes a tuple kernel of a run of fields (D_j by
+_dd_pair, P^k by steenrod._act_power_monomial).  Elements are immutable
+after construction.
 """
 
 from __future__ import annotations
@@ -105,10 +108,6 @@ class Permutation:
         """Number of inversions."""
         return len(_reduced_word(self.images))
 
-    def reduced_word(self) -> tuple[int, ...]:
-        """Lexicographically least reduced word, multiplying left to right."""
-        return tuple(j for _, j in _reduced_word(self.images))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
 
@@ -152,13 +151,14 @@ def _raise_length(images: tuple[int, ...], i: int) -> tuple[int, ...] | None:
 
 
 @functools.cache
-def _dd_pair(a: int, b: int) -> tuple[tuple[int, int, int], ...]:
-    """(x^a y^b - x^b y^a) / (x - y) as terms (exponent of x, exponent of
-    y, sign): +-(xy)^min(a,b) h_{|a-b|-1}(x, y), plus when a > b."""
+def _dd_pair(ab: tuple[int, int]) -> tuple[tuple[tuple[int, int], int], ...]:
+    """(x^a y^b - x^b y^a) / (x - y) for ab = (a, b) as terms ((exponent
+    of x, exponent of y), sign): +-(xy)^min(a,b) h_{|a-b|-1}(x, y), plus
+    when a > b."""
+    a, b = ab
     lo, hi = min(a, b), max(a, b)
     sign = 1 if a > b else -1
-    top = hi - lo - 1
-    return tuple((lo + t, hi - 1 - t, sign) for t in range(top + 1))
+    return tuple(((lo + t, hi - 1 - t), sign) for t in range(hi - lo))
 
 
 def _add_term(terms: dict, key, c: int, p: int) -> None:
@@ -181,8 +181,8 @@ def _left_multiply(p: int, word: Word, terms: dict[BasisKey, int]) -> dict[Basis
         out: dict[BasisKey, int] = {}
         for (exps, images), c in terms.items():
             head, tail = exps[: i - 1], exps[i + 1 :]
-            for a, b, sign in _dd_pair(exps[i - 1], exps[i]):
-                _add_term(out, (head + (a, b) + tail, images), c * sign, p)
+            for xy, sign in _dd_pair(exps[i - 1 : i + 1]):
+                _add_term(out, (head + xy + tail, images), c * sign, p)
             raised = _raise_length(images, i)
             if raised is not None:
                 _add_term(out, (head + (exps[i], exps[i - 1]) + tail, raised), c, p)
@@ -213,8 +213,8 @@ def _divided_difference_terms(
     get = out.get
     for m, c in terms.items():
         head, tail = m[: j - 1], m[j + 1 :]
-        for a, b, sign in _dd_pair(m[j - 1], m[j]):
-            key = head + (a, b) + tail
+        for xy, sign in _dd_pair(m[j - 1 : j + 1]):
+            key = head + xy + tail
             v = (get(key, 0) + c * sign) % p
             if v:
                 out[key] = v
@@ -425,46 +425,84 @@ def apply_word(word: Word, f: Polynomial) -> Polynomial:
 SWEEP_CHUNK = 64
 
 
-def _add_shifted(terms: dict[int, int], step: int, scale: int, out: dict[int, int]) -> None:
+def _pack(exps, width: int, top: int = 0) -> int:
+    """The exponents packed into one int, the exponent of x_i in the width
+    bits from width * (i - 1) up, with top in the bits above them.  The
+    fields are added, so negative entries pack an offset: adding it to a
+    key whose fields stay nonnegative moves each field by its entry."""
+    key = top
+    for e in reversed(exps):
+        key = (key << width) + e
+    return key
+
+
+def _field_width(exponents, lift: int) -> int:
+    """Bits of a field that holds the largest entry of the exponent tuples
+    plus lift, the most a caller's maps raise one, and at least one bit."""
+    return (max(map(max, exponents), default=0) + lift).bit_length() or 1
+
+
+def _add_product(terms: dict[int, int], row, scale: int, out: dict[int, int]) -> None:
+    """Add scale times the product of the packed terms by the packed
+    polynomial row, ((key, coefficient), ...), into out: a map with the
+    same row for every key.  Coefficients are not reduced."""
+    for step, v in row:
+        v *= scale
+        for k, c in terms.items():
+            key = k + step
+            if key in out:
+                out[key] += v * c
+            else:
+                out[key] = v * c
+
+
+def _field_offsets(fn, first: int, fields: int, bits: int, width: int) -> tuple:
+    """(offset, coefficient) of each term (exponents, coefficient) of fn
+    on the exponents that bits holds, read from the fields first to
+    first + fields - 1 of a key: the offset takes the key to the packed
+    term."""
+    field = (1 << width) - 1
+    exps = tuple(bits >> width * i & field for i in range(fields))
+    return tuple(((_pack(m, width) - bits) << width * first, c) for m, c in fn(exps))
+
+
+def _add_field_map(
+    fn, first: int, fields: int, terms: dict[int, int], scale: int, out: dict, width: int, table
+) -> None:
+    """Add scale times a map of a run of fields to packed monomials into
+    out: on each key it reads the exponents in fields first .. first +
+    fields - 1 (0-based) and writes the terms fn(exponents) of the same
+    fields, leaving the other fields as they are.  The offsets of each run
+    of bits are kept in table (_field_offsets).  Coefficients are not
+    reduced; the caller chooses width to hold the exponents fn makes."""
+    shift = width * first
+    run = (1 << width * fields) - 1
     for k, c in terms.items():
-        key = k + step
-        if key in out:
-            out[key] += scale * c
-        else:
-            out[key] = scale * c
+        bits = k >> shift & run
+        offsets = table.get(bits)
+        if offsets is None:
+            offsets = table[bits] = _field_offsets(fn, first, fields, bits, width)
+        c *= scale
+        for offset, v in offsets:
+            key = k + offset
+            if key in out:
+                out[key] += c * v
+            else:
+                out[key] = c * v
 
 
 def _add_packed_letter(
     letter: Letter, terms: dict[int, int], scale: int, out: dict[int, int], width: int, tables
 ) -> None:
     """Add scale times the letter applied to packed monomials into out:
-    the exponent of x_i sits in the width bits from width * (i - 1) up.
-    ('x', i) adds one to that field; ('d', j) reads the fields a, b of x_j
-    and x_{j+1} and adds the offsets of the terms of _dd_pair(a, b), kept
-    in tables[j] under a | b << width.  Coefficients are not reduced."""
+    ('x', i) is the product by the packed x_i, ('d', j) the field map of
+    _dd_pair on the fields of x_j and x_{j+1}, its offsets kept in
+    tables[j].  Coefficients are not reduced."""
     kind, i = letter
-    shift = width * (i - 1)
     if kind == "x":
-        _add_shifted(terms, 1 << shift, scale, out)
-        return
-    table = tables[i]
-    pair = (1 << 2 * width) - 1
-    for k, c in terms.items():
-        ab = (k >> shift) & pair
-        offsets = table.get(ab)
-        if offsets is None:
-            a, b = ab & ((1 << width) - 1), ab >> width
-            offsets = table[ab] = tuple(
-                (((x - a) << shift) + ((y - b) << (shift + width)), sign)
-                for x, y, sign in _dd_pair(a, b)
-            )
-        c *= scale
-        for offset, sign in offsets:
-            key = k + offset
-            if key in out:
-                out[key] += c * sign
-            else:
-                out[key] = c * sign
+        _add_product(terms, ((1 << width * (i - 1), 1),), scale, out)
+    else:
+        _add_field_map(_dd_pair, i - 1, 2, terms, scale, out, width, tables[i])
 
 
 def _add_packed_word(
@@ -479,18 +517,7 @@ def _add_packed_word(
     if word:
         _add_packed_letter(word[0], terms, scale, out, width, tables)
     else:
-        _add_shifted(terms, 0, scale, out)
-
-
-def _pack(exps, width: int, top: int = 0) -> int:
-    """The exponents packed into one int, the exponent of x_i in the width
-    bits from width * (i - 1) up, with top in the bits above them.  The
-    fields are added, so negative entries pack an offset: adding it to a
-    key whose fields stay nonnegative moves each field by its entry."""
-    key = top
-    for e in reversed(exps):
-        key = (key << width) + e
-    return key
+        _add_product(terms, ((0, 1),), scale, out)
 
 
 class _EmptyRankFailure(Exception):
@@ -533,9 +560,9 @@ def packed_check(monomials, p: int, n: int, lift: int, diffs):
     keys to unreduced coefficients of a map that vanishes mod p on each
     monomial, named by the index field, where the property ranked there
     holds.  A run fails at its first rank with a coefficient nonzero mod p,
-    at the least index there.  width holds the largest exponent plus lift,
-    the most the caller's letters raise one, so no field overflows."""
-    width = (max(map(max, monomials), default=0) + lift).bit_length() or 1
+    at the least index there.  width is _field_width(monomials, lift),
+    lift the most the caller's letters raise one, so no field overflows."""
+    width = _field_width(monomials, lift)
     shift = width * n
 
     def check(run):

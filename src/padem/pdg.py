@@ -7,10 +7,11 @@ structural verification (Leibniz, well-definedness on the defining
 relations, p-nilpotence on every basis element up to a degree bound)
 and Margolis homology of graded truncations.  The p-nilpotence sweeps
 run on nilhecke.least_failure, shared with forked helpers as
-pool.fork_map states, and walk packed int keys: each basis element is
-its exponents in fields, with a label's permutation above them, and d of
-a key is written from per-variable and per-permutation offset tables
-(_nilpotence_rows).
+pool.fork_map states, and walk packed int keys of one format: each
+basis element is a normal-form label x^a D_w, its exponents in fields
+with the index of w above them, a monomial x^a being the label
+x^a D_identity.  d of a key is written from per-variable and
+per-permutation offset tables (_nilpotence_rows) and kept per key.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .arith import _echelon, capped_binomial, capped_factorial, reduce_terms, re
 from .errors import DomainError, MismatchError, StructureError
 from .nilhecke import (
     NilHeckeElement,
+    _field_width,
     _pack,
     _reduced_word,
     all_permutations,
@@ -577,13 +579,14 @@ def verify_pdg(d: Derivation, degree_bound: int = 20, seed: int = 0) -> dict:
             failures.append(f"not well defined on relation {name}")
 
     p_nilpotent_ok = True
-    m = _first_non_nilpotent(d, monomials_up_to_degree(n, degree_bound))
-    if m is not None:
+    identity = tuple(range(1, n + 1))
+    monomials = [(m, identity) for m in monomials_up_to_degree(n, degree_bound)]
+    label = _first_non_nilpotent(d, monomials)
+    if label is not None:
         p_nilpotent_ok = False
-        failures.append(f"d^{p} != 0 on the monomial with exponents {m}")
+        failures.append(f"d^{p} != 0 on the monomial with exponents {label[0]}")
     if relations_ok:
-        basis = [label for _, label in _nh_labels(n, degree_bound)]
-        label = _first_non_nilpotent(d, basis, labels=True)
+        label = _first_non_nilpotent(d, [lab for _, lab in _nh_labels(n, degree_bound)])
         if label is not None:
             p_nilpotent_ok = False
             failures.append(f"d^{p} != 0 on x^{label[0]} D_{label[1]}")
@@ -597,30 +600,29 @@ def verify_pdg(d: Derivation, degree_bound: int = 20, seed: int = 0) -> dict:
     }
 
 
-def _first_non_nilpotent(d: Derivation, basis, labels: bool = False):
-    """The first basis element, in the order given, on which d^p is
-    nonzero, or None: the basis holds monomials, or with labels the
-    normal-form labels (exponents, permutation images).  Swept by
-    nilhecke.least_failure one element at a time.
+def _first_non_nilpotent(d: Derivation, labels):
+    """The first of the normal-form labels (exponents, permutation
+    images), in the order given, on which d^p is nonzero, or None; a
+    monomial m is the label (m, identity), on which d acts as on m.  Swept
+    by nilhecke.least_failure one label at a time.
 
-    Each element is a packed int (nilhecke._pack): the exponents in fields
-    of width bits, and for a label the index of its permutation among
+    Each label is a packed int (nilhecke._pack): the exponents in fields
+    of width bits, and the index of its permutation among
     all_permutations(n) above them.  A row, d of one key as (key,
     coefficient) pairs, is written by _nilpotence_rows and kept per key in
-    the process, so the p-fold iterations share the rows.  width holds the
-    largest exponent plus p times the most one step raises one (none when
-    every step only lowers), so no field overflows in p steps."""
+    the process, so the p-fold iterations share the rows.  The fields hold
+    the largest exponent plus p times the most one step raises one (none
+    when every step only lowers), so no field overflows in p steps."""
     p = d.p
-    perms = [w.images for w in all_permutations(d.n)] if labels else []
+    perms = [w.images for w in all_permutations(d.n)]
     rise = max(
         [0]
         + [e for shifts in d._x_shifts for delta, _ in shifts for e in delta]
         + [e for w in perms for b, _ in d._permutation_terms(w) for e in b]
     )
+    width = _field_width(map(itemgetter(0), labels), p * rise)
     where = {w: j for j, w in enumerate(perms)}
-    fields = [(exps, where[w]) for exps, w in basis] if labels else [(m, 0) for m in basis]
-    width = (max((max(exps) for exps, _ in fields), default=0) + p * rise).bit_length() or 1
-    keys = [_pack(exps, width, j) for exps, j in fields]
+    keys = [_pack(exps, width, where[w]) for exps, w in labels]
     row = _nilpotence_rows(d, width, perms)
     rows: dict[int, tuple] = {}
 
@@ -642,14 +644,14 @@ def _first_non_nilpotent(d: Derivation, basis, labels: bool = False):
             terms = {j: r for j, c in out.items() if (r := c % p)}
 
     found = least_failure(keys, first_key_check(fails))
-    return None if found is None else basis[found[1]]
+    return None if found is None else labels[found[1]]
 
 
 def _nilpotence_rows(d: Derivation, width: int, perms: list):
-    """row(key): d of the basis element with this packed key (see
+    """row(key): d of the label with this packed key (see
     _first_non_nilpotent) as (key, coefficient mod p) pairs, built from two
-    offset tables.  perms lists the permutations of a label's field, in
-    the order of its values, and is empty for monomials.
+    offset tables.  perms lists the permutations of the permutation field,
+    in the order of its values.
 
     d(x^a) = sum_i a_i x^(a - e_i) d(x_i): the table of x_i packs the
     shifts (b - e_i, v) of Derivation._x_shifts, each read with
@@ -657,7 +659,7 @@ def _nilpotence_rows(d: Derivation, width: int, perms: list):
     that field, by one at most, and it is read only when the field is at
     least 1, so no field borrows.  A label x^a D_w adds x^a d(D_w): the
     table of w packs each term (b, w') of d(D_w) with the permutation
-    field moved from w to w'."""
+    field moved from w to w'; d(D_identity) = d(1) is zero."""
     p = d.p
     mask = (1 << width) - 1
     by_variable = [
@@ -680,10 +682,9 @@ def _nilpotence_rows(d: Derivation, width: int, perms: list):
                 for offset, v in shifts:
                     k = key + offset
                     out[k] = out.get(k, 0) + a * v
-        if by_permutation:
-            for offset, v in by_permutation[key >> top]:
-                k = key + offset
-                out[k] = out.get(k, 0) + v
+        for offset, v in by_permutation[key >> top]:
+            k = key + offset
+            out[k] = out.get(k, 0) + v
         return tuple((k, r) for k, c in out.items() if (r := c % p))
 
     return row

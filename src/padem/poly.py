@@ -89,10 +89,6 @@ class Polynomial(LinearCombination):
         return cls(p, n, {(0,) * n: 1})
 
     @classmethod
-    def constant(cls, p: int, n: int, c: int) -> "Polynomial":
-        return cls(p, n, {(0,) * n: c})
-
-    @classmethod
     def variable(cls, p: int, n: int, i: int) -> "Polynomial":
         """The generator x_i, 1-indexed."""
         require_ring(p, n)
@@ -117,14 +113,6 @@ class Polynomial(LinearCombination):
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
-
-    def homogeneous_degree(self) -> int:
-        if self.is_zero():
-            raise DomainError("the zero polynomial has no homogeneous degree")
-        degs = {sum(e) for e in self.terms}
-        if len(degs) != 1:
-            raise DomainError("polynomial is not homogeneous")
-        return 2 * degs.pop()
 
     def leading_term(self) -> tuple[Monomial, int]:
         if not self.terms:

@@ -5,6 +5,11 @@ actions on polynomial rings (Cartan expansion on products), the antipode,
 the induced bar action on nilHecke operators, Margolis differentials, and
 the comodule coaction on a one-variable polynomial ring.
 
+P^k on a monomial is one cached tuple kernel, _act_power_monomial, read
+by act, bar_act and verify's top-power sweep; on packed int keys (verify's
+commutator) it is a field map of nilhecke._add_field_map over every
+exponent field, so this module knows no packed format.
+
 A grading is a degree convention, not part of an element: "topological"
 (|P^k| = 2k(p-1), the default) or "compressed" (|P^k| = 2k), passed to
 SteenrodElement.degree and word_degree to read a degree.  The rewriting
@@ -17,7 +22,7 @@ import functools
 
 from .arith import LinearCombination, binomial_mod_p, reduce_terms, require_prime
 from .errors import DomainError
-from .nilhecke import NilHeckeElement, _apply_terms, _pack, reconstruct_operator
+from .nilhecke import NilHeckeElement, _apply_terms, reconstruct_operator
 from .poly import Monomial, Polynomial
 
 GRADING_TOPOLOGICAL = "topological"
@@ -284,45 +289,6 @@ def act(e: SteenrodElement, f: Polynomial, action: str = ACTION_STANDARD) -> Pol
     _require_action(action)
     e._check_compatible(f)
     return Polynomial._raw(f.p, f.n, _act_terms(f.p, action, e.terms.items(), f.terms))
-
-
-def _power_offsets(p: int, action: str, k: int, e: int, width: int, n: int):
-    """(offset, coefficient) of each term of P^k on the monomial packed as
-    e (nilhecke._pack): the offset takes e to the packed term."""
-    field = (1 << width) - 1
-    exps = tuple(e >> width * i & field for i in range(n))
-    return tuple((_pack(m, width) - e, c) for m, c in _act_power_monomial(p, action, k, exps))
-
-
-def _add_packed_power(
-    p: int,
-    action: str,
-    k: int,
-    terms: dict[int, int],
-    scale: int,
-    out: dict[int, int],
-    width: int,
-    n: int,
-    table: dict,
-) -> None:
-    """Add scale times P^k applied to packed monomials into out, the
-    letter beside nilhecke._add_packed_letter's x and D: the exponents sit
-    in the low width * n bits of each key, and the offsets of P^k on them
-    are kept in table under those bits.  Coefficients are not reduced; the
-    caller chooses width to hold the exponents P^k makes."""
-    mask = (1 << width * n) - 1
-    for key, c in terms.items():
-        e = key & mask
-        offsets = table.get(e)
-        if offsets is None:
-            offsets = table[e] = _power_offsets(p, action, k, e, width, n)
-        c *= scale
-        for offset, c2 in offsets:
-            k2 = key + offset
-            if k2 in out:
-                out[k2] += c * c2
-            else:
-                out[k2] = c * c2
 
 
 # -- antipode ----------------------------------------------------------

@@ -19,21 +19,22 @@ itself a pool task, it stays in the row's process.  nilhecke-relations
 and commutator pack each run of monomials into ints, a field per
 exponent that holds the largest exponent plus the most the letters raise
 one (the most x letters of a relation word, d(p - 1) for P^d and s_i
-P^(d-1)), so a letter moves the whole run by int additions;
-nilhecke-relations is one sweep for the whole relation list.  The
-p-nilpotence sweeps of pdg-verify walk packed int keys one basis element
-at a time (pdg._first_non_nilpotent).  The top power and instability of
+P^(d-1)), so a letter moves the whole run by int additions through the
+two kernels of nilhecke: _add_product for x_i and s_i, _add_field_map
+for D_i and P^d; nilhecke-relations is one sweep for the whole relation
+list.  The p-nilpotence sweeps of pdg-verify walk packed labels one at a
+time (pdg._first_non_nilpotent).  The top power and instability of
 steenrod-axioms are read off the Cartan rows of
 steenrod._act_power_monomial.  Each reports the first failure, and its
 detail, of a loop over the monomials one at a time.  The certifying
-sweep of bar_act stays on exponent tuples: a packed prototype ran the
-bar rows at 0.50-0.68 of the time, but its per-call P^k tables added
-2.1 MB of peak RSS on the benchmark's identities workload, and per-run
-tables gave no speed gain and still added 1.1 MB.
+sweep of bar_act stays on exponent tuples: packed P^k tables raised the
+peak memory of the benchmark's identities workload, and the smaller
+ones, kept per run, gave no speed gain.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -44,8 +45,9 @@ from .errors import DomainError, PademError
 from .nilhecke import (
     NilHeckeElement,
     Permutation,
+    _add_field_map,
     _add_packed_letter,
-    _add_shifted,
+    _add_product,
     _pack,
     apply_word,
     divided_difference,
@@ -63,7 +65,6 @@ from .steenrod import (
     ACTION_NONSTANDARD,
     ACTION_STANDARD,
     SteenrodElement,
-    _add_packed_power,
     act,
     adem_normalize,
     antipode_power,
@@ -236,18 +237,20 @@ def check_commutator(p, n, degree_bound, max_d) -> Check:
     # Where the identity holds below d the two forms agree at d, so the
     # first failure in (d, i, f) order is the same.  The monomials are
     # swept in packed runs (nilhecke.packed_check), ranked by (d, i): per
-    # run P^d is applied once per d and D_i once per i, and the offsets of
-    # each letter are kept for the run.  P^d raises an exponent by at most
-    # d(p - 1), and so does s_i P^(d-1).
+    # run P^d is applied once per d and D_i once per i, each a field map
+    # whose offsets are kept for the sweep, and s_i is a packed product.
+    # P^d raises an exponent by at most d(p - 1), and so does s_i P^(d-1).
     s = [None] + [_s(p, n, i).terms.items() for i in range(1, n)]
+    dd: dict[int, dict] = {j: {} for j in range(1, n)}
+    tables: dict[int, dict] = {d: {} for d in range(1, max_d + 1)}
 
     def diffs(batch, width):
-        dd: dict[int, dict] = {j: {} for j in range(1, n)}
-        tables: dict[int, dict] = {d: {} for d in range(1, max_d + 1)}
+        s_rows = [None] + [tuple((_pack(m, width), c) for m, c in s[i]) for i in range(1, n)]
 
         def power(d, terms):
             out: dict[int, int] = {}
-            _add_packed_power(p, ACTION_STANDARD, d, terms, 1, out, width, n, tables[d])
+            fn = functools.partial(steenrod._act_power_monomial, p, ACTION_STANDARD, d)
+            _add_field_map(fn, 0, n, terms, 1, out, width, tables[d])
             return out
 
         moved = [None] + [{} for _ in range(1, n)]
@@ -259,8 +262,7 @@ def check_commutator(p, n, degree_bound, max_d) -> Check:
             for i in range(1, n):
                 got = power(d, moved[i])
                 diff = dict(got)
-                for m, c in s[i]:
-                    _add_shifted(prev[i], _pack(m, width), c, diff)
+                _add_product(prev[i], s_rows[i], 1, diff)
                 _add_packed_letter(("d", i), image, -1, diff, width, dd)
                 yield (d, i), diff
                 prev[i] = got

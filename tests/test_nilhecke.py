@@ -1,5 +1,6 @@
 """nilHecke operator tests: relations, normal form, Schubert polynomials."""
 
+import functools
 import random
 import time
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padem import nilhecke, pdg, verify
+from padem import nilhecke, pdg, steenrod, verify
 from padem.arith import capped_binomial
 from padem.errors import DomainError
 from padem.nilhecke import (
@@ -24,6 +25,7 @@ from padem.nilhecke import (
     sym_linearity_check,
 )
 from padem.pdg import random_nh_word
+from padem.steenrod import ACTION_STANDARD, ACTIONS
 from padem.poly import (
     Polynomial,
     elementary_symmetric,
@@ -37,6 +39,7 @@ from oracles import (
     power_one_derivation,
     random_poly,
     row_reduction_rank,
+    tuple_product,
 )
 
 PRIMES = (2, 3, 5)
@@ -63,13 +66,13 @@ def test_permutation_basics():
 def test_reduced_words_are_reduced_and_least():
     for n in (2, 3, 4):
         for w in all_permutations(n):
-            word = w.reduced_word()
+            word = nilhecke._reduced_word(w.images)
             assert len(word) == w.length()
             prod = Permutation.identity(n)
-            for j in word:
+            for _, j in word:
                 prod = prod * Permutation.transposition(n, j)
             assert prod == w
-    assert Permutation.longest(3).reduced_word() == (1, 2, 1)
+    assert nilhecke._reduced_word((3, 2, 1)) == (("d", 1), ("d", 2), ("d", 1))
 
 
 def test_reduced_word_of_a_large_identity_is_fast():
@@ -101,7 +104,8 @@ def test_divided_difference_never_fails_and_lowers_degree(p):
             for j in range(1, n):
                 g = divided_difference(f, j)  # DivisibilityError = bug
                 if f.is_homogeneous() and not f.is_zero() and not g.is_zero():
-                    assert g.homogeneous_degree() == f.homogeneous_degree() - 2
+                    assert g.is_homogeneous()
+                    assert g.degree() == f.degree() - 2
 
 
 def test_apply_term_count_bounds_the_terms_made():
@@ -201,7 +205,7 @@ def test_defining_relations_as_operators(p, n):
     assert _first_relation_failure(p, n, 12) is None
 
 
-W0_4 = tuple(("d", j) for j in Permutation.longest(4).reduced_word())
+W0_4 = nilhecke._reduced_word(Permutation.longest(4).images)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -327,18 +331,19 @@ def test_packed_sweep_matches_the_word_reference(case):
 
 
 _DD_PAIR = nilhecke._dd_pair
+_FIELD_OFFSETS = nilhecke._field_offsets
 
 
-def _flipped_sign(a, b):
-    return tuple((x, y, -sign) for x, y, sign in _DD_PAIR(a, b))
+def _flipped_sign(ab):
+    return tuple((xy, -sign) for xy, sign in _DD_PAIR(ab))
 
 
-def _dropped_term(a, b):
-    return _DD_PAIR(a, b)[1:]
+def _dropped_term(ab):
+    return _DD_PAIR(ab)[1:]
 
 
-def _unsigned(a, b):
-    return tuple((x, y, 1) for x, y, _ in _DD_PAIR(a, b))
+def _unsigned(ab):
+    return tuple((xy, 1) for xy, _ in _DD_PAIR(ab))
 
 
 @pytest.mark.parametrize("fault", (_flipped_sign, _dropped_term, _unsigned))
@@ -349,6 +354,123 @@ def test_relation_sweep_checks_the_shared_closed_form(monkeypatch, fault, n):
     assert verify.check_nilhecke_relations(3, n, 12).ok
     monkeypatch.setattr(nilhecke, "_dd_pair", fault)
     assert not verify.check_nilhecke_relations(3, n, 12).ok
+
+
+def _sign_flipped_from_degree_five(ab):
+    rows = _DD_PAIR(ab)
+    return tuple((xy, -sign) for xy, sign in rows) if sum(ab) >= 5 else rows
+
+
+def _d_offsets_sign_flipped_from_degree_five(fn, first, fields, bits, width):
+    # the same fault, planted in the offsets of the packed D_j rows only
+    offsets = _FIELD_OFFSETS(fn, first, fields, bits, width)
+    if fn is not _DD_PAIR or (bits & (1 << width) - 1) + (bits >> width) < 5:
+        return offsets
+    return tuple((offset, -sign) for offset, sign in offsets)
+
+
+@pytest.mark.parametrize("p", (3, 5))
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_relation_sweep_reports_a_fault_in_the_packed_d_rows_like_reference(
+    planted_fault, p, n
+):
+    # a sign flip on x_j^a x_(j+1)^b with a + b >= 5 in the packed D_j
+    # rows fails the sweep at the relation and monomial where the same
+    # flip in _dd_pair fails the word reference
+    planted_fault.setattr(nilhecke, "_field_offsets", _d_offsets_sign_flipped_from_degree_five)
+    got = verify.check_nilhecke_relations(p, n, 12)
+    planted_fault.undo()
+    planted_fault.setattr(nilhecke, "_dd_pair", _sign_flipped_from_degree_five)
+    want, _index = _first_relation_failure(p, n, 12)
+    assert not got.ok
+    assert got.detail == want
+
+
+@st.composite
+def _packed_letter_cases(draw):
+    """(p, name, add, kernel, monomials, width, scale) for one packed
+    letter: add(batch, scale, out, width) adds it into out, and kernel(exps)
+    is its tuple kernel on one monomial.  The letters are x_i, D_j, P^k
+    under either action and the product by a polynomial g.  The width is
+    the sweeps' rule, the bits of the largest exponent plus the most the
+    letter raises one (1 for x_i, none for D_j, k(p - 1) or k for P^k,
+    the largest exponent of g), and the exponents sit at 0, 1 and the top
+    of that width, so the largest terms fill their field."""
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, 4))
+    name = draw(st.sampled_from(("x", "d", "P", "product") if n > 1 else ("x", "P", "product")))
+    if name == "x":
+        i = draw(st.integers(1, n))
+        lift = 1
+
+        def add(batch, scale, out, width):
+            nilhecke._add_packed_letter(("x", i), batch, scale, out, width, {})
+
+        def kernel(exps):
+            return nilhecke._word_terms((("x", i),), {exps: 1}, p)
+
+    elif name == "d":
+        j = draw(st.integers(1, n - 1))
+        lift = 0
+
+        def add(batch, scale, out, width):
+            nilhecke._add_packed_letter(("d", j), batch, scale, out, width, {j: {}})
+
+        def kernel(exps):
+            return nilhecke._word_terms((("d", j),), {exps: 1}, p)
+
+    elif name == "P":
+        action = draw(st.sampled_from(ACTIONS))
+        k = draw(st.integers(0, 7))
+        lift = k * (p - 1) if action == ACTION_STANDARD else k
+        fn = functools.partial(steenrod._act_power_monomial, p, action, k)
+
+        def add(batch, scale, out, width):
+            nilhecke._add_field_map(fn, 0, n, batch, scale, out, width, {})
+
+        def kernel(exps):
+            return dict(fn(exps))
+
+    else:
+        exponents = st.tuples(*[st.integers(0, 3)] * n)
+        g = Polynomial(p, n, draw(st.dictionaries(exponents, st.integers(-p, p), max_size=4)))
+        lift = max(map(max, g.terms), default=0)
+
+        def add(batch, scale, out, width):
+            row = tuple((nilhecke._pack(m, width), c) for m, c in g.terms.items())
+            nilhecke._add_product(batch, row, scale, out)
+
+        def kernel(exps):
+            return tuple_product(Polynomial.monomial(p, n, exps), g)
+
+    width = draw(st.integers(max(lift.bit_length(), 1), 7))
+    top = (1 << width) - 1 - lift
+    exponent = st.sampled_from(sorted({0, min(1, top), max(top - 1, 0), top}))
+    monomials = draw(st.lists(st.tuples(*[exponent] * n), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        monomials[0] = (top,) * n
+    assert nilhecke._field_width(monomials, lift) <= width
+    return p, name, add, kernel, monomials, width, draw(st.integers(-p, p))
+
+
+@settings(max_examples=1200, deadline=None, derandomize=True)
+@given(_packed_letter_cases())
+def test_packed_letters_match_their_tuple_kernels(case):
+    # each monomial is packed with its index on top; every term of the
+    # tuple kernel lands in its own monomial's index and fields, with no
+    # carry, scaled and not reduced (so a scale of 0 mod p keeps its
+    # keys), and mod p with the kernel's coefficient
+    p, name, add, kernel, monomials, width, scale = case
+    batch = {nilhecke._pack(exps, width, index): 1 for index, exps in enumerate(monomials)}
+    out = {}
+    add(batch, scale, out, width)
+    want = {}
+    for index, exps in enumerate(monomials):
+        for m, c in kernel(exps).items():
+            assert max(m) < 1 << width
+            want[nilhecke._pack(m, width, index)] = scale * c
+    assert out.keys() == want.keys(), name
+    assert all((out[k] - c) % p == 0 for k, c in want.items()), name
 
 
 def test_word_sum_mismatch_checks_letters():

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padem import nilhecke
 from padem import pdg as pdg_mod
 from padem import verify
 from padem.arith import _echelon, capped_binomial
 from padem.errors import DomainError, MismatchError, StructureError
-from padem.nilhecke import NilHeckeElement, Permutation, _pack, all_permutations
+from padem.nilhecke import NilHeckeElement, _pack, all_permutations
 from padem.pdg import (
     Derivation,
     GradedOperator,
@@ -134,7 +135,7 @@ def test_derivation_kernel_matches_word_leibniz(p, n):
         words = {}
         for exps, images in nilhecke_space(p, n, 12).index:
             if images not in words:
-                dword = tuple(("d", j) for j in Permutation(images).reduced_word())
+                dword = nilhecke._reduced_word(images)
                 words[images] = (
                     NilHeckeElement.from_word(p, n, dword),
                     d.apply_words(((1, dword),)),
@@ -297,23 +298,19 @@ def test_mixed_degree_derivation_iterates_directly(p):
 # sweep reaches b.  It is planted in the row the packed sweep writes for
 # the key of b: the offset tables are read for every key with a nonzero
 # field (the table of x1 for every x1^a, the table of D1 for every
-# x^a D1), so a fault on one element lives in its row.
+# x^a D1), so a fault on one element lives in its row.  A monomial m is
+# swept as the label (m, identity).
 
 
-def _plant_identity(monkeypatch, planted, labels=False):
-    """d(b) += b for the basis element b = planted, a monomial or with
-    labels a label, in the rows of pdg._nilpotence_rows."""
+def _plant_identity(monkeypatch, planted):
+    """d(b) += b for the label b = planted in the rows of
+    pdg._nilpotence_rows."""
     real = pdg_mod._nilpotence_rows
 
     def planted_rows(d, width, perms):
         row = real(d, width, perms)
-        if labels != bool(perms):
-            return row
-        if labels:
-            exps, images = planted
-            key = _pack(exps, width, perms.index(images))
-        else:
-            key = _pack(planted, width)
+        exps, images = planted
+        key = _pack(exps, width, perms.index(images))
 
         def planted_row(k):
             if k != key:
@@ -332,7 +329,7 @@ def test_planted_polynomial_fault_above_degree_ten(p, planted_fault):
     # x2 = 1 is out of reach from below: x2^0 -> 0 * x2^1 under x2^2 d/dx2
     n, planted = 2, (5, 1)
     d = Derivation(p, n, [Polynomial.one(p, n), xvar(p, n, 2) ** 2], [NilHeckeElement.zero(p, n)])
-    _plant_identity(planted_fault, planted)
+    _plant_identity(planted_fault, (planted, (1, 2)))
     failure = f"d^{p} != 0 on the monomial with exponents {planted}"
     assert nilpotency_failures(verify_pdg(d, degree_bound=14)) == [failure]
     assert nilpotency_failures(verify_pdg(d, degree_bound=10)) == []
@@ -346,11 +343,16 @@ def test_planted_operator_fault_above_degree_six(p, planted_fault):
     n, planted = 2, ((7, 0), (2, 1))
     d = Derivation(p, n, [Polynomial.one(p, n)] * n, [NilHeckeElement.zero(p, n)])
     assert d.shift == -2
-    _plant_identity(planted_fault, planted, labels=True)
+    _plant_identity(planted_fault, planted)
     report = verify_pdg(d, degree_bound=14)
     assert report["relations_ok"]
     assert nilpotency_failures(report) == [f"d^{p} != 0 on x^(7, 0) D_(2, 1)"]
     assert nilpotency_failures(verify_pdg(d, degree_bound=10)) == []
+
+
+def _identity_labels(monomials):
+    """The monomials as the labels (m, identity) the sweep walks."""
+    return [(m, tuple(range(1, len(m) + 1))) for m in monomials]
 
 
 def _first_rank_failure(space, op, degree_bound):
@@ -378,12 +380,12 @@ def test_direct_sweep_matches_rank_chains(p, n):
     for name, d in [*shipped_derivations(p, n), ("broken", broken)]:
         top = bound + d.shift * p
         monos = monomials_up_to_degree(n, bound)
-        m = pdg_mod._first_non_nilpotent(d, monos)
+        m = pdg_mod._first_non_nilpotent(d, _identity_labels(monos))
         space = polynomial_space(p, n, top)
         want = _first_rank_failure(space, derivation_operator(space, d, n), bound)
-        assert (None if m is None else 2 * sum(m)) == want, (name, m)
+        assert (None if m is None else 2 * sum(m[0])) == want, (name, m)
         labels = [label for _, label in pdg_mod._nh_labels(n, bound)]
-        label = pdg_mod._first_non_nilpotent(d, labels, labels=True)
+        label = pdg_mod._first_non_nilpotent(d, labels)
         space = nilhecke_space(p, n, top)
         want = _first_rank_failure(space, nh_derivation_operator(space, d), bound)
         got = None if label is None else space.index[label][0]
@@ -426,9 +428,11 @@ def test_packed_nilpotence_sweep_matches_the_tuple_walk(p, n, data):
     d, bound = data.draw(_homogeneous_derivations(p, n))
     monomials = monomials_up_to_degree(d.n, bound)
     labels = [label for _, label in pdg_mod._nh_labels(d.n, bound)]
-    for basis, on_labels in ((monomials, False), (labels, True)):
-        want = non_nilpotent_by_tuples(d, basis, on_labels)
-        assert pdg_mod._first_non_nilpotent(d, basis, on_labels) == want
+    m = non_nilpotent_by_tuples(d, monomials)
+    want = None if m is None else _identity_labels([m])[0]
+    assert pdg_mod._first_non_nilpotent(d, _identity_labels(monomials)) == want
+    want = non_nilpotent_by_tuples(d, labels, labels=True)
+    assert pdg_mod._first_non_nilpotent(d, labels) == want
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
@@ -439,9 +443,10 @@ def test_packed_nilpotence_sweep_on_a_lowering_derivation(p):
     for bound in (0, 4, 14, 40):
         monomials = monomials_up_to_degree(1, bound)
         labels = [label for _, label in pdg_mod._nh_labels(1, bound)]
-        for basis, on_labels in ((monomials, False), (labels, True)):
-            assert pdg_mod._first_non_nilpotent(d, basis, on_labels) is None
-            assert non_nilpotent_by_tuples(d, basis, on_labels) is None
+        assert pdg_mod._first_non_nilpotent(d, _identity_labels(monomials)) is None
+        assert pdg_mod._first_non_nilpotent(d, labels) is None
+        assert non_nilpotent_by_tuples(d, monomials) is None
+        assert non_nilpotent_by_tuples(d, labels, labels=True) is None
 
 
 def test_basis_counts_match_the_enumerations():

@@ -7,13 +7,11 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from padem import verify
 from padem.arith import binomial_mod_p
 from padem.errors import DomainError
-from padem.nilhecke import NilHeckeElement, _pack, divided_difference
+from padem.nilhecke import NilHeckeElement, divided_difference
 from padem.pdg import random_nh_word
 from padem.poly import (
     Polynomial,
@@ -28,8 +26,6 @@ from padem.steenrod import (
     GRADING_COMPRESSED,
     MARGOLIS_TERM_BUDGET,
     SteenrodElement,
-    _act_power_monomial,
-    _add_packed_power,
     _admissible_count,
     _is_admissible_word,
     act,
@@ -254,45 +250,6 @@ def test_power_on_a_monomial_is_linear_in_the_variables(action):
             want[tuple(exps)] = c
         assert got == want
     assert time.perf_counter() - start < 1
-
-
-@st.composite
-def _packed_power_cases(draw):
-    """(p, action, k, monomials, width, scale): the width is the sweeps'
-    rule, the bits of the largest exponent plus the most P^k raises one
-    (k(p - 1) standard, k nonstandard), and the exponents sit at 0, 1 and
-    the top of that width, so the largest terms fill their field."""
-    p = draw(st.sampled_from(PRIMES))
-    action = draw(st.sampled_from(ACTIONS))
-    n = draw(st.integers(1, 4))
-    k = draw(st.integers(0, 7))
-    lift = k * (p - 1) if action == ACTION_STANDARD else k
-    width = draw(st.integers(max(lift.bit_length(), 1), 7))
-    top = (1 << width) - 1 - lift
-    exponent = st.sampled_from(sorted({0, min(1, top), max(top - 1, 0), top}))
-    monomials = draw(st.lists(st.tuples(*[exponent] * n), min_size=1, max_size=6))
-    if draw(st.booleans()):
-        monomials[0] = (top,) * n
-    assert (max(map(max, monomials)) + lift).bit_length() <= width
-    return p, action, k, monomials, width, draw(st.integers(-p, p))
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(_packed_power_cases())
-def test_packed_power_matches_the_power_on_each_monomial(case):
-    # each monomial is packed with its index on top; every term of P^k
-    # lands in its own monomial's index and fields, with no carry
-    p, action, k, monomials, width, scale = case
-    n = len(monomials[0])
-    batch = {_pack(exps, width, index): 1 for index, exps in enumerate(monomials)}
-    out = {}
-    _add_packed_power(p, action, k, batch, scale, out, width, n, {})
-    want = {}
-    for index, exps in enumerate(monomials):
-        for m, c in _act_power_monomial(p, action, k, exps):
-            assert max(m) < 1 << width
-            want[_pack(m, width, index)] = scale * c
-    assert out == want
 
 
 # -- antipode -------------------------------------------------------------

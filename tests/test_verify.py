@@ -519,7 +519,7 @@ def test_shared_check_catches_a_flipped_action(monkeypatch, name):
     assert got.name == name and not got.ok
 
 
-_POWER_OFFSETS = steenrod._power_offsets
+_FIELD_OFFSETS = nilhecke._field_offsets
 _DD_PAIR = nilhecke._dd_pair
 _S = verify._s
 
@@ -530,15 +530,16 @@ def _power_dropping_a_term(p, action, k, exps):
     return rows[:-1] if k >= 2 and exps[0] >= 3 else rows
 
 
-def _offsets_dropping_a_term(p, action, k, e, width, n):
-    # the same fault, planted in the packed letter's offsets only
-    offsets = _POWER_OFFSETS(p, action, k, e, width, n)
-    return offsets[:-1] if k >= 2 and e & ((1 << width) - 1) >= 3 else offsets
+def _offsets_dropping_a_term(fn, first, fields, bits, width):
+    # the same fault, planted in the offsets of the packed P^k letter only
+    offsets = _FIELD_OFFSETS(fn, first, fields, bits, width)
+    power = isinstance(fn, functools.partial) and fn.func is _ACT_POWER_MONOMIAL
+    return offsets[:-1] if power and fn.args[2] >= 2 and bits & ((1 << width) - 1) >= 3 else offsets
 
 
-def _sign_flipped_from_degree_five(a, b):
-    rows = _DD_PAIR(a, b)
-    return tuple((x, y, -sign) for x, y, sign in rows) if a + b >= 5 else rows
+def _sign_flipped_from_degree_five(ab):
+    rows = _DD_PAIR(ab)
+    return tuple((xy, -sign) for xy, sign in rows) if sum(ab) >= 5 else rows
 
 
 def _s_dropping_a_term(p, n, i):
@@ -557,7 +558,7 @@ PLANTED_SWEEP_FAULTS = {
     "_dd_pair": ((nilhecke, "_dd_pair", _sign_flipped_from_degree_five),) * 2,
     "s_i": ((verify, "_s", _s_dropping_a_term),) * 2,
     "packed P^k offsets": (
-        (steenrod, "_power_offsets", _offsets_dropping_a_term),
+        (nilhecke, "_field_offsets", _offsets_dropping_a_term),
         (steenrod, "_act_power_monomial", _power_dropping_a_term),
     ),
 }
