@@ -25,13 +25,13 @@ table, _reduced_word, read by every kernel.
 least_failure is the one driver of the exhaustive sweeps: it runs the
 keys in runs of SWEEP_CHUNK, each a task of pool.fork_map, and returns
 the least failure.  first_key_check tries one key at a time (the
-certificate of reconstruct_operator, sym_linearity_check, verify's top
-power, and pdg's p-nilpotence sweeps, whose keys are _pack ints);
-packed_check packs a run of monomials into ints, a field per exponent,
-for first_word_sum_mismatch (the relation sweep: one pass for a whole
-list of relations) and verify's commutator.  Every letter on packed keys
-is one of two kernels: _add_product multiplies by a packed polynomial,
-the same row for every key (x_i, the empty word, s_i), and
+certificate of reconstruct_operator, verify's top power, and pdg's
+p-nilpotence sweep, whose keys are _pack ints); packed_check packs a
+run of monomials into ints, a field per exponent, for verify's
+commutator and first_word_sum_mismatch, one pass for a whole list of
+relations (the relation sweep, sym_linearity_check).  Every letter on
+packed keys is one of two kernels: _add_product multiplies by a packed
+polynomial, the same row for every key (x_i, the empty word, s_i), and
 _add_field_map writes a tuple kernel of a run of fields (D_j by
 _dd_pair, P^k by steenrod._act_power_monomial).  Elements are immutable
 after construction.
@@ -729,17 +729,19 @@ def reconstruct_operator(
 
 
 def sym_linearity_check(e: NilHeckeElement, degree_bound: int) -> bool:
-    """Does e commute with multiplication by every elementary symmetric
-    polynomial e_i, on each monomial f with e_i f within the degree bound?
-    A negative bound, or a sweep over require_sweep_budget, raises
-    DomainError."""
+    """Does e commute with multiplication by each elementary symmetric
+    polynomial e_i on every monomial within the degree bound?  e_i is the
+    x words of its monomials and a term x^a D_w of e the x letters of a,
+    then those of D_w, in one first_word_sum_mismatch of e e_i = e_i e.
+    A negative bound, or work over require_sweep_budget, raises DomainError."""
     p, n = e.p, e.n
     require_sweep_budget("the Sym-linearity sweep", n, degree_bound)
-    sym = {i: elementary_symmetric(i, n, p) for i in range(1, n + 1)}
-    keys = [(i, exps) for i in sym for exps in monomials_up_to_degree(n, degree_bound - 2 * i)]
-
-    def fails(key) -> bool:
-        g, f = sym[key[0]], Polynomial.monomial(p, n, key[1])
-        return e.apply(g * f) != g * e.apply(f)
-
-    return least_failure(keys, first_key_check(fails), (NilHeckeElement.apply,)) is None
+    x_word = lambda exps: tuple(("x", i) for i, a in enumerate(exps, 1) for _ in range(a))
+    terms = [(c, x_word(a) + _reduced_word(w)) for (a, w), c in e.terms.items()]
+    relations = []
+    for i in range(1, n + 1):
+        sym = [(s, x_word(m)) for m, s in elementary_symmetric(i, n, p).terms.items()]
+        pairs = [(c * s, t, m) for c, t in terms for s, m in sym]
+        relations.append(([(c, t + m) for c, t, m in pairs], [(c, m + t) for c, t, m in pairs]))
+    monomials = monomials_up_to_degree(n, degree_bound)
+    return first_word_sum_mismatch(relations, monomials, p, n) is None

@@ -16,10 +16,13 @@ def _clear_padem_caches() -> None:
 
 @pytest.fixture
 def planted_fault(monkeypatch):
-    """monkeypatch for planting a fault in a kernel.  At teardown the
-    fault is undone and then padem's functools caches are emptied: a value
-    computed while the fault was planted (margolis_d reads the planted
-    _adem_pair) would otherwise outlive the test."""
+    """monkeypatch for planting a fault in a kernel.  padem's functools
+    caches are emptied at setup, and again at teardown once the fault is
+    undone: a value computed before the fault was planted would hide it
+    (the Adem and Cartan rows an earlier test cached hold the right
+    binomials), and one computed while it was planted (margolis_d reads
+    the planted _adem_pair) would otherwise outlive the test."""
+    _clear_padem_caches()
     yield monkeypatch
     monkeypatch.undo()
     _clear_padem_caches()

@@ -6,9 +6,10 @@ module over F_p[u]/(u^p), the first reduced power as a derivation, the
 twisted differential as a conjugation, the word-by-word value of a sum of
 generator words, the total power and the total antipode on a monomial,
 the product of polynomials on exponent tuples, the commutator and
-top-power sweeps of verify-all one monomial at a time, the p-nilpotence
-sweep of verify_pdg on tuple keys, seeded random polynomials, symmetry
-of a polynomial and the size of a graded basis."""
+top-power sweeps of verify-all one monomial at a time, Sym-linearity
+one monomial at a time, the p-nilpotence sweep of verify_pdg on tuple
+keys, seeded random polynomials, symmetry of a polynomial and the size
+of a graded basis."""
 
 import math
 
@@ -20,7 +21,7 @@ from padem import verify
 from padem.arith import _echelon
 from padem.nilhecke import NilHeckeElement, apply_word, divided_difference, reconstruct_operator
 from padem.pdg import Derivation, GradedOperator, GradedSpace, khovanov_qi_derivation
-from padem.poly import Polynomial, monomials_up_to_degree
+from padem.poly import Polynomial, elementary_symmetric, monomials_up_to_degree
 from padem.steenrod import SteenrodElement, act, bar_act
 
 
@@ -309,6 +310,20 @@ def top_power_by_monomial(p: int, n: int, degree_bound: int):
         if not act(SteenrodElement.p_power(p, half + 1), f).is_zero():
             return f"instability fails on {f}"
     return None
+
+
+def sym_linearity_by_monomial(e: NilHeckeElement, degree_bound: int) -> bool:
+    """nilhecke.sym_linearity_check one (i, f) at a time on tuple-keyed
+    polynomials: e(e_i f) = e_i e(f) for i = 1..n and every monomial f
+    within the degree bound."""
+    p, n = e.p, e.n
+    for i in range(1, n + 1):
+        g = elementary_symmetric(i, n, p)
+        for exps in monomials_up_to_degree(n, degree_bound):
+            f = Polynomial.monomial(p, n, exps)
+            if e.apply(g * f) != g * e.apply(f):
+                return False
+    return True
 
 
 def non_nilpotent_by_tuples(d: Derivation, basis, labels: bool = False):

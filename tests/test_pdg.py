@@ -260,6 +260,32 @@ def test_verify_pdg_nilpotency_sides():
     assert nilpotency_failures(report) == [f"d^{p} != 0 on x^(0, 0) D_(2, 1)"]
 
 
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_verify_pdg_sweeps_each_basis_element_once(monkeypatch, n):
+    # one sweep: the monomials as (m, identity), then the labels of the
+    # other permutations; the loop derivation fails the relations, so its
+    # sweep holds the monomials alone
+    sweeps = []
+    real = pdg_mod._first_non_nilpotent
+
+    def recorded(d, labels):
+        sweeps.append(labels)
+        return real(d, labels)
+
+    monkeypatch.setattr(pdg_mod, "_first_non_nilpotent", recorded)
+    identity = tuple(range(1, n + 1))
+    monomials = [(m, identity) for m in monomials_up_to_degree(n, 10)]
+    assert verify_pdg(khovanov_qi_derivation(3, n), degree_bound=10)["all_ok"]
+    (labels,) = sweeps
+    assert labels[: len(monomials)] == monomials
+    assert sorted(labels) == sorted(label for _, label in pdg_mod._nh_labels(n, 10))
+    if n > 1:
+        d1 = NilHeckeElement.d_gen(3, n, 1)
+        loop = Derivation(3, n, [Polynomial.zero(3, n)] * n, [d1] * (n - 1))
+        assert not verify_pdg(loop, degree_bound=10)["relations_ok"]
+        assert sweeps[1] == monomials
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_mixed_degree_derivation_iterates_directly(p):
     # d = d/dx1 + x2^2 d/dx2 sends x1 to degree 0 and x2 to degree 4, so
@@ -281,13 +307,13 @@ def test_mixed_degree_derivation_iterates_directly(p):
     for bound in (4, 14):
         assert nilpotency_failures(verify_pdg(broken, degree_bound=bound)) == [failure]
     # one x image with terms of two degrees; with n = 1 there are no
-    # relations, so the operator side runs too
+    # relations, and the identity is the only permutation, so the
+    # operator side adds no label to the monomials
     x = xvar(p, 1, 1)
     inhomogeneous = Derivation(p, 1, [x + x**2], [])
     assert inhomogeneous.shift is None
     assert nilpotency_failures(verify_pdg(inhomogeneous, degree_bound=14)) == [
         f"d^{p} != 0 on the monomial with exponents (1,)",
-        f"d^{p} != 0 on x^(1,) D_(1,)",
     ]
 
 

@@ -13,6 +13,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padem import arith, groth, nilhecke, pdg, steenrod, verify
 from padem.cli import main
@@ -57,7 +59,6 @@ def _forbid_fork(monkeypatch):
 RANDOMIZED = {
     "check_normalize_action": "normalize-preserves-action",
     "check_leibniz": "twisted-leibniz",
-    "check_sym_equivariance": "sym-equivariance",
     "check_steenrod_axioms": "steenrod-axioms",
     "check_adem": "adem",
 }
@@ -74,6 +75,7 @@ def test_run_matrix_runs_each_distinct_check_once(monkeypatch, tmp_path):
         "check_hopf_antipode",
         "check_groth",
         "check_commutator",
+        "check_sym_equivariance",
         *RANDOMIZED,
     )
     for name in names:
@@ -96,6 +98,7 @@ def test_run_matrix_runs_each_distinct_check_once(monkeypatch, tmp_path):
         "check_hopf_antipode": 1,
         "check_groth": 1,
         "check_commutator": 3,
+        "check_sym_equivariance": 3,
         **{name: 3 for name in RANDOMIZED},
     }
     monkeypatch.undo()
@@ -597,6 +600,96 @@ def test_packed_sweeps_report_a_planted_fault_like_their_oracles(monkeypatch, fa
     assert not got[0].ok
     if in_rows[1] == "_act_power_monomial":  # a wrong P^k fails the top power too
         assert got[1].startswith("top power fails on ")
+
+
+@st.composite
+def _nilhecke_elements(draw):
+    """(e, bound): one to three terms c x^a D_w of NH_n, exponents up to
+    2, for p in 2, 3, 5 and n in 2, 3, 4, and a degree bound up to 8."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.sampled_from((2, 3, 4)))
+    exponents = st.tuples(*[st.integers(0, 2)] * n)
+    key = st.tuples(exponents, st.permutations(range(1, n + 1)).map(tuple))
+    terms = draw(st.dictionaries(key, st.integers(1, p - 1), min_size=1, max_size=3))
+    return NilHeckeElement(p, n, terms), draw(st.integers(0, 8))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_nilhecke_elements())
+def test_sym_linearity_sweep_matches_its_oracle(case):
+    # every nilHecke element is Sym-linear; under the sign flip of
+    # _dd_pair the relation sweep and the sweep one (i, f) at a time
+    # agree, and at bound 8, where e_i times a monomial of exponent sum 4
+    # reaches exponent sum 5 or more, both see the flip at odd primes on
+    # an element with some D_w, w not the identity
+    e, bound = case
+    sweep, oracle = nilhecke.sym_linearity_check, oracles.sym_linearity_by_monomial
+    assert sweep(e, bound) and oracle(e, bound)
+    identity = tuple(range(1, e.n + 1))
+    caught = e.p > 2 and any(images != identity for _, images in e.terms)
+    with pytest.MonkeyPatch.context() as planted:
+        planted.setattr(nilhecke, "_dd_pair", _sign_flipped_from_degree_five)
+        assert sweep(e, bound) == oracle(e, bound)
+        assert sweep(e, 8) == oracle(e, 8) == (not caught)
+
+
+_BINOMIAL_MOD_P = arith.binomial_mod_p
+_ANTIPODE_POWER_TERMS = steenrod._antipode_power_terms
+
+
+def _wrong_second_lucas_digit(n, k, p):
+    # C(n, k) as if the second base-p digit of n were one more
+    return _BINOMIAL_MOD_P(n + p if k >= p else n, k, p)
+
+
+def _wrong_antipode_square(p, d):
+    # the first coefficient of S(P^2) one more
+    terms = _ANTIPODE_POWER_TERMS(p, d)
+    if d != 2:
+        return terms
+    (word, c), *rest = terms
+    return ((word, (c + 1) % p), *rest)
+
+
+# fault -> (the module attributes it is planted in, the replacement, the
+# rows of run_matrix((3,), (2, 3), 12, 0, 5) it fails)
+PLANTED_ROW_FAULTS = {
+    "_dd_pair": (
+        ((nilhecke, "_dd_pair"),),
+        _sign_flipped_from_degree_five,
+        {
+            "nilhecke-relations", "normalize-preserves-action", "twisted-leibniz",
+            "sym-equivariance", "commutator", "bar-closed-form", "steenrod-sign",
+        },
+    ),
+    "second Lucas digit": (
+        ((arith, "binomial_mod_p"), (steenrod, "binomial_mod_p"), (verify, "binomial_mod_p")),
+        _wrong_second_lucas_digit,
+        {
+            "binomials", "steenrod-axioms", "adem", "commutator", "hopf-antipode",
+            "margolis-generators",
+        },
+    ),
+    "S(P^2)": (
+        ((steenrod, "_antipode_power_terms"),),
+        _wrong_antipode_square,
+        {"hopf-antipode", "bar-closed-form"},
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", PLANTED_ROW_FAULTS)
+def test_a_planted_kernel_fault_fails_its_rows(planted_fault, fault):
+    places, replacement, rows = PLANTED_ROW_FAULTS[fault]
+    for module, name in places:
+        planted_fault.setattr(module, name, replacement)
+    results = verify.run_matrix((3,), (2, 3), 12, 0, 5)
+    failed = {check.name for _, checks in results for check in checks if not check.ok}
+    assert failed == rows
+    if fault == "_dd_pair":
+        # the first D_j whose Sym-linearity sweep fails
+        for _, checks in results:
+            assert verify.Check("sym-equivariance", False, "j=1") in checks
 
 
 def _top_power_and_instability_faults(p, action, k, exps):
