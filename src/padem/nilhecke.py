@@ -587,7 +587,13 @@ def first_word_sum_mismatch(relations, monomials, p: int, n: int):
     relation: each run of monomials is packed once (packed_check), and
     lhs minus rhs of each relation in turn, ranked (relation index,), is
     summed into one dict of unreduced coefficients, with one set of D
-    letter tables for all the words.  A letter never takes an exponent
+    letter tables for all the words.  The image of a run under a
+    rightmost letter is made once, the first time a word of two or more
+    letters ends in that letter, and the rest of each such word starts
+    from it: at most 2n - 1 images, dropped with the run.  (The
+    Sym-linearity relations of one D_j end 15 of their 30 words in D_j at
+    n = 4; a memo of every suffix was no faster on the relation sweep and
+    held about five times the memory.)  A letter never takes an exponent
     past the largest one plus the x letters of its word (a divided
     difference lowers max(a, b)), so the most x letters of any word is
     the lift."""
@@ -602,10 +608,18 @@ def first_word_sum_mismatch(relations, monomials, p: int, n: int):
     tables: dict[int, dict] = {j: {} for j in range(1, n)}
 
     def diffs(batch, width):
+        images: dict[Letter, dict[int, int]] = {}  # rightmost letter -> its image of the run
         for r, terms in enumerate(sums):
             diff: dict[int, int] = {}
             for c, word in terms:
-                _add_packed_word(word, batch, c, diff, width, tables)
+                if len(word) < 2:
+                    _add_packed_word(word, batch, c, diff, width, tables)
+                    continue
+                image = images.get(word[-1])
+                if image is None:
+                    image = images[word[-1]] = {}
+                    _add_packed_letter(word[-1], batch, 1, image, width, tables)
+                _add_packed_word(word[:-1], image, c, diff, width, tables)
             yield (r,), diff
 
     found = least_failure(monomials, packed_check(monomials, p, n, lift, diffs))
@@ -685,7 +699,9 @@ def reconstruct_operator(
 
     The candidate is extracted from the operator's values on Schubert
     polynomials (processing permutations by increasing length peels off
-    one D_w coefficient at a time) and then checked against fn on every
+    one D_w coefficient at a time; only the nonzero coefficients are
+    kept, so D_u S_w is built only for a u with a nonzero part, since a
+    zero one adds no terms) and then checked against fn on every
     monomial within the degree bound.  Operators that are not actually
     nilHecke elements fail the check and raise ReconstructionError.  A
     negative bound, whose sweep would check nothing, raises DomainError,
@@ -706,7 +722,8 @@ def reconstruct_operator(
             du = apply_word(_reduced_word(u.images), s_w)
             if not du.is_zero():
                 val = val - coeff_poly * du
-        parts[w] = val
+        if not val.is_zero():
+            parts[w] = val
 
     result = NilHeckeElement._raw(
         p,

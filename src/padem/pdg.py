@@ -410,19 +410,16 @@ def _nh_label_count(n: int, half: int, cap: int) -> int:
     return total
 
 
-def _require_basis_budget(
-    p: int, n: int, top_degree: int, monomials: bool, labels: bool
-) -> None:
+def _require_basis_budget(p: int, n: int, top_degree: int, labels: bool) -> None:
     """Raise DomainError when the basis up to top_degree holds more than
     BASIS_BUDGET elements, or its elements times p are more than
-    WORK_BUDGET, counted before any element is made: the C(top_degree // 2
-    + n, n) monomials, and the nilHecke labels."""
+    WORK_BUDGET, counted before any element is made: the nilHecke labels,
+    or else the C(top_degree // 2 + n, n) monomials."""
     half = top_degree // 2
-    size = 0
-    if monomials:
-        size += capped_binomial(half + n, n, BASIS_BUDGET)
     if labels:
-        size += _nh_label_count(n, half, BASIS_BUDGET)
+        size = _nh_label_count(n, half, BASIS_BUDGET)
+    else:
+        size = capped_binomial(half + n, n, BASIS_BUDGET)
     over = f"the basis up to degree {top_degree} with n={n} is over the work budget"
     if size > BASIS_BUDGET:
         raise DomainError(f"{over}: it holds more than {BASIS_BUDGET} elements")
@@ -454,7 +451,7 @@ def polynomial_space(
     the whole quotient fits under the degree cap.
     """
     _require_grading(p, n, top_degree)
-    _require_basis_budget(p, n, top_degree, monomials=True, labels=False)
+    _require_basis_budget(p, n, top_degree, labels=False)
     if powers is not None and len(powers) != n:
         raise MismatchError("need one power per variable")
     basis: dict[int, list[Monomial]] = {}
@@ -519,7 +516,7 @@ def nilhecke_space(p: int, n: int, top_degree: int) -> GradedSpace:
     """Normal-form basis (exponents, permutation) of NH_n with operator
     degree 2|a| - 2 l(w) at most top_degree."""
     _require_grading(p, n, top_degree)
-    _require_basis_budget(p, n, top_degree, monomials=False, labels=True)
+    _require_basis_budget(p, n, top_degree, labels=True)
     basis: dict[int, list] = {}
     for deg, label in _nh_labels(n, top_degree):
         basis.setdefault(deg, []).append(label)
@@ -549,7 +546,8 @@ def verify_pdg(d: Derivation, degree_bound: int = 20, seed: int = 0) -> dict:
     """
     p, n = d.p, d.n
     _require_grading(p, n, degree_bound)
-    _require_basis_budget(p, n, degree_bound, monomials=True, labels=True)
+    # the monomials are the identity labels, so the labels count them
+    _require_basis_budget(p, n, degree_bound, labels=True)
     rng = random.Random(seed)
     failures: list[str] = []
 
@@ -608,7 +606,9 @@ def _first_non_nilpotent(d: Derivation, labels):
     of width bits, and the index of its permutation among
     all_permutations(n) above them.  A row, d of one key as (key,
     coefficient) pairs, is written by _nilpotence_rows and kept per key in
-    the process, so the p-fold iterations share the rows.  The fields hold
+    the process, so the p-fold iterations share the rows; a walk starts
+    from the row of its own key, d of the label, and takes the other p - 1
+    steps from there.  The fields hold
     the largest exponent plus p times the most one step raises one (none
     when every step only lowers), so no field overflows in p steps."""
     p = d.p
@@ -625,8 +625,11 @@ def _first_non_nilpotent(d: Derivation, labels):
     rows: dict[int, tuple] = {}
 
     def fails(key) -> bool:
-        terms = {key: 1}
-        for step in range(p):
+        terms = rows.get(key)
+        if terms is None:
+            terms = rows[key] = row(key)
+        terms = dict(terms)
+        for step in range(1, p):
             out: dict[int, int] = {}
             for k, c in terms.items():
                 r = rows.get(k)

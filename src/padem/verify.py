@@ -23,14 +23,18 @@ P^d and s_i P^(d-1)), so a letter moves the whole run by int additions
 through the two kernels of nilhecke: _add_product for x_i and s_i,
 _add_field_map for D_i and P^d.  nilhecke-relations, and each D_j of
 sym-equivariance (D_j e_i = e_i D_j), is one
-nilhecke.first_word_sum_mismatch.  The p-nilpotence sweep of pdg-verify
-walks packed labels one at a time (pdg._first_non_nilpotent).  The top
+nilhecke.first_word_sum_mismatch, which applies each rightmost letter of
+its words to a run once and the rest of each word to that image.  The
+p-nilpotence sweep of pdg-verify walks packed labels one at a time
+(pdg._first_non_nilpotent), each from its kept row d(label).  The top
 power and instability of steenrod-axioms are read off the Cartan rows
 of steenrod._act_power_monomial.  Each reports the first failure, and its
-detail, of a loop over the monomials one at a time.  The certifying
-sweep of bar_act stays on exponent tuples: packed P^k tables raised the
-peak memory of the benchmark's identities workload, and the smaller
-ones, kept per run, gave no speed gain.
+detail, of a loop over the monomials one at a time.  bar-closed-form
+peels only the nonzero D_w coefficients off the Schubert values
+(nilhecke.reconstruct_operator), and its certifying sweep stays on
+exponent tuples: packed P^k tables raised the peak memory of the
+benchmark's identities workload, and the smaller ones, kept per run,
+gave no speed gain.
 """
 
 from __future__ import annotations

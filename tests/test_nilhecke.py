@@ -1,6 +1,8 @@
 """nilHecke operator tests: relations, normal form, Schubert polynomials."""
 
+import collections
 import functools
+import os
 import random
 import time
 
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from padem import nilhecke, pdg, steenrod, verify
 from padem.arith import capped_binomial
-from padem.errors import DomainError
+from padem.errors import DomainError, ReconstructionError
 from padem.nilhecke import (
     SWEEP_CHUNK,
     NilHeckeElement,
@@ -298,12 +300,46 @@ def _relations(draw):
     return p, n, relations, monomials
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(_relations())
+@st.composite
+def _shared_end_relations(draw):
+    """(p, n, relations, monomials) whose words end in one or two letters
+    shared across the relations, as the packed sweep keeps one image of a
+    run per rightmost letter: one-letter words among them, coefficients
+    that vanish mod p, and a last relation with a word planted on its
+    right side, its coefficient nonzero mod p and its last letter one the
+    earlier relations' words end in, which makes it fail on the monomials
+    where that word is nonzero."""
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.sampled_from((2, 3, 4)))
+    letter = st.one_of(
+        st.tuples(st.just("x"), st.integers(1, n)), st.tuples(st.just("d"), st.integers(1, n - 1))
+    )
+    ends = draw(st.lists(letter, min_size=1, max_size=2, unique=True))
+    word = st.tuples(st.lists(letter, max_size=3), st.sampled_from(ends)).map(
+        lambda w: (*w[0], w[1])
+    )
+    vanishing = st.sampled_from((0, p, -p, 2 * p))
+    term = st.tuples(st.one_of(vanishing, st.integers(-p, 2 * p)), word)
+    relations = []
+    for _ in range(draw(st.integers(1, 3))):
+        lhs = tuple(draw(st.lists(term, min_size=1, max_size=4)))
+        relations.append((lhs, _normal_form_words(lhs, p, n)))
+    lhs = tuple(draw(st.lists(term, min_size=1, max_size=3)))
+    planted = draw(st.tuples(st.integers(1, p - 1), word))
+    relations.append((lhs, _normal_form_words(lhs, p, n) + (planted,)))
+    exponent = st.sampled_from((0, 1, 2, 3, 4, 7, 8, 15))
+    count = draw(st.integers(1, 2 * SWEEP_CHUNK + 10))
+    monomials = draw(st.lists(st.tuples(*[exponent] * n), min_size=count, max_size=count))
+    return p, n, relations, monomials
+
+
+@settings(max_examples=240, deadline=None, derandomize=True)
+@given(st.one_of(_relations(), _shared_end_relations()))
 def test_packed_sweep_matches_the_word_reference(case):
     # the one sweep over all the relations finds the first failing
     # relation and its first failing monomial, as the word reference does
-    # looped over the relations
+    # looped over the relations; a run's image under a rightmost letter
+    # serves every later word, of any relation, that ends in it
     p, n, relations, monomials = case
 
     def first_mismatch(lhs, rhs):
@@ -328,6 +364,53 @@ def test_packed_sweep_matches_the_word_reference(case):
     assert first_word_sum_mismatch(relations, monomials, p, n) == want
     swapped = [(rhs, lhs) for lhs, rhs in relations]
     assert first_word_sum_mismatch(swapped, monomials, p, n) == want
+
+
+def _letters_on_each_run(monkeypatch):
+    """[(run, Counter of the letters applied to the packed run itself)],
+    filled by first_word_sum_mismatch in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    runs = []
+    packed_check, add_letter = nilhecke.packed_check, nilhecke._add_packed_letter
+
+    def spied_check(monomials, p, n, lift, diffs):
+        def spied(batch, width):
+            runs.append((batch, collections.Counter()))
+            yield from diffs(batch, width)
+
+        return packed_check(monomials, p, n, lift, spied)
+
+    def counted(letter, terms, *args):
+        if runs and terms is runs[-1][0]:
+            runs[-1][1][letter] += 1
+        add_letter(letter, terms, *args)
+
+    monkeypatch.setattr(nilhecke, "packed_check", spied_check)
+    monkeypatch.setattr(nilhecke, "_add_packed_letter", counted)
+    return runs
+
+
+@pytest.mark.parametrize("j", (1, 2, 3))
+def test_sym_linearity_applies_each_rightmost_letter_once_per_run(monkeypatch, j):
+    # 15 of the 30 words of each run end in D_j at n = 4
+    p, n, bound = 3, 4, 10
+    runs = _letters_on_each_run(monkeypatch)
+    assert sym_linearity_check(NilHeckeElement.d_gen(p, n, j), bound)
+    assert len(runs) == -(-len(monomials_up_to_degree(n, bound)) // SWEEP_CHUNK)
+    for _, letters in runs:
+        assert letters[("d", j)] == 1
+        assert set(letters.values()) == {1}
+
+
+def test_the_relation_sweep_applies_each_rightmost_letter_once_per_run(monkeypatch):
+    # the relations at n = 4 end in every letter, x_1 .. x_4 and D_1 .. D_3
+    p, n, bound = 3, 4, 24
+    runs = _letters_on_each_run(monkeypatch)
+    assert verify.check_nilhecke_relations(p, n, bound).ok
+    every = {("x", i) for i in range(1, n + 1)} | {("d", j) for j in range(1, n)}
+    assert len(runs) == -(-len(monomials_up_to_degree(n, bound)) // SWEEP_CHUNK)
+    for _, letters in runs:
+        assert letters == dict.fromkeys(every, 1)
 
 
 _DD_PAIR = nilhecke._dd_pair
@@ -666,8 +749,6 @@ def test_reconstruct_operator_roundtrip():
 
 
 def test_reconstruct_operator_rejects_non_nilhecke():
-    from padem.errors import ReconstructionError
-
     p, n = 3, 2
 
     def frobenius(f):
@@ -675,6 +756,52 @@ def test_reconstruct_operator_rejects_non_nilhecke():
 
     with pytest.raises(ReconstructionError):
         reconstruct_operator(p, n, frobenius, 8)
+
+
+def test_the_peeling_applies_only_the_nonzero_parts(monkeypatch):
+    # bar_1(D_1) at n = 4 has one D_w term, so D_u S_w is built for that u
+    # alone, once for each later w: not for all 276 pairs of permutations
+    p, n = 3, 4
+    words = []
+    apply = nilhecke.apply_word
+
+    def counted(word, f):
+        words.append(word)
+        return apply(word, f)
+
+    monkeypatch.setattr(nilhecke, "apply_word", counted)
+    e = steenrod.bar_act(1, NilHeckeElement.d_gen(p, n, 1), ACTION_STANDARD, 0)
+    parts = {images for _, images in e.terms}
+    assert parts == {Permutation.transposition(n, 1).images}
+    order = sorted(all_permutations(n), key=lambda w: (w.length(), w.images))
+    want = [
+        nilhecke._reduced_word(u.images)
+        for i, w in enumerate(order)
+        for u in order[:i]
+        if u.images in parts
+    ]
+    assert words == want
+    assert len(words) == 20
+
+
+def test_a_fault_in_the_peeling_fails_the_certificate(planted_fault):
+    # D_1 S_w read as zero leaves the part of D_1 in later coefficients
+    # (D_1 S_312 = x1 + x2 at n = 3): the certifying sweep, not the
+    # peeling, refuses the answer, and so the bar-closed-form row fails
+    p, n, bound = 3, 3, 12
+    apply = nilhecke.apply_word
+    d1 = nilhecke._reduced_word(Permutation.transposition(n, 1).images)
+    planted_fault.setattr(
+        nilhecke,
+        "apply_word",
+        lambda word, f: Polynomial.zero(f.p, f.n) if word == d1 else apply(word, f),
+    )
+    message = "bar action of P^1 is not realized by a nilHecke element"
+    with pytest.raises(ReconstructionError) as info:
+        steenrod.bar_act(1, NilHeckeElement.d_gen(p, n, 1), ACTION_STANDARD, bound)
+    assert str(info.value) == message
+    row = ("bar-closed-form", verify.check_bar_closed_form, (p, n, bound, 2))
+    assert verify._run_row(*row) == verify.Check("bar-closed-form", False, message)
 
 
 def test_reconstruction_budget_refuses_only_above_the_budget(monkeypatch):

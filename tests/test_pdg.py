@@ -461,6 +461,20 @@ def test_packed_nilpotence_sweep_matches_the_tuple_walk(p, n, data):
     assert pdg_mod._first_non_nilpotent(d, labels) == want
 
 
+@pytest.mark.parametrize("p", (2, 3))
+def test_the_nilpotence_walk_takes_exactly_p_steps(p):
+    # d x_i = x_(i+1) on p + 1 variables, x_(p+1) to zero: d^(p-1) x_2 and
+    # d^p x_1 are x_(p+1), and d^p x_2 = d^(p+1) x_1 = 0, so of the labels
+    # x_2, x_1 only x_1 fails; a walk one step short would name x_2, and
+    # one step long neither
+    n = p + 1
+    shifted = [xvar(p, n, i + 1) for i in range(1, n)] + [Polynomial.zero(p, n)]
+    d = Derivation(p, n, shifted, [NilHeckeElement.zero(p, n)] * (n - 1))
+    labels = _identity_labels([(0, 1) + (0,) * (n - 2), (1,) + (0,) * (n - 1)])
+    assert pdg_mod._first_non_nilpotent(d, labels) == labels[1]
+    assert non_nilpotent_by_tuples(d, [m for m, _ in labels]) == labels[1][0]
+
+
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_packed_nilpotence_sweep_on_a_lowering_derivation(p):
     # d/dx on one variable lowers every exponent, so a field need hold no
@@ -483,10 +497,11 @@ def test_basis_counts_match_the_enumerations():
             assert monomials == len(monomials_up_to_degree(n, bound))
             labels = pdg_mod._nh_label_count(n, half, 10**9)
             assert labels == len(pdg_mod._nh_labels(n, bound))
-    # verify_pdg's sweep at the CLI's default bound, n = 4, stays inside
-    assert capped_binomial(16, 4, 10**9) + pdg_mod._nh_label_count(4, 12, 10**9) == 98831
-    assert 98831 <= pdg_mod.BASIS_BUDGET
-    assert 98831 * 3 <= pdg_mod.WORK_BUDGET < 98831 * 5
+    # verify_pdg's sweep at the CLI's default bound, n = 4, stays inside;
+    # its labels hold the monomials, the identity labels
+    assert pdg_mod._nh_label_count(4, 12, 10**9) == 97011
+    assert 97011 <= pdg_mod.BASIS_BUDGET
+    assert 97011 * 3 <= pdg_mod.WORK_BUDGET < 97011 * 5
 
 
 def _old_nh_labels(n, top_degree):
@@ -520,10 +535,11 @@ def test_builders_refuse_a_basis_over_the_budget(monkeypatch):
     monkeypatch.setattr(pdg_mod, "BASIS_BUDGET", 8)
     with pytest.raises(DomainError, match="over the work budget"):
         nilhecke_space(3, 2, 2)
-    # verify_pdg counts both: at n = 2 and degree <= 4, 6 monomials and 16 labels
-    monkeypatch.setattr(pdg_mod, "BASIS_BUDGET", 22)
+    # verify_pdg counts its 16 labels at n = 2 and degree <= 4 once: the 6
+    # monomials are among them, the identity labels
+    monkeypatch.setattr(pdg_mod, "BASIS_BUDGET", 16)
     assert verify_pdg(khovanov_qi_derivation(3, 2), degree_bound=4)["all_ok"]
-    monkeypatch.setattr(pdg_mod, "BASIS_BUDGET", 21)
+    monkeypatch.setattr(pdg_mod, "BASIS_BUDGET", 15)
     with pytest.raises(DomainError, match="over the work budget"):
         verify_pdg(khovanov_qi_derivation(3, 2), degree_bound=4)
 
@@ -539,11 +555,12 @@ def test_budget_counts_p_steps_per_element(monkeypatch):
     monkeypatch.setattr(pdg_mod, "WORK_BUDGET", 26)
     with pytest.raises(DomainError, match="its 9 elements take up to p=3 steps each"):
         nilhecke_space(3, 2, 2)
-    # verify_pdg: 6 monomials and 16 labels at degree <= 4, 22 * 3 = 66
-    monkeypatch.setattr(pdg_mod, "WORK_BUDGET", 66)
+    # verify_pdg: 16 labels at degree <= 4, the 6 monomials among them,
+    # 16 * 3 = 48
+    monkeypatch.setattr(pdg_mod, "WORK_BUDGET", 48)
     assert verify_pdg(khovanov_qi_derivation(3, 2), degree_bound=4)["all_ok"]
-    monkeypatch.setattr(pdg_mod, "WORK_BUDGET", 65)
-    with pytest.raises(DomainError, match="more than 65 in all"):
+    monkeypatch.setattr(pdg_mod, "WORK_BUDGET", 47)
+    with pytest.raises(DomainError, match="its 16 elements take up to p=3 steps each, more than 47"):
         verify_pdg(khovanov_qi_derivation(3, 2), degree_bound=4)
 
 
